@@ -11,7 +11,7 @@ Run:
 
 from hjeval.bench import run_bench
 
-DIMS = [1, 2, 5, 10, 50, 100]
+DIMS = [1, 2, 5, 10, 50, 100, 200]
 
 
 def main():

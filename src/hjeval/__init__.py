@@ -49,6 +49,7 @@ from .simplex import (
     EnvelopeCertificate,
     EnvelopeViolationError,
     SimplexSolution,
+    check_witnesses,
     lower_envelope_certificate,
     minimize_over_simplex,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "EnvelopeCertificate",
     "EnvelopeViolationError",
     "SimplexSolution",
+    "check_witnesses",
     "lower_envelope_certificate",
     "minimize_over_simplex",
     "SliceSpec",

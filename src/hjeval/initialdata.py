@@ -38,7 +38,9 @@ __all__ = ["InitialDataNet", "norm_hamiltonian_rows"]
 class InitialDataNet:
     """Exact solution evaluator parameterized by (J, {(v_i, b_i)}).
 
-    ``lipschitz_initial_data`` records whether the activation is globally
+    ``certificate`` is the accepted :class:`~hjeval.simplex.EnvelopeCertificate`:
+    one witness gradient per row, re-checkable with
+    :func:`~hjeval.simplex.check_witnesses`.  ``lipschitz_initial_data`` records whether the activation is globally
     Lipschitz (the condition under which this solution is the unique
     uniformly continuous one); it is informational and never enforced.
     """

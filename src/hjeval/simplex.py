@@ -4,6 +4,10 @@ The only shape needed in this package: minimize c·α over weights α in the
 unit simplex subject to Σ α_i v_i = target.  Columns number a few dozen, so
 a dense tableau with Bland's anti-cycling rule is exact enough, dependency
 free, and easy to audit.  Pivot tolerance 1e-10.
+
+The lower-envelope certificate screens all rows at once with witness
+gradients checked by one blocked Gram product and solves the LP only for
+the rows the screen leaves; :func:`check_witnesses` re-checks its evidence.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ __all__ = [
     "EnvelopeCertificate",
     "EnvelopeViolationError",
     "lower_envelope_certificate",
+    "check_witnesses",
+    "SCREEN_SCALES",
 ]
 
 PIVOT_TOL = 1e-10
@@ -78,6 +84,17 @@ def minimize_over_simplex(costs, points, target) -> SimplexSolution:
     optimum with an optimal α, or ``SimplexSolution(inf, None)`` when the
     target lies outside the convex hull of the points (phase-1 infeasible).
     """
+    return _solve_over_simplex(costs, points, target)[0]
+
+
+def _solve_over_simplex(costs, points, target):
+    """:func:`minimize_over_simplex` plus its optimal basis.
+
+    The basis is ``(columns, redundant)``: the basic structural columns and
+    the constraint rows of ``[V^T; 1]`` dropped as combinations of the
+    others, so that the remaining rows restricted to the columns form a
+    square, invertible matrix.  None when the LP is infeasible.
+    """
     costs = np.asarray(costs, dtype=float).reshape(-1)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     target = np.asarray(target, dtype=float).reshape(-1)
@@ -106,15 +123,19 @@ def minimize_over_simplex(costs, points, target) -> SimplexSolution:
     if _bland_iterate(tableau, basis, m + n_rows) != "optimal":
         raise RuntimeError("phase-1 objective is bounded below by construction")
     if -tableau[-1, -1] > FEASIBILITY_TOL:
-        return SimplexSolution(float("inf"), None)
+        return SimplexSolution(float("inf"), None), None
 
-    # Drive leftover artificials out of the basis; drop redundant rows.
+    # Drive leftover artificials out of the basis; drop redundant rows.  A
+    # tableau row with no structural entry says that the constraint of its
+    # basic artificial is a combination of the others.
     keep = []
+    redundant = []
     for i in range(n_rows):
         if basis[i] >= m:
             structural = np.nonzero(np.abs(tableau[i, :m]) > PIVOT_TOL)[0]
             if structural.size == 0:
-                continue  # redundant constraint row
+                redundant.append(basis[i] - m)
+                continue
             _pivot(tableau, basis, i, structural[0])
         keep.append(i)
 
@@ -134,7 +155,7 @@ def minimize_over_simplex(costs, points, target) -> SimplexSolution:
     for i, j in enumerate(basis):
         alpha[j] = tableau2[i, -1]
     alpha[np.abs(alpha) < 1e-12] = 0.0
-    return SimplexSolution(float(costs @ alpha), alpha)
+    return SimplexSolution(float(costs @ alpha), alpha), (basis, redundant)
 
 
 @dataclass
@@ -145,12 +166,24 @@ class EnvelopeCertificate:
     interpolating all the pairs.  When violated, ``index`` is the 1-based
     offending row, and ``weights`` are simplex weights with
     Σ w_j v_j = v_index and Σ w_j b_j = envelope_value < b_index - tol.
+
+    When the set passes, row k of the (m, n) array ``witnesses`` is a
+    gradient p_k at which affine piece k of H(p) = max_i <p, v_i> - b_i
+    attains the max, and ``slack[k]`` is by how much it misses:
+    max_i (<p_k, v_i> - b_i) - (<p_k, v_k> - b_k), which bounds
+    b_k - H*(v_k).  :func:`check_witnesses` recomputes ``slack`` from the
+    pairs and the witnesses alone.  ``screened`` counts the rows certified
+    by the witness screen and by the LP, in that order (up to the first
+    violation when the set fails).
     """
 
     holds: bool
     index: int | None = None
     weights: np.ndarray | None = None
     envelope_value: float | None = None
+    witnesses: np.ndarray | None = None
+    slack: np.ndarray | None = None
+    screened: tuple[int, int] = (0, 0)
 
 
 class EnvelopeViolationError(ValueError):
@@ -165,19 +198,118 @@ class EnvelopeViolationError(ValueError):
         )
 
 
+# Candidate witnesses p_k = s * v_k.  Powers of two scale every product
+# exactly, so one Gram product serves all of them.
+SCREEN_SCALES = (1.0, 2.0, 0.5)
+# Row blocks of the Gram product hold about 1 MiB of float64 each.
+_BLOCK_ELEMENTS = 1 << 17
+_MAX_BLOCK_ROWS = 256
+
+
+def _slack(points, offsets, witnesses, owners, scales=(1.0,)) -> np.ndarray:
+    """``out[j, r]``: slack of ``scales[j] * witnesses[r]`` for row ``owners[r]``."""
+    m = points.shape[0]
+    out = np.empty((len(scales), len(owners)))
+    block = max(1, min(_MAX_BLOCK_ROWS, _BLOCK_ELEMENTS // m))
+    for start in range(0, len(owners), block):
+        stop = min(start + block, len(owners))
+        own = (np.arange(stop - start), owners[start:stop])
+        gram = witnesses[start:stop] @ points.T
+        for j, scale in enumerate(scales):
+            values = scale * gram
+            values -= offsets
+            out[j, start:stop] = values.max(axis=1) - values[own]
+    return out
+
+
+def _as_pairs(points, offsets):
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    offsets = np.asarray(offsets, dtype=float).reshape(-1)
+    if offsets.size != points.shape[0]:
+        raise ValueError("points and offsets must have equal length")
+    return points, offsets
+
+
+def check_witnesses(points, offsets, witnesses) -> np.ndarray:
+    """Per-row slack of envelope witnesses, with one blocked Gram product.
+
+    ``slack[k] = max_i (<p_k, v_i> - b_i) - (<p_k, v_k> - b_k)`` for the
+    (m, n) witnesses p_k; it is never negative in exact arithmetic, and
+    ``slack[k] <= tol`` proves that the simplex LP for row k attains at
+    least b_k - tol, i.e. that (v_k, b_k) lies on the lower convex envelope
+    up to tol.  This is the code :func:`lower_envelope_certificate` uses, so
+    ``check_witnesses(v, b, cert.witnesses)`` re-checks a certificate.
+    """
+    points, offsets = _as_pairs(points, offsets)
+    witnesses = np.asarray(witnesses, dtype=float)
+    if witnesses.shape != points.shape:
+        raise ValueError(f"witnesses must have shape {points.shape}, got {witnesses.shape}")
+    return _slack(points, offsets, witnesses, np.arange(points.shape[0]))[0]
+
+
+def _basis_witness(points, offsets, basis) -> np.ndarray:
+    """Witness from an optimal basis of the row-k LP: the dual y of the equality rows.
+
+    Solves A_B^T y = c_B for the unflipped A = [V^T; 1], which undoes the
+    solver's row flips, with redundant rows held at y = 0.  Dual
+    feasibility <y[:n], v_i> + y[n] <= b_i and the optimal value
+    <y[:n], v_k> + y[n] make p = y[:n] a witness for row k.
+    """
+    columns, redundant = basis
+    n = points.shape[1]
+    rows = [i for i in range(n + 1) if i not in redundant]
+    a_b = np.vstack([points[columns].T, np.ones(len(columns))])[rows]
+    y = np.zeros(n + 1)
+    y[rows] = np.linalg.solve(a_b.T, offsets[columns])
+    return y[:n]
+
+
 def lower_envelope_certificate(points, offsets, *, tol: float = ENVELOPE_TOL) -> EnvelopeCertificate:
     """Check that each point lies on the lower convex envelope of the pair set.
 
-    For every k solves the LP min { Σ α_i b_i : α in the simplex,
-    Σ α_i v_i = v_k }; the set passes iff each optimum attains b_k.  The
-    first violated row (smallest k) is reported with its minimizing weights.
+    Row k passes when the LP min { Σ α_i b_i : α in the simplex,
+    Σ α_i v_i = v_k } attains b_k within ``tol``, and a witness p_k with
+    slack at most ``tol`` (see :func:`check_witnesses`) proves exactly that.
+
+    1. Screen: the candidates p_k = s v_k for s in :data:`SCREEN_SCALES`
+       are tested for all rows with one blocked Gram product V V^T.  A row
+       is accepted only when its slack plus twice a forward bound on the
+       rounding error of the products, 2 (n + 2) eps (|p_k| max_i |v_i| +
+       max_i |b_i|), is at most ``tol``, so the screen never accepts on
+       rounding and large-magnitude data falls through to the LP.
+    2. LP fallback: the remaining rows, in index order, solve the LP with
+       :func:`minimize_over_simplex`'s solver, which stays the authority.
+       The witness of a certified row is the dual of its optimal basis.
+       The first violated row (smallest k) is reported with its minimizing
+       weights and envelope value, exactly as the LP alone would.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    offsets = np.asarray(offsets, dtype=float).reshape(-1)
-    for k in range(points.shape[0]):
-        sol = minimize_over_simplex(offsets, points, points[k])
+    points, offsets = _as_pairs(points, offsets)
+    m, n = points.shape
+    rows = np.arange(m)
+
+    norms = np.linalg.norm(points, axis=1)
+    scales = np.array(SCREEN_SCALES)[:, None]
+    bound = 2 * (n + 2) * np.finfo(float).eps * (
+        scales * norms * norms.max() + np.abs(offsets).max()
+    )
+    slacks = _slack(points, offsets, points, rows, SCREEN_SCALES)
+    passed = slacks + bound <= tol
+    accepted = passed.any(axis=0)
+    choice = passed.argmax(axis=0)
+    witnesses = scales[choice] * points
+    slack = slacks[choice, rows]
+
+    fallback = rows[~accepted]
+    for k in fallback:
+        sol, basis = _solve_over_simplex(offsets, points, points[k])
         if not sol.feasible:
             raise RuntimeError("envelope LP infeasible at one of its own points")
         if sol.value < offsets[k] - tol:
-            return EnvelopeCertificate(False, k + 1, sol.weights, sol.value)
-    return EnvelopeCertificate(True)
+            screened = (int(accepted.sum()), int(np.searchsorted(fallback, k)))
+            return EnvelopeCertificate(False, int(k) + 1, sol.weights, sol.value, screened=screened)
+        witnesses[k] = _basis_witness(points, offsets, basis)
+    if fallback.size:
+        slack[fallback] = _slack(points, offsets, witnesses[fallback], fallback)[0]
+    return EnvelopeCertificate(
+        True, witnesses=witnesses, slack=slack, screened=(m - fallback.size, fallback.size)
+    )

@@ -5,7 +5,7 @@ import pytest
 
 from hjeval.catalog import ConcaveFn, HalfSquaredNorm, MaxAffine, PNorm
 from hjeval.initialdata import InitialDataNet, norm_hamiltonian_rows
-from hjeval.simplex import EnvelopeViolationError
+from hjeval.simplex import ENVELOPE_TOL, EnvelopeViolationError, check_witnesses
 from hjeval.presets import (
     concave_quadratic_net_1d,
     concave_quadratic_net_10d,
@@ -78,6 +78,8 @@ def test_envelope_gate_rejects_bad_offsets():
 def test_certificate_stored_on_accepted_net():
     net = concave_quadratic_net_1d()
     assert net.certificate.holds
+    slack = check_witnesses(net.rows, net.offsets, net.certificate.witnesses)
+    assert (slack <= ENVELOPE_TOL).all()
     assert net.lipschitz_initial_data is False  # quadratic data is not Lipschitz
     lipschitz_net = InitialDataNet(ConcaveFn(PNorm(2)), [[0.0]], [0.0])
     assert lipschitz_net.lipschitz_initial_data is True
@@ -102,6 +104,15 @@ def test_norm_rows_l1():
     assert {tuple(np.abs(r)) for r in rows} == {(1.0,) * 5}
     with pytest.raises(ValueError, match="n > 20"):
         norm_hamiltonian_rows("l1", 21)
+
+
+@pytest.mark.parametrize("kind, n", [("linf", 200), ("l1", 12)])
+def test_large_norm_nets_construct(kind, n):
+    rows, offsets = norm_hamiltonian_rows(kind, n)
+    net = InitialDataNet(ConcaveFn(HalfSquaredNorm()), rows, offsets)
+    assert net.certificate.holds
+    assert net.certificate.screened == (len(rows), 0)
+    assert (check_witnesses(rows, offsets, net.certificate.witnesses) <= ENVELOPE_TOL).all()
 
 
 def test_norm_rows_linf():

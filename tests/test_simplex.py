@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from hjeval import check_witnesses
 from hjeval.initialdata import norm_hamiltonian_rows
 from hjeval.simplex import (
+    ENVELOPE_TOL,
     EnvelopeViolationError,
     lower_envelope_certificate,
     minimize_over_simplex,
@@ -111,3 +113,127 @@ def test_envelope_violation_error_reports_row():
     err = EnvelopeViolationError(cert)
     assert "row 2" in str(err)
     assert err.certificate is cert
+
+
+def _lp_only_certificate(points, offsets, tol=ENVELOPE_TOL):
+    """Reference: one simplex LP per row, first violation wins."""
+    for k in range(len(points)):
+        sol = minimize_over_simplex(offsets, points, points[k])
+        if sol.value < offsets[k] - tol:
+            return False, k + 1, sol.weights, sol.value
+    return True, None, None, None
+
+
+def _numpy_slack(points, offsets, witnesses):
+    values = (witnesses[:, None, :] * points[None, :, :]).sum(axis=2) - offsets[None, :]
+    return values.max(axis=1) - np.diagonal(values)
+
+
+def _paraboloid(rng, n, m):
+    points = rng.normal(size=(m, n))
+    return points, rng.choice([0.05, 0.5, 5.0]) * (points * points).sum(axis=1)
+
+
+def _envelope_sets(seed, count):
+    """Seeded (kind, points, offsets) sets: random offsets, planted
+    violations, duplicates, scaled norm generators, and paraboloids on a
+    lower-dimensional affine subspace (redundant LP rows)."""
+    rng = np.random.default_rng(seed)
+    kinds = ("paraboloid", "planted", "duplicates", "norm", "flat")
+    for i in range(count):
+        kind = kinds[i % len(kinds)]
+        n = int(rng.integers(1, 11))
+        m = int(rng.integers(n + 2, 21))
+        if kind == "paraboloid":
+            points, offsets = _paraboloid(rng, n, m)
+            offsets = offsets + rng.uniform(0.0, rng.choice([0.0, 1e-3, 0.1, 1.0]), m)
+        elif kind == "planted":
+            points, offsets = _paraboloid(rng, n, m)
+            row = rng.integers(m)
+            donors = rng.choice(np.delete(np.arange(m), row), 3, replace=False)
+            weights = rng.dirichlet(np.ones(3))
+            points[row] = weights @ points[donors]
+            offsets[row] = weights @ offsets[donors] + rng.choice([1e-3, 0.5])
+        elif kind == "duplicates":
+            points, offsets = _paraboloid(rng, n, m)
+            copies = rng.choice(m, 3)
+            lift = rng.choice([0.0, 0.0, 1e-2], 3)
+            points = np.vstack([points, points[copies]])
+            offsets = np.concatenate([offsets, offsets[copies] + lift])
+            order = rng.permutation(len(points))
+            points, offsets = points[order], offsets[order]
+        elif kind == "norm":
+            points, offsets = norm_hamiltonian_rows(rng.choice(["l1", "linf"]), min(n, 5))
+            points = points * 10.0 ** rng.uniform(-3, 3)
+        else:
+            latent, offsets = _paraboloid(rng, int(rng.integers(1, max(n, 2))), m)
+            points = latent @ rng.normal(size=(latent.shape[1], n + 1)) + rng.normal(size=n + 1)
+            offsets = offsets + rng.uniform(0.0, rng.choice([0.0, 0.1]), m)
+        yield kind, points, offsets
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_screened_certificate_matches_lp_only_reference(seed):
+    for kind, points, offsets in _envelope_sets(seed, 50):
+        cert = lower_envelope_certificate(points, offsets)
+        holds, index, weights, value = _lp_only_certificate(points, offsets)
+        assert cert.holds == holds, kind
+        assert cert.index == index and type(cert.index) is type(index), kind
+        if holds:
+            assert cert.weights is None and cert.envelope_value is None
+            assert sum(cert.screened) == len(points)
+            assert cert.witnesses.shape == points.shape
+            slack = _numpy_slack(points, offsets, cert.witnesses)
+            assert (slack <= ENVELOPE_TOL).all(), kind
+            np.testing.assert_allclose(cert.slack, slack, rtol=0, atol=1e-12)
+            assert (check_witnesses(points, offsets, cert.witnesses) <= ENVELOPE_TOL).all()
+        else:
+            np.testing.assert_array_equal(cert.weights, weights)
+            assert cert.envelope_value == value
+            assert cert.screened[1] < index
+
+
+def test_certificate_uses_the_lp_for_rows_the_screen_leaves():
+    # Curvature 5: the witness of row k is 10 v_k, outside the screen's
+    # scales, so all but the extreme rows take their witness from the LP.
+    points = np.linspace(-2.0, 2.0, 9).reshape(-1, 1)
+    offsets = 5.0 * points[:, 0] ** 2
+    cert = lower_envelope_certificate(points, offsets)
+    assert cert.holds
+    assert cert.screened[1] > 0
+    assert (check_witnesses(points, offsets, cert.witnesses) <= ENVELOPE_TOL).all()
+
+
+def test_screen_never_accepts_on_rounding():
+    # A paraboloid with one row lifted 1e-12 above the envelope: within the
+    # tolerance at unit scale.  At 1e8 the rounding of the Gram product
+    # exceeds the tolerance, so every row goes to the LP, whose result
+    # stands, although the bare computed slack of some rows is zero.
+    rng = np.random.default_rng(3)
+    points, _ = _paraboloid(rng, 3, 12)
+    offsets = 0.5 * (points * points).sum(axis=1)
+    points[5] = 0.5 * (points[1] + points[7])
+    offsets[5] = minimize_over_simplex(np.delete(offsets, 5), np.delete(points, 5, axis=0), points[5]).value
+    offsets[5] += 1e-12
+    assert lower_envelope_certificate(points, offsets).holds
+
+    big_points, big_offsets = points * 1e8, offsets * 1e16
+    cert = lower_envelope_certificate(big_points, big_offsets)
+    assert cert.screened[0] == 0
+    assert (check_witnesses(big_points, big_offsets, big_points) <= ENVELOPE_TOL).any()
+    holds, index, weights, value = _lp_only_certificate(big_points, big_offsets)
+    assert (cert.holds, cert.index) == (holds, index)
+    assert not holds
+    np.testing.assert_array_equal(cert.weights, weights)
+    assert cert.envelope_value == value
+
+
+def test_check_witnesses_reports_slack():
+    points, offsets = [[-1.0], [0.0], [1.0]], [0.0, 0.0, 0.0]
+    # p = 0 ties all three pieces; p = 1 makes piece 3 win by 1 over piece 2.
+    slack = check_witnesses(points, offsets, [[-1.0], [0.0], [1.0]])
+    np.testing.assert_array_equal(slack, [0.0, 0.0, 0.0])
+    slack = check_witnesses(points, offsets, [[-1.0], [1.0], [1.0]])
+    np.testing.assert_array_equal(slack, [0.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="shape"):
+        check_witnesses(points, offsets, [[1.0], [1.0]])
