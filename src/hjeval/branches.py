@@ -1,12 +1,51 @@
-"""Min-of-branches bookkeeping shared by both solution representations."""
+"""Min-of-branches evaluation shared by both solution representations.
+
+A net's value at a point is the minimum over its m branches; the winning
+branch (1-based, smallest index on ties) and the gap to the runner-up come
+with it.  Batches of k points are reduced in row blocks whose largest
+temporaries stay at a few MiB (``EXACT_BLOCK``, ``SCREEN_BLOCK``), through
+one of two kernels:
+
+* **Exact.**  The net's branch formula on stacked (point, branch)
+  difference arrays, one activation call per block.  It is the only kernel
+  whose numbers are returned.
+* **Screen**, for radial activations (see ``ConvexFn.radial``).  Branch i
+  at point x is ``sign * rho(|x - beta c_i|) + o_i``; the squared
+  distances come from ``|x|^2 - 2 beta <x, c_i> + beta^2 |c_i|^2`` with one
+  matrix product per block.  Each row gets a forward rounding bound ``e``
+  on the distance between its screen values and the exact kernel's values
+  (through the square root where there is one).  A branch is a candidate
+  when its screen value is at most the row's second-smallest screen value
+  plus ``2 e``; that band holds the exact minimum, every branch tied with
+  it and the exact runner-up, so the exact kernel run on the candidates
+  alone returns the same values, argmins and gaps as on all m branches.
+  Rows whose magnitudes could overflow or whose bound is not finite go to
+  the exact kernel whole, and so raise the same errors.
+
+Single points, and batches too small to repay the screen, take the exact
+kernel directly.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = ["EvalResult", "reduce_branches", "reduce_branch_matrix"]
+
+# Row blocks hold at most this many float64 elements: (rows, m, n) stacked
+# differences on the exact kernel (512 KiB), and (rows, m) screen values
+# plus about two (rows, n) candidate differences on the screen (1 MiB).
+EXACT_BLOCK = 1 << 16
+SCREEN_BLOCK = 1 << 17
+# Smallest batch worth screening, in elements of the exact kernel's
+# (k, m, n) differences; below it the screen's fixed cost is larger.
+SCREEN_MIN_ELEMENTS = 1 << 15
+
+_U = 2.0**-53  # unit roundoff
+_HUGE = 2.0**500  # rows above this magnitude could overflow: exact kernel
 
 
 @dataclass(frozen=True)
@@ -28,10 +67,10 @@ def reduce_branches(values: np.ndarray) -> EvalResult:
     """Collapse a vector of branch values into an :class:`EvalResult`."""
     values = np.asarray(values, dtype=float)
     best = int(values.argmin())
+    lowest = float(values[best])
     if values.size == 1:
-        return EvalResult(float(values[0]), 1, float("inf"))
-    second = float(np.partition(values, 1)[1])
-    return EvalResult(float(values[best]), best + 1, second - float(values[best]))
+        return EvalResult(lowest, 1, float("inf"))
+    return EvalResult(lowest, best + 1, float(np.partition(values, 1)[1]) - lowest)
 
 
 def reduce_branch_matrix(matrix: np.ndarray):
@@ -49,3 +88,190 @@ def reduce_branch_matrix(matrix: np.ndarray):
         two = np.partition(matrix, 1, axis=1)[:, :2]
         gaps = two[:, 1] - two[:, 0]
     return values, best + 1, gaps
+
+
+# -- validation -------------------------------------------------------------
+
+
+def check_branch_parameters(points, offsets, fn_dim, points_name, fn_name):
+    """Branch points as an (m, n) array and offsets as a length-m array.
+
+    ``points_name`` and ``fn_name`` word the errors, e.g. "shifts" and
+    "activation".
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    offsets = np.asarray(offsets, dtype=float).reshape(-1)
+    if points.shape[0] < 1:
+        raise ValueError("need at least one branch")
+    if points.shape[0] != offsets.shape[0]:
+        raise ValueError(f"{points_name} and offsets must have equal length")
+    if not (np.isfinite(points).all() and np.isfinite(offsets).all()):
+        raise ValueError("branch parameters must be finite")
+    if fn_dim is not None and points.shape[1] != fn_dim:
+        raise ValueError(
+            f"{fn_name} is defined on R^{fn_dim} but branch points live in R^{points.shape[1]}"
+        )
+    return points, offsets
+
+
+def check_point(x, dim: int) -> np.ndarray:
+    """One point as a length-dim vector."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        x = x.reshape(-1)
+    if x.size != dim:
+        raise ValueError(f"point has dimension {x.size}, net expects {dim}")
+    return x
+
+
+def check_points(points, dim: int) -> np.ndarray:
+    """Row points as a C-contiguous (k, dim) array of finite floats."""
+    points = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
+    if points.ndim != 2:
+        raise ValueError(
+            f"points must be scalars, vectors or (k, n) arrays, got ndim={points.ndim}"
+        )
+    if points.shape[1] != dim:
+        raise ValueError(f"points have dimension {points.shape[1]}, net expects {dim}")
+    if not np.isfinite(points).all():
+        raise ValueError("points must have finite coordinates")
+    return points
+
+
+# -- batch kernels ----------------------------------------------------------
+
+
+class Screen(NamedTuple):
+    """A net's branches at one time in radial form.
+
+    Branch i at x is ``sign * scale * rho(|x - beta c_i| / scale) +
+    offsets_i``, where ``radial`` = (kind, s) gives ``rho(r) = r^2 / 2``
+    for "square" (scale 1) and ``max(r - s, 0)`` for "norm".  The exact
+    kernel feeds the activation ``(x - beta c_i) / scale``.  ``sq`` caches
+    ``|c_i|^2``.
+    """
+
+    radial: tuple[str, float]
+    sign: float
+    beta: float
+    scale: float
+    centers: np.ndarray
+    sq: np.ndarray
+    offsets: np.ndarray
+
+
+def min_over_branches(points, m: int, exact, screen: Screen | None = None):
+    """Row-wise (values, argmins, gaps) of the (k, m) branch matrix.
+
+    ``points`` is a checked (k, n) array.  ``exact(x, cols, out)`` returns
+    the exact branch values for the points x broadcast against the branches
+    ``cols``, an index array over x's leading axes, and may write the
+    differences into ``out``.  ``screen`` enables the screened kernel.
+    """
+    k, n = points.shape
+    if screen is None or m == 1 or k == 1 or k * m * n < SCREEN_MIN_ELEMENTS:
+        return _exact_rows(points, m, exact)
+    step = max(1, SCREEN_BLOCK // (m + 2 * n))
+    # Blocks write their largest arrays into one workspace, so they reuse
+    # memory instead of each taking (and faulting in) fresh pages.
+    work = np.empty(min(k, step) * (m + 2 * n))
+    cross = (-2.0 * screen.beta * screen.centers).T  # -2 beta c_i, one column a branch
+    blocks = range(0, k, step)
+    return _join([_screened(points[lo : lo + step], exact, screen, cross, work) for lo in blocks])
+
+
+def _join(blocks):
+    if len(blocks) == 1:
+        return blocks[0]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def _exact_rows(x, m, exact):
+    """The exact kernel on every branch, in row blocks."""
+    k, n = x.shape
+    step = max(1, EXACT_BLOCK // (m * n))
+    work = np.empty(max(min(k, step), 1) * m * n)
+    return _join([_exact(x[lo : lo + step], m, exact, work) for lo in range(0, max(k, 1), step)])
+
+
+def _exact(x, m, exact, work):
+    # Branch-major pairs keep each branch's points contiguous.
+    out = work[: m * x.size].reshape(m, *x.shape)
+    return reduce_branch_matrix(np.ascontiguousarray(exact(x[None], np.arange(m)[:, None], out).T))
+
+
+def _screen_values(x, s: Screen, cross, vals):
+    """Fill ``vals`` with the (rows, m) screen values; return each row's band half-width."""
+    n = x.shape[1]
+    xx = np.einsum("ij,ij->i", x, x)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        np.matmul(x, cross, out=vals)
+        vals += xx[:, None]
+        vals += (s.beta * s.beta) * s.sq
+        # Forward bounds: |x|, |beta c_i| <= p and every computed |.|^2
+        # within e2 of the true one (matrix product, norms, sums, underflow).
+        p = np.sqrt(xx) + abs(s.beta) * np.sqrt(s.sq.max())
+        e2 = (n + 8) * _U * (p * p) + (n + 1) * 2.0**-1000
+        omax = float(np.abs(s.offsets).max())
+        kind, shift = s.radial
+        shift *= s.scale
+        if kind == "norm":
+            dmin = np.sqrt(np.maximum(vals.min(axis=1), 0.0))
+            np.maximum(vals, 0.0, out=vals)
+            np.sqrt(vals, out=vals)
+            if shift:
+                vals -= shift
+                np.maximum(vals, 0.0, out=vals)
+            spread = np.minimum(np.sqrt(e2), e2 / dmin) + (n + 10) * _U * (p + shift + omax)
+        else:
+            vals *= 0.5
+            spread = e2 + (n + 10) * _U * (p * p + omax)
+        if s.sign < 0:
+            np.negative(vals, out=vals)
+        vals += s.offsets
+        # Both kernels' errors, with room to spare, plus underflow of the
+        # exact kernel's scaled differences.
+        bound = 2.0 * spread + (n + 1) * 2.0**-500 * (1.0 + s.scale)
+        safe = (p < _HUGE) & (p / s.scale < _HUGE) & (omax < _HUGE * _HUGE) & np.isfinite(bound)
+    return np.where(safe, bound, np.nan)
+
+
+def _screened(x, exact, s: Screen, cross, work):
+    (rows, n), m = x.shape, cross.shape[1]
+    vals = work[: rows * m].reshape(rows, m)
+    bound = _screen_values(x, s, cross, vals)
+    r = np.arange(rows)
+    best = vals.argmin(axis=1)
+    lowest = vals[r, best]
+    vals[r, best] = np.inf
+    second = vals.min(axis=1)
+    vals[r, best] = lowest
+    mask = vals <= (second + 2.0 * bound)[:, None]
+    mask[~np.isfinite(bound)] = True  # unsafe rows: every branch, exactly
+    pair_rows, cols = np.nonzero(mask)
+    # The screen values are spent: the workspace takes the candidates, as
+    # many at a time as fit.
+    exact_vals = np.empty(len(cols))
+    chunk = len(work) // n
+    for lo in range(0, len(cols), chunk):
+        sel = slice(lo, lo + chunk)
+        size = len(cols[sel])
+        candidates = np.take(x, pair_rows[sel], axis=0, out=work[: size * n].reshape(size, n))
+        exact_vals[sel] = exact(candidates, cols[sel], candidates)
+    # Segmented reduction over each row's candidates (rows are sorted).
+    starts = np.searchsorted(pair_rows, r)
+    low = np.minimum.reduceat(exact_vals, starts)
+    index = np.arange(len(exact_vals))
+    first = np.minimum.reduceat(np.where(exact_vals == low[pair_rows], index, len(index)), starts)
+    first = np.minimum(first, len(index) - 1)  # NaN rows match nothing; redone below
+    values = exact_vals[first]
+    argmins = cols[first] + 1
+    exact_vals[first] = np.inf
+    runner = np.minimum.reduceat(exact_vals, starts)
+    gaps = runner - values
+    # NaN rows and ties at zero (whose sign the reduction order decides)
+    # take the full-matrix reduction on every branch.
+    redo = np.isnan(low) | ((values == 0.0) & (runner == 0.0))
+    if redo.any():
+        values[redo], argmins[redo], gaps[redo] = _exact_rows(x[redo], m, exact)
+    return values, argmins, gaps

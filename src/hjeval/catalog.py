@@ -98,6 +98,11 @@ class ConvexFn:
     dim: int | None = None
     finite_everywhere: bool = True
     uniformly_lipschitz: bool = False
+    # Euclidean-family members are radial: f(z) = |z|^2 / 2 for
+    # ("square", 0.0) and max(|z| - s, 0) for ("norm", s).  Nets use the
+    # form to screen branches with one matrix product; None elsewhere.
+    radial: tuple[str, float] | None = None
+    radial_recession: tuple[str, float] | None = None
 
     def __call__(self, x):
         pts, single = _promote(x, self.dim)
@@ -210,6 +215,12 @@ class PNorm(ConvexFn):
             raise ValueError("p must be 1, 2 or inf")
         object.__setattr__(self, "p", float(self.p))
 
+    @property
+    def radial(self):
+        return ("norm", 0.0) if self.p == 2.0 else None
+
+    radial_recession = radial
+
     def _values(self, pts):
         return np.linalg.norm(pts, ord=self.p, axis=1)
 
@@ -271,6 +282,8 @@ class ShiftedNormPlus(ConvexFn):
     """
 
     uniformly_lipschitz = True
+    radial = ("norm", 1.0)
+    radial_recession = ("norm", 0.0)
 
     def _values(self, pts):
         return np.maximum(np.linalg.norm(pts, axis=1) - 1.0, 0.0)
@@ -313,6 +326,8 @@ class NormOnBall(ConvexFn):
 @dataclass(frozen=True)
 class HalfSquaredNorm(ConvexFn):
     """||x||_2^2 / 2.  Self-conjugate; not globally Lipschitz."""
+
+    radial = ("square", 0.0)
 
     def _values(self, pts):
         return 0.5 * np.einsum("ij,ij->i", pts, pts)

@@ -12,10 +12,9 @@ import sys
 from pathlib import Path
 
 from .bench import bench_csv, run_bench
-from .config import ConfigError, load_problem, load_slice
-from .lagrangian import LagrangianNet
+from .config import ConfigError, load_problem, load_slice, parse_floats
 from .oracle import OracleConfig, verify_report
-from .output import write_slice_csv, write_slice_pgm
+from .output import format_17g, write_slice_csv, write_slice_pgm
 from .simplex import EnvelopeViolationError
 from .slicing import evaluate_slice
 
@@ -76,29 +75,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_floats(field: str, text: str):
-    try:
-        return [float(tok) for tok in text.split(",")]
-    except ValueError:
-        raise ConfigError(field, f"not numbers: {text!r}") from None
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _cmd_eval(args) -> int:
     net = load_problem(args.config).build_net()
-    x = _parse_floats("x", args.x)
+    x = parse_floats("x", args.x)
     if len(x) != net.dimension:
         raise ConfigError("x", f"expected {net.dimension} coordinates, got {len(x)}")
     if args.t < 0:
         raise ConfigError("t", "must be nonnegative")
-    if isinstance(net, LagrangianNet) and args.t == 0:
-        result = net.initial_value(x)
-    else:
-        result = net.evaluate(x, args.t)
-    print(f"value={_fmt(result.value)} argmin={result.argmin_index} gap={_fmt(result.gap)}")
+    (value,), (argmin,), (gap,) = net.solution_grid([x], args.t)
+    print(f"value={format_17g(value)} argmin={argmin} gap={format_17g(gap)}")
     return EXIT_OK
 
 

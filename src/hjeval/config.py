@@ -76,7 +76,7 @@ def _parse_float(field_name: str, token: str) -> float:
         raise ConfigError(field_name, f"not a number: {token!r}") from None
 
 
-def _parse_floats(field_name: str, value: str) -> list[float]:
+def parse_floats(field_name: str, value: str) -> list[float]:
     return [_parse_float(field_name, tok) for tok in value.split(",")]
 
 
@@ -142,8 +142,10 @@ class ProblemConfig:
     def branch_parameters(self):
         """(points, scalars) lists from the param lines or the generator."""
         if self.norm_hamiltonian is not None:
-            rows, offsets = norm_hamiltonian_rows(self.norm_hamiltonian, self.dimension)
-            return rows, offsets
+            try:
+                return norm_hamiltonian_rows(self.norm_hamiltonian, self.dimension)
+            except ValueError as exc:
+                raise ConfigError("norm_hamiltonian", str(exc)) from None
         points = [row[:-1] for row in self.params]
         scalars = [row[-1] for row in self.params]
         return points, scalars
@@ -198,9 +200,9 @@ def parse_problem(text: str) -> ProblemConfig:
         elif key == "p":
             p = _parse_float("p", value)
         elif key == "affine":
-            affine.append(tuple(_parse_floats("affine", value)))
+            affine.append(tuple(parse_floats("affine", value)))
         elif key == "param":
-            params.append(tuple(_parse_floats("param", value)))
+            params.append(tuple(parse_floats("param", value)))
         elif key == "norm_hamiltonian":
             if value not in ("l1", "linf"):
                 raise ConfigError("norm_hamiltonian", f"expected l1 or linf, got {value!r}")
@@ -253,16 +255,16 @@ def parse_slice(text: str) -> SliceSpec:
             except ValueError:
                 raise ConfigError("free_axes", f"not integers: {value!r}") from None
         elif key == "range":
-            vals = _parse_floats("range", value)
+            vals = parse_floats("range", value)
             if len(vals) != 3:
                 raise ConfigError("range", "expected min, max, steps")
             if vals[2] != int(vals[2]):
                 raise ConfigError("range", "steps must be an integer")
             ranges.append((vals[0], vals[1], int(vals[2])))
         elif key == "fixed":
-            fixed = tuple(_parse_floats("fixed", value))
+            fixed = tuple(parse_floats("fixed", value))
         elif key == "times":
-            times = tuple(_parse_floats("times", value))
+            times = tuple(parse_floats("times", value))
         else:
             raise ConfigError(key, "unknown key")
 

@@ -20,7 +20,8 @@ from .slicing import SliceResult
 __all__ = ["write_slice_csv", "write_slice_pgm", "render_pgm"]
 
 
-def _fmt(x: float) -> str:
+def format_17g(x: float) -> str:
+    """A float with 17 significant digits: round-trips losslessly."""
     return format(float(x), ".17g")
 
 
@@ -39,10 +40,10 @@ def write_slice_csv(result: SliceResult, out_prefix) -> list[Path]:
         path = prefix.parent / f"{prefix.name}_t{_time_tag(table.t)}.csv"
         lines = [header]
         for i in range(result.grid.shape[0]):
-            coords = ",".join(_fmt(c) for c in result.grid[i])
+            coords = ",".join(format_17g(c) for c in result.grid[i])
             lines.append(
-                f"{coords},{_fmt(table.t)},{_fmt(table.values[i])},"
-                f"{int(table.argmin_indices[i])},{_fmt(table.gaps[i])}"
+                f"{coords},{format_17g(table.t)},{format_17g(table.values[i])},"
+                f"{int(table.argmin_indices[i])},{format_17g(table.gaps[i])}"
             )
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         paths.append(path)

@@ -54,6 +54,16 @@ def test_eval_validation_failures(tmp_path, capsys):
     assert "x:" in capsys.readouterr().err
 
 
+def test_l1_generator_above_cap_exits_one(tmp_path, capsys):
+    big = tmp_path / "l1big.cfg"
+    big.write_text(
+        "architecture = arch2\ndimension = 14\nfunction = neg_half_squared_norm\n"
+        "norm_hamiltonian = l1\n"
+    )
+    assert main(["eval", "--config", str(big), "--x", ",".join(["0"] * 14), "--t", "1"]) == 1
+    assert "norm_hamiltonian: l1 constructor refused for n > 13" in capsys.readouterr().err
+
+
 def test_envelope_violation_exit_code_and_witness(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(

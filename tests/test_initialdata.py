@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hjeval.catalog import ConcaveFn, HalfSquaredNorm, MaxAffine, PNorm
-from hjeval.initialdata import InitialDataNet, norm_hamiltonian_rows
+from hjeval.branches import reduce_branch_matrix
+from hjeval.catalog import ConcaveFn, HalfSquaredNorm, MaxAffine, PNorm, ShiftedNormPlus
+from hjeval.initialdata import L1_MAX_DIMENSION, InitialDataNet, norm_hamiltonian_rows
 from hjeval.simplex import ENVELOPE_TOL, EnvelopeViolationError, check_witnesses
 from hjeval.presets import (
     concave_quadratic_net_1d,
@@ -102,11 +103,13 @@ def test_norm_rows_l1():
     np.testing.assert_array_equal(rows[0], [-1.0] * 5)
     np.testing.assert_array_equal(rows[-1], [1.0] * 5)
     assert {tuple(np.abs(r)) for r in rows} == {(1.0,) * 5}
-    with pytest.raises(ValueError, match="n > 20"):
-        norm_hamiltonian_rows("l1", 21)
+    cap = L1_MAX_DIMENSION
+    assert norm_hamiltonian_rows("l1", cap)[0].shape == (2**cap, cap)
+    with pytest.raises(ValueError, match="n > 13"):
+        norm_hamiltonian_rows("l1", cap + 1)
 
 
-@pytest.mark.parametrize("kind, n", [("linf", 200), ("l1", 12)])
+@pytest.mark.parametrize("kind, n", [("linf", 200), ("l1", 12), ("l1", L1_MAX_DIMENSION)])
 def test_large_norm_nets_construct(kind, n):
     rows, offsets = norm_hamiltonian_rows(kind, n)
     net = InitialDataNet(ConcaveFn(HalfSquaredNorm()), rows, offsets)
@@ -180,3 +183,90 @@ def test_fenchel_young_between_hamiltonian_and_conjugate():
         if net.hamiltonian()(p) == float(p @ v) - b:
             conj = net.hamiltonian_conjugate(v).value
             assert ham(p) + conj == pytest.approx(float(p @ v), abs=1e-6)
+
+
+# -- batch path against the per-branch loop ------------------------------------
+
+
+def _loop_reference(net, points, t):
+    """The per-branch loop the batch path replaced: one activation call per branch."""
+    cols = [net.initial_data(points - t * v) + t * b for v, b in zip(net.rows, net.offsets)]
+    return reduce_branch_matrix(np.stack(cols, axis=1))
+
+
+_RADIAL = (HalfSquaredNorm(), PNorm(2), ShiftedNormPlus())
+
+
+def _initialdata_batch(rng, case):
+    j = ConcaveFn(_RADIAL[rng.integers(3)])
+    n, m, k = int(rng.integers(1, 13)), int(rng.integers(2, 41)), int(rng.integers(2, 300))
+    rows = rng.uniform(-2.0, 2.0, (m, n))
+    points = rng.uniform(-4.0, 4.0, (k, n))
+    t = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.05, 3.0))
+    # Offsets from a convex function of the rows keep every row on the envelope.
+    offsets = 0.5 * (rows * rows).sum(axis=1) + rows @ rng.uniform(-1.0, 1.0, n) - 1.0
+    if case == "ties":
+        # Duplicated rows; at t = 0 every branch equals J(x), and x = 0 with
+        # offsets of both signs gives ties between 0.0 and -0.0.
+        dup = rng.integers(m, size=m // 2)
+        rows[: m // 2], offsets[: m // 2] = rows[dup], offsets[dup]
+        points[: k // 3] = 0.0
+        if rng.random() < 0.5:
+            t = 0.0
+    elif case == "near":
+        # Rows on a sphere with equal offsets, points on the bisector of two
+        # rows (up to rounding) and a few ulps off it.
+        rows *= 1.5 / np.linalg.norm(rows, axis=1, keepdims=True)
+        rows[1] = -rows[0]
+        offsets = np.full(m, 0.5 * 1.5**2)
+        t = t or 1.0
+        a, b = t * rows[0], t * rows[1]
+        d = a - b
+        pts = points[: k // 2]
+        pts -= np.outer((pts - 0.5 * (a + b)) @ d / (d @ d), d)
+        pts *= 1.0 + rng.integers(-3, 4, pts.shape) * 2.0**-52
+    elif case == "scaled":
+        rows, points, t = rows * 1e8, points * 1e8, t * 1e8
+        offsets = 0.5 * (rows * rows).sum(axis=1)
+    elif case == "huge":
+        # |x|^2 near or past overflow: these rows take every branch exactly.
+        points[::2] *= 10.0 ** rng.uniform(150.0, 160.0)
+    return InitialDataNet(j, rows, offsets), points, t
+
+
+@pytest.mark.parametrize("case", ["generic", "ties", "near", "scaled", "huge"])
+def test_screened_batches_equal_branch_loop(case, check_batch):
+    rng = np.random.default_rng(["generic", "ties", "near", "scaled", "huge"].index(case) + 10)
+    for _ in range(20):
+        net, points, t = _initialdata_batch(rng, case)
+        pairs = check_batch(net, points, t, _loop_reference, rng)
+        if case == "generic" and net.n_branches >= 8 and t > 0:
+            assert pairs < len(points) * net.n_branches  # the screen dropped branches
+
+
+def test_batch_errors_match_branch_loop():
+    net = concave_quadratic_net_10d()
+    bad = np.zeros((5, 10))
+    bad[1, 2] = np.inf
+    ones = np.ones((5, 10))
+    for points, t in ((bad, 1.0), (bad, 0.0), (ones, 1.5e308), (ones, np.nan)):
+        with pytest.raises(ValueError) as want, np.errstate(all="ignore"):
+            _loop_reference(net, points, t)
+        with pytest.raises(ValueError) as got, np.errstate(all="ignore"):
+            net.solution_grid(points, t)
+        assert str(got.value) == str(want.value) == "points must have finite coordinates"
+
+
+def test_screen_band_is_tight(count_pairs):
+    # On generic inputs the band holds the winner and the runner-up only;
+    # a band grown too wide would silently give back the screen's gain.
+    net = linf_hamiltonian_net(100)
+    counts = count_pairs(net)
+    rng = np.random.default_rng(44)
+    points = rng.uniform(-4.0, 4.0, (10_000, 100))
+    net.solution_grid(points, 1.7)
+    assert sum(counts) / len(points) <= 2.0
+    # At t = 0 every branch equals J(x): all m tie and all are rechecked.
+    counts.clear()
+    net.solution_grid(points[:1000], 0.0)
+    assert sum(counts) == 1000 * net.n_branches

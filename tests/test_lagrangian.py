@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hjeval.branches import reduce_branch_matrix
 from hjeval.catalog import (
     ClippedQuadratic1D,
     HalfSquaredNorm,
@@ -159,3 +160,76 @@ def test_bruteforce_oracle_bounds_from_above():
         t = rng.uniform(0.1, 3.0)
         oracle = lax_oleinik_bruteforce(net.initial_values, net.lagrangian, x, t, cfg)
         assert oracle >= net.evaluate(x, t).value - 1e-12
+
+
+# -- batch path against the per-branch loop ------------------------------------
+
+
+def _loop_reference(net, points, t):
+    """The per-branch loop the batch path replaced: one activation call per branch."""
+    if t == 0:
+        cols = [net.lagrangian.recession(points - u) + a for u, a in zip(net.shifts, net.offsets)]
+    else:
+        cols = [t * net.lagrangian((points - u) / t) + a for u, a in zip(net.shifts, net.offsets)]
+    return reduce_branch_matrix(np.stack(cols, axis=1))
+
+
+def _lagrangian_batch(rng, case):
+    lagr = (PNorm(2), ShiftedNormPlus())[rng.integers(2)]
+    n, m, k = int(rng.integers(1, 13)), int(rng.integers(2, 41)), int(rng.integers(2, 300))
+    shifts = rng.uniform(-2.0, 2.0, (m, n))
+    offsets = rng.uniform(-1.0, 1.0, m)
+    points = rng.uniform(-4.0, 4.0, (k, n))
+    t = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.05, 3.0))
+    if case == "ties":
+        # Duplicated branches, zero offsets and points on branch centres:
+        # exact ties, many of them at zero.
+        offsets[rng.random(m) < 0.5] = 0.0
+        dup = rng.integers(m, size=m // 2)
+        shifts[: m // 2], offsets[: m // 2] = shifts[dup], offsets[dup]
+        points[: k // 2] = shifts[rng.integers(m, size=k // 2)]
+    elif case == "near":
+        # Offsets that make every branch tie at one anchor up to rounding,
+        # and points within a few ulps of it.  At a branch centre the screen
+        # distance is the square root of a rounding error.
+        x0 = shifts[0].copy() if rng.random() < 0.5 else points[0]
+        base = t * lagr((x0 - shifts) / t) if t else lagr.recession(x0 - shifts)
+        offsets = 0.25 - base
+        points[: k // 2] = x0 * (1.0 + rng.integers(-3, 4, (k // 2, n)) * 2.0**-52)
+    elif case == "scaled":
+        shifts, offsets, points, t = shifts * 1e8, offsets * 1e8, points * 1e8, t * 1e8
+    elif case == "huge":
+        roll = rng.random()
+        if roll < 0.2:
+            t = np.inf  # 0 * inf: NaN branch values
+        elif roll < 0.4:
+            t = 1e-200  # |(x - u) / t|^2 overflows where |x - u|^2 does not
+        else:
+            # |x|^2 near or past overflow: these rows take every branch exactly.
+            points[::2] *= 10.0 ** rng.uniform(150.0, 160.0)
+    return LagrangianNet(lagr, shifts, offsets), points, t
+
+
+@pytest.mark.parametrize("case", ["generic", "ties", "near", "scaled", "huge"])
+def test_screened_batches_equal_branch_loop(case, check_batch):
+    rng = np.random.default_rng(["generic", "ties", "near", "scaled", "huge"].index(case))
+    for _ in range(20):
+        net, points, t = _lagrangian_batch(rng, case)
+        pairs = check_batch(net, points, t, _loop_reference, rng)
+        if case == "generic" and net.n_branches >= 8:
+            assert pairs < len(points) * net.n_branches  # the screen dropped branches
+
+
+def test_batch_errors_match_branch_loop():
+    net = shifted_norm_net_10d()
+    bad = np.zeros((5, 10))
+    bad[3, 4] = np.nan
+    ones = np.ones((5, 10))
+    for points, t in ((bad, 1.0), (bad, 0.0), (ones, 1e-320), (ones, np.nan)):
+        with pytest.raises(ValueError) as want, np.errstate(all="ignore"):
+            _loop_reference(net, points, t)
+        with pytest.raises(ValueError) as got, np.errstate(all="ignore"):
+            net.solution_grid(points, t)
+        assert str(got.value) == str(want.value) == "points must have finite coordinates"
+    with pytest.raises(ValueError, match="net expects 10"):
+        net.evaluate_grid(np.zeros((3, 2)), 1.0)
