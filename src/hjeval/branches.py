@@ -29,11 +29,12 @@ kernel directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["EvalResult", "reduce_branches", "reduce_branch_matrix"]
+__all__ = ["BranchNet", "EvalResult", "reduce_branches", "reduce_branch_matrix"]
 
 # Row blocks hold at most this many float64 elements: (rows, m, n) stacked
 # differences on the exact kernel (512 KiB), and (rows, m) screen values
@@ -93,11 +94,11 @@ def reduce_branch_matrix(matrix: np.ndarray):
 # -- validation -------------------------------------------------------------
 
 
-def check_branch_parameters(points, offsets, fn_dim, points_name, fn_name):
-    """Branch points as an (m, n) array and offsets as a length-m array.
+def check_branch_parameters(points, offsets, points_name="points", fn_dim=None, fn_name=None):
+    """Branch points as an (m, n) array of finite floats and offsets as a length-m array.
 
     ``points_name`` and ``fn_name`` word the errors, e.g. "shifts" and
-    "activation".
+    "activation"; ``fn_dim`` (None: any) is the dimension the points must have.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     offsets = np.asarray(offsets, dtype=float).reshape(-1)
@@ -275,3 +276,55 @@ def _screened(x, exact, s: Screen, cross, work):
     if redo.any():
         values[redo], argmins[redo], gaps[redo] = _exact_rows(x[redo], m, exact)
     return values, argmins, gaps
+
+
+# -- nets -------------------------------------------------------------------
+
+
+class BranchNet:
+    """m branches, each an activation of an affine map of (x, t), min-pooled.
+
+    Holds the branch points c_i (their ``|c_i|^2`` cached) and offsets, and
+    wires both paths: a single point runs every branch formula in one call
+    and reduces it; a batch is checked once and reduced by
+    :func:`min_over_branches`.  Subclasses give the exact branch formula
+    ``_branch_formula(t, x, cols=None, out=None)``, with ``x`` broadcast
+    against the branch rows ``cols`` (all when None) and ``out`` free to take
+    the differences, and ``_screen(t)``, the branches in radial form at time
+    t or None.
+    """
+
+    def __init__(self, activation, points, offsets, points_name, fn_name):
+        self._activation = activation
+        self._points, self.offsets = check_branch_parameters(
+            points, offsets, points_name, activation.dim, fn_name
+        )
+        self._sq = np.einsum("ij,ij->i", self._points, self._points)
+
+    @property
+    def dimension(self) -> int:
+        return self._points.shape[1]
+
+    @property
+    def n_branches(self) -> int:
+        return self._points.shape[0]
+
+    def branch_values(self, x, t: float) -> np.ndarray:
+        """All m branch values at one point."""
+        return self._branch_formula(t, check_point(x, self.dimension))
+
+    def _evaluate_point(self, x, t) -> EvalResult:
+        """The single-point path: one call of the branch formula, reduced."""
+        return reduce_branches(self.branch_values(x, t))
+
+    def _branch_matrix(self, points, t):
+        """Row-wise (values, argmins, gaps) over the branches at time t."""
+        points = check_points(points, self.dimension)
+        exact = partial(self._branch_formula, t)
+        return min_over_branches(points, self.n_branches, exact, self._screen(t))
+
+    def __repr__(self):
+        return (
+            f"{type(self).__name__}({self._activation!r}, m={self.n_branches}, "
+            f"dim={self.dimension})"
+        )

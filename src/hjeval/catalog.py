@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .branches import check_branch_parameters
+
 __all__ = [
     "DOMAIN_ATOL",
     "ensure_extended",
@@ -352,17 +354,8 @@ class MaxAffine(ConvexFn):
     uniformly_lipschitz = True
 
     def __init__(self, rows, offsets):
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        offsets = np.asarray(offsets, dtype=float).reshape(-1)
-        if rows.shape[0] < 1:
-            raise ValueError("max-affine function needs at least one affine piece")
-        if rows.shape[0] != offsets.shape[0]:
-            raise ValueError("rows and offsets must have equal length")
-        if not (np.isfinite(rows).all() and np.isfinite(offsets).all()):
-            raise ValueError("affine pieces must be finite")
-        self.rows = rows
-        self.offsets = offsets
-        self.dim = rows.shape[1]
+        self.rows, self.offsets = check_branch_parameters(rows, offsets, "rows")
+        self.dim = self.rows.shape[1]
 
     def _pieces(self, pts):
         return pts @ self.rows.T - self.offsets

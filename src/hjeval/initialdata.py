@@ -18,36 +18,23 @@ parameter sets rather than silently computing a non-solution.
 
 Evaluation cost is O(m · cost(J)) per point, independent of any mesh.
 Every entry point validates its points once and goes through one branch
-path (:mod:`hjeval.branches`): a single point runs the m branch formulas
-in one activation call; a batch runs in row blocks of at most 2 MiB of
-temporaries.  For radial J (the negated ``HalfSquaredNorm``, ``PNorm(2)``
-and ``ShiftedNormPlus``) a batch block is screened first: one matrix
-product gives every |x - t v_i|, and only the branches within a forward
-rounding bound of the two smallest are evaluated exactly, so values,
-argmins and gaps are those of the exact formula on all m branches.  Other
-activations run the exact formula on every branch.  On 10,000-point
-batches of J = -|x|^2/2 (fastest run, one BLAS thread, shared 2-CPU
-machine) the earlier loop over branches took 51.0 us per point for the
-linf Hamiltonian at n = 100 (m = 200), now 3.5 us, and 12.3 us for l1 at
-n = 8 (m = 256), now 2.3 us.
+path (:class:`hjeval.branches.BranchNet`): a single point runs the m branch
+formulas in one activation call; a batch runs in row blocks of at most
+2 MiB of temporaries.  For radial J (the negated ``HalfSquaredNorm``,
+``PNorm(2)`` and ``ShiftedNormPlus``) a batch block is screened first: one
+matrix product gives every |x - t v_i|, and only the branches within a
+forward rounding bound of the two smallest are evaluated exactly, so
+values, argmins and gaps are those of the exact formula on all m branches.
+Other activations run the exact formula on every branch.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import partial
 
 import numpy as np
 
-from .branches import (
-    EvalResult,
-    Screen,
-    check_branch_parameters,
-    check_point,
-    check_points,
-    min_over_branches,
-    reduce_branches,
-)
+from .branches import BranchNet, EvalResult, Screen, check_point, check_points
 from .catalog import ConcaveFn, MaxAffine
 from .simplex import (
     EnvelopeViolationError,
@@ -64,7 +51,7 @@ __all__ = ["InitialDataNet", "norm_hamiltonian_rows", "L1_MAX_DIMENSION"]
 L1_MAX_DIMENSION = 13
 
 
-class InitialDataNet:
+class InitialDataNet(BranchNet):
     """Exact solution evaluator parameterized by (J, {(v_i, b_i)}).
 
     ``certificate`` is the accepted :class:`~hjeval.simplex.EnvelopeCertificate`:
@@ -77,33 +64,18 @@ class InitialDataNet:
     def __init__(self, initial_data: ConcaveFn, rows, offsets):
         if not isinstance(initial_data, ConcaveFn):
             raise TypeError("initial data must be a ConcaveFn")
-        rows, offsets = check_branch_parameters(
-            rows, offsets, initial_data.dim, "rows", "initial data"
-        )
-        self.certificate = lower_envelope_certificate(rows, offsets)
+        super().__init__(initial_data, rows, offsets, "rows", "initial data")
+        self.certificate = lower_envelope_certificate(self.rows, self.offsets)
         if not self.certificate.holds:
             raise EnvelopeViolationError(self.certificate)
-        self.initial_data = initial_data
-        self.rows = rows
-        self.offsets = offsets
-        self._sq = np.einsum("ij,ij->i", rows, rows)
         self.lipschitz_initial_data = initial_data.negated.uniformly_lipschitz
 
-    @property
-    def dimension(self) -> int:
-        return self.rows.shape[1]
-
-    @property
-    def n_branches(self) -> int:
-        return self.rows.shape[0]
+    # The activation and the branch points, by this representation's names.
+    initial_data = property(lambda self: self._activation)
+    rows = property(lambda self: self._points)
 
     def _branch_formula(self, t, x, cols=None, out=None):
-        """Exact J(x - t v_i) + t b_i.
-
-        ``x`` broadcasts against the branch rows ``cols`` (all when None);
-        one activation call covers every pair.  ``out`` may take the
-        differences.
-        """
+        """Exact J(x - t v_i) + t b_i."""
         params = self.rows if cols is None else self.rows[cols]
         offsets = self.offsets if cols is None else self.offsets[cols]
         diff = np.subtract(x, t * params, out=out)
@@ -113,25 +85,18 @@ class InitialDataNet:
             vals = self.initial_data(diff.reshape(-1, self.dimension)).reshape(diff.shape[:-1])
         return vals + t * offsets
 
-    def _branch_matrix(self, points, t: float):
-        """Row-wise (values, argmins, gaps) over the branches at time t."""
-        points = check_points(points, self.dimension)
+    def _screen(self, t):
+        """Branches as -rho(|x - t v_i|) + t b_i, from the negated J's radial form."""
         radial = self.initial_data.negated.radial
-        screen = None
-        if radial is not None:
-            screen = Screen(radial, -1.0, t, 1.0, self.rows, self._sq, t * self.offsets)
-        exact = partial(self._branch_formula, t)
-        return min_over_branches(points, self.n_branches, exact, screen)
-
-    def branch_values(self, x, t: float) -> np.ndarray:
-        """All m branch values J(x - t v_i) + t b_i at one point."""
-        return self._branch_formula(t, check_point(x, self.dimension))
+        if radial is None:
+            return None
+        return Screen(radial, -1.0, t, 1.0, self.rows, self._sq, t * self.offsets)
 
     def evaluate(self, x, t: float) -> EvalResult:
         """Solution value at time t >= 0 (every branch equals J(x) at t = 0)."""
         if t < 0:
             raise ValueError("t must be nonnegative")
-        return reduce_branches(self.branch_values(x, t))
+        return self._evaluate_point(x, t)
 
     def evaluate_grid(self, points, t: float):
         """Vectorized :meth:`evaluate` over (k, n) row points."""
@@ -157,12 +122,6 @@ class InitialDataNet:
         """
         v = check_point(v, self.dimension)
         return minimize_over_simplex(self.offsets, self.rows, v)
-
-    def __repr__(self):
-        return (
-            f"InitialDataNet({self.initial_data!r}, m={self.n_branches}, "
-            f"dim={self.dimension})"
-        )
 
 
 def norm_hamiltonian_rows(kind: str, n: int):

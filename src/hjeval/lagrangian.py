@@ -14,39 +14,27 @@ convex conjugate of L (finite only on a bounded set when L is Lipschitz).
 
 Evaluation cost is O(m · cost(L)) per point, independent of any mesh.
 Every entry point validates its points once and goes through one branch
-path (:mod:`hjeval.branches`): a single point runs the m branch formulas
-in one activation call; a batch runs in row blocks of at most 2 MiB of
-temporaries.  For the radial Lagrangians (``PNorm(2)``, ``ShiftedNormPlus``
-and their recessions) a batch block is screened first: one matrix product
-gives every |x - u_i|, and only the branches within a forward rounding
-bound of the two smallest are evaluated exactly, so values, argmins and
-gaps are those of the exact formula on all m branches.  Other activations
-run the exact formula on every branch.  On 10,000-point batches (fastest
-run, one BLAS thread, shared 2-CPU machine) the earlier loop over branches
-took 28.8 us per point for ``ShiftedNormPlus`` at n = 100, m = 64, now
-2.7 us; ``ClippedQuadratic1D`` with m = 3 stays at 0.12 us.
+path (:class:`hjeval.branches.BranchNet`): a single point runs the m branch
+formulas in one activation call; a batch runs in row blocks of at most
+2 MiB of temporaries.  For the radial Lagrangians (``PNorm(2)``,
+``ShiftedNormPlus`` and their recessions) a batch block is screened first:
+one matrix product gives every |x - u_i|, and only the branches within a
+forward rounding bound of the two smallest are evaluated exactly, so
+values, argmins and gaps are those of the exact formula on all m branches.
+Other activations run the exact formula on every branch.
 """
 
 from __future__ import annotations
 
-from functools import partial
 import numpy as np
 
-from .branches import (
-    EvalResult,
-    Screen,
-    check_branch_parameters,
-    check_point,
-    check_points,
-    min_over_branches,
-    reduce_branches,
-)
+from .branches import BranchNet, EvalResult, Screen
 from .catalog import ConvexFn
 
 __all__ = ["LagrangianNet"]
 
 
-class LagrangianNet:
+class LagrangianNet(BranchNet):
     """Exact solution evaluator parameterized by (L, {(u_i, a_i)})."""
 
     def __init__(self, lagrangian: ConvexFn, shifts, offsets):
@@ -57,27 +45,14 @@ class LagrangianNet:
                 "the Lagrangian must be globally Lipschitz; "
                 "superlinear activations are not admissible for this representation"
             )
-        self.lagrangian = lagrangian
-        self.shifts, self.offsets = check_branch_parameters(
-            shifts, offsets, lagrangian.dim, "shifts", "activation"
-        )
-        self._sq = np.einsum("ij,ij->i", self.shifts, self.shifts)
+        super().__init__(lagrangian, shifts, offsets, "shifts", "activation")
 
-    @property
-    def dimension(self) -> int:
-        return self.shifts.shape[1]
-
-    @property
-    def n_branches(self) -> int:
-        return self.shifts.shape[0]
+    # The activation and the branch points, by this representation's names.
+    lagrangian = property(lambda self: self._activation)
+    shifts = property(lambda self: self._points)
 
     def _branch_formula(self, t, x, cols=None, out=None):
-        """Exact t L((x - u_i)/t) + a_i, or L_rec(x - u_i) + a_i for t None.
-
-        ``x`` broadcasts against the branch rows ``cols`` (all when None);
-        one activation call covers every pair.  ``out`` may take the
-        differences.
-        """
+        """Exact t L((x - u_i)/t) + a_i, or L_rec(x - u_i) + a_i for t None."""
         params = self.shifts if cols is None else self.shifts[cols]
         offsets = self.offsets if cols is None else self.offsets[cols]
         diff = np.subtract(x, params, out=out)
@@ -91,31 +66,23 @@ class LagrangianNet:
             vals = vals.reshape(diff.shape[:-1])
         return vals + offsets
 
-    def _branch_matrix(self, points, t: float):
-        """Row-wise (values, argmins, gaps) over the branches; t = 0 is L_rec."""
-        points = check_points(points, self.dimension)
-        moving = None if t == 0 else t
-        radial = self.lagrangian.radial_recession if moving is None else self.lagrangian.radial
-        screen = None
-        if radial is not None:
-            scale = 1.0 if moving is None else t
-            screen = Screen(radial, 1.0, 1.0, scale, self.shifts, self._sq, self.offsets)
-        exact = partial(self._branch_formula, moving)
-        return min_over_branches(points, self.n_branches, exact, screen)
-
-    def branch_values(self, x, t: float) -> np.ndarray:
-        """All m branch values t L((x - u_i)/t) + a_i at one point."""
-        return self._branch_formula(t, check_point(x, self.dimension))
+    def _screen(self, t):
+        """|x - u_i| through L at scale t, or through L_rec for t None."""
+        radial = self.lagrangian.radial_recession if t is None else self.lagrangian.radial
+        if radial is None:
+            return None
+        scale = 1.0 if t is None else t
+        return Screen(radial, 1.0, 1.0, scale, self.shifts, self._sq, self.offsets)
 
     def evaluate(self, x, t: float) -> EvalResult:
         """Solution value at time t > 0."""
         if t <= 0:
             raise ValueError("t must be positive; use initial_value() for t = 0")
-        return reduce_branches(self.branch_values(x, t))
+        return self._evaluate_point(x, t)
 
     def initial_value(self, x) -> EvalResult:
         """The t = 0 data: min over branches of the recession of L, shifted."""
-        return reduce_branches(self._branch_formula(None, check_point(x, self.dimension)))
+        return self._evaluate_point(x, None)
 
     def evaluate_grid(self, points, t: float):
         """Vectorized :meth:`evaluate` over (k, n) row points."""
@@ -125,7 +92,7 @@ class LagrangianNet:
 
     def initial_grid(self, points):
         """Vectorized :meth:`initial_value` over (k, n) row points."""
-        return self._branch_matrix(points, 0.0)
+        return self._branch_matrix(points, None)
 
     def solution_grid(self, points, t: float):
         """Grid evaluation dispatching t = 0 to the recession formula."""
@@ -148,9 +115,3 @@ class LagrangianNet:
                 "grid_conjugate() can verify values pointwise"
             )
         return conj
-
-    def __repr__(self):
-        return (
-            f"LagrangianNet({self.lagrangian!r}, m={self.n_branches}, "
-            f"dim={self.dimension})"
-        )

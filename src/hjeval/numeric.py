@@ -19,7 +19,10 @@ from .catalog import ConvexFn, ensure_extended
 __all__ = [
     "MAX_GRID_DIM",
     "MAX_GRID_POINTS",
+    "tensor_grid",
+    "box_grid",
     "grid_points",
+    "finite_minimum",
     "grid_conjugate",
     "grid_inf_convolution",
     "recession_quotient",
@@ -27,16 +30,25 @@ __all__ = [
 
 MAX_GRID_DIM = 3
 MAX_GRID_POINTS = 20_000_000
+# recession_quotient samples s = 2^0 ... 2^RECESSION_DOUBLINGS and reports a
+# quotient beyond RECESSION_BLOWUP as +inf.
+RECESSION_DOUBLINGS = 30
+RECESSION_BLOWUP = 1e12
 
 
-def grid_points(center, halfwidth: float, pts_per_axis: int) -> np.ndarray:
-    """Uniform tensor grid on the box center ± halfwidth, as a (k, n) array.
+def tensor_grid(axes) -> np.ndarray:
+    """Tensor product of the 1-D ``axes`` as (k, n) rows, first axis slowest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
-    Rows are ordered lexicographically (first axis slowest).  With an odd
-    ``pts_per_axis`` the center point is on the grid.
+
+def box_grid(lo, hi, pts_per_axis: int) -> np.ndarray:
+    """Uniform tensor grid on the box [lo_j, hi_j] per axis, as (k, n) rows.
+
+    Refused, before anything is allocated, above ``MAX_GRID_DIM`` axes or
+    ``MAX_GRID_POINTS`` points.
     """
-    center = np.asarray(center, dtype=float).reshape(-1)
-    n = center.size
+    n = len(lo)
     if n > MAX_GRID_DIM:
         raise ValueError(
             f"grid search refused for n={n} > {MAX_GRID_DIM}: "
@@ -44,16 +56,29 @@ def grid_points(center, halfwidth: float, pts_per_axis: int) -> np.ndarray:
         )
     if pts_per_axis < 3:
         raise ValueError("pts_per_axis must be at least 3")
-    if halfwidth <= 0:
-        raise ValueError("halfwidth must be positive")
     if pts_per_axis**n > MAX_GRID_POINTS:
         raise ValueError(
             f"grid of {pts_per_axis}^{n} points exceeds the "
             f"{MAX_GRID_POINTS} point cap; reduce pts_per_axis"
         )
-    axes = [np.linspace(c - halfwidth, c + halfwidth, pts_per_axis) for c in center]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return tensor_grid([np.linspace(a, b, pts_per_axis) for a, b in zip(lo, hi)])
+
+
+def grid_points(center, halfwidth: float, pts_per_axis: int) -> np.ndarray:
+    """:func:`box_grid` on the box center ± halfwidth.
+
+    With an odd ``pts_per_axis`` the center point is on the grid.
+    """
+    center = np.asarray(center, dtype=float).reshape(-1)
+    if halfwidth <= 0:
+        raise ValueError("halfwidth must be positive")
+    return box_grid(center - halfwidth, center + halfwidth, pts_per_axis)
+
+
+def finite_minimum(values) -> float:
+    """Smallest finite entry of ``values``; +inf when every entry is +inf."""
+    finite = np.isfinite(values)
+    return float(values[finite].min()) if finite.any() else float("inf")
 
 
 def grid_conjugate(f: ConvexFn, p, box_halfwidth: float, pts_per_axis: int) -> float:
@@ -78,27 +103,23 @@ def grid_inf_convolution(f_eval, g_eval, x, box_halfwidth: float, pts_per_axis: 
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     u = grid_points(x, box_halfwidth, pts_per_axis)
-    vals = ensure_extended(f_eval(u)) + ensure_extended(g_eval(x - u))
-    finite = np.isfinite(vals)
-    if not finite.any():
-        return float("inf")
-    return float(vals[finite].min())
+    return finite_minimum(ensure_extended(f_eval(u)) + ensure_extended(g_eval(x - u)))
 
 
-def recession_quotient(f_eval, d, *, max_doublings: int = 30, blowup: float = 1e12) -> float:
+def recession_quotient(f_eval, d) -> float:
     """Numeric recession value: sup over s of (f(s d) - f(0)) / s.
 
-    Samples s = 2^0 ... 2^max_doublings from the base point 0.  The quotient
-    is nondecreasing in s for a convex function, so the largest sample is the
-    best finite estimate from below; a quotient beyond ``blowup`` is reported
-    as +inf (superlinear growth).
+    Samples s = 2^0 ... 2^RECESSION_DOUBLINGS from the base point 0.  The
+    quotient is nondecreasing in s for a convex function, so the largest
+    sample is the best finite estimate from below; a quotient beyond
+    ``RECESSION_BLOWUP`` is reported as +inf (superlinear growth).
     """
     d = np.asarray(d, dtype=float).reshape(1, -1)
-    scales = 2.0 ** np.arange(max_doublings + 1)
+    scales = 2.0 ** np.arange(RECESSION_DOUBLINGS + 1)
     pts = scales[:, None] * d
     f0 = ensure_extended(f_eval(np.zeros_like(d)))[0]
     quotients = (ensure_extended(f_eval(pts)) - f0) / scales
     if np.isinf(quotients).any():
         return float("inf")
     best = float(quotients.max())
-    return float("inf") if best > blowup else best
+    return float("inf") if best > RECESSION_BLOWUP else best

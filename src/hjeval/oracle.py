@@ -22,11 +22,12 @@ import numpy as np
 from .catalog import ensure_extended
 from .initialdata import InitialDataNet
 from .lagrangian import LagrangianNet
-from .numeric import grid_points
+from .numeric import box_grid, finite_minimum, grid_inf_convolution
 
 __all__ = [
     "ORACLE_TOL",
     "RESIDUAL_TOL",
+    "FD_STEP",
     "GAP_THRESHOLD",
     "MARGIN_THRESHOLD",
     "OracleConfig",
@@ -43,9 +44,11 @@ __all__ = [
     "verify_report",
 ]
 
-# Module tolerances for the verification report.
+# Module tolerances for the verification report, and the step of its
+# central differences.
 ORACLE_TOL = 2e-3
 RESIDUAL_TOL = 1e-3
+FD_STEP = 1e-4
 
 # Residual screening thresholds: minimum winning-branch gap, and minimum
 # distance of the active activation argument from the activation's kink set.
@@ -62,7 +65,7 @@ T_RANGE_INITIALDATA = (0.0, 3.0)
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Grid and finite-difference settings for the oracle.
+    """Grid settings for the oracle.
 
     ``pts_per_axis`` must be odd so the grid contains its center; grids are
     refused above three dimensions at the call sites.
@@ -70,15 +73,12 @@ class OracleConfig:
 
     search_box_halfwidth: float
     pts_per_axis: int
-    fd_step: float = 1e-4
 
     def __post_init__(self):
         if self.search_box_halfwidth <= 0:
             raise ValueError("search_box_halfwidth must be positive")
         if self.pts_per_axis < 3 or self.pts_per_axis % 2 == 0:
             raise ValueError("pts_per_axis must be odd and at least 3")
-        if self.fd_step <= 0:
-            raise ValueError("fd_step must be positive")
 
 
 class OracleDomainError(RuntimeError):
@@ -90,19 +90,23 @@ def lax_oleinik_bruteforce(initial_eval, hstar_eval, x, t: float, cfg: OracleCon
 
     ``initial_eval`` and ``hstar_eval`` take (k, n) row points and return
     length-k arrays (values in R ∪ {+inf}); +inf terms are skipped.  The
-    u-grid is centered at x with halfwidth ``cfg.search_box_halfwidth``.
+    u-grid is centered at x with halfwidth ``cfg.search_box_halfwidth``: this
+    is :func:`~hjeval.numeric.grid_inf_convolution` of J and t H*(·/t).
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    u = grid_points(x, cfg.search_box_halfwidth, cfg.pts_per_axis)
-    vals = ensure_extended(initial_eval(u)) + t * ensure_extended(hstar_eval((x - u) / t))
-    finite = np.isfinite(vals)
-    if not finite.any():
+    value = grid_inf_convolution(
+        initial_eval,
+        lambda z: t * ensure_extended(hstar_eval(z / t)),
+        x,
+        cfg.search_box_halfwidth,
+        cfg.pts_per_axis,
+    )
+    if value == np.inf:
         raise OracleDomainError(
             "all grid terms are +inf: the search box does not intersect x - t·dom H*"
         )
-    return float(vals[finite].min())
+    return value
 
 
 def lax_oleinik_bruteforce_velocity(
@@ -114,26 +118,20 @@ def lax_oleinik_bruteforce_velocity(
     hull of the branch velocities (the conjugate's domain), so that the
     candidate minimizing velocities are grid nodes; t = 0 is allowed and
     reduces every term to J(x).  Complements :func:`lax_oleinik_bruteforce`
-    for nets whose conjugate Hamiltonian has a small bounded domain.
+    for nets whose conjugate Hamiltonian has a small bounded domain.  The
+    grid has the caps of :func:`~hjeval.numeric.box_grid`.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     x = np.asarray(x, dtype=float).reshape(-1)
-    n = x.size
-    if n > 3:
-        raise ValueError("grid search refused for n > 3")
-    lo = np.broadcast_to(np.asarray(box_lo, dtype=float), (n,))
-    hi = np.broadcast_to(np.asarray(box_hi, dtype=float), (n,))
-    if pts_per_axis < 3:
-        raise ValueError("pts_per_axis must be at least 3")
-    axes = [np.linspace(lo[j], hi[j], pts_per_axis) for j in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    v = np.stack([m.ravel() for m in mesh], axis=1)
+    lo = np.broadcast_to(np.asarray(box_lo, dtype=float), x.shape)
+    hi = np.broadcast_to(np.asarray(box_hi, dtype=float), x.shape)
+    v = box_grid(lo, hi, pts_per_axis)
     vals = ensure_extended(initial_eval(x - t * v)) + t * ensure_extended(hstar_eval(v))
-    finite = np.isfinite(vals)
-    if not finite.any():
+    value = finite_minimum(vals)
+    if value == np.inf:
         raise OracleDomainError("all grid terms are +inf: the box misses dom H*")
-    return float(vals[finite].min())
+    return value
 
 
 def gradient_fd(solution_eval, x, t: float, h: float):
@@ -200,15 +198,16 @@ def _active_margin(net, x, t: float, argmin_index: int) -> float:
     return net.initial_data.smoothness_margin(z)
 
 
-def screen_point(net, x, t: float, fd_step: float = 1e-4):
+def screen_point(net, x, t: float):
     """Decide whether (x, t) is safe for a pointwise residual assertion.
 
     Requires a winning-branch gap above ``GAP_THRESHOLD``, an activation
     argument at least ``MARGIN_THRESHOLD`` from the activation's kink set,
-    and room for the centered time stencil.  Returns (accepted, EvalResult).
+    and room for the centered time stencil of step ``FD_STEP``.  Returns
+    (accepted, EvalResult).
     """
     result = net.evaluate(x, t)
-    if t <= 2 * fd_step:
+    if t <= 2 * FD_STEP:
         return False, result
     if not result.gap > GAP_THRESHOLD:
         return False, result
@@ -225,32 +224,22 @@ def _solution_eval(net):
     return lambda x, t: net.evaluate(x, t).value
 
 
-def _hamiltonian_eval(net):
-    ham = net.hamiltonian()
-    return lambda p: ham(p)
+def _hstar_eval(net):
+    """H* evaluator for the brute-force oracle, matching the net."""
+    if isinstance(net, LagrangianNet):
+        # H = L*, and L is closed, so H* is L itself.
+        return net.lagrangian
+    if net.dimension == 1:
+        return hstar_interpolator_1d(net)
 
-
-def _hstar_lp_eval(net: InitialDataNet):
-    """Per-point simplex-LP conjugate evaluator (slow; for n >= 2 nets)."""
-
-    def hstar(points):
+    def hstar(points):  # per-point simplex LP (slow; for n >= 2 nets)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.array([net.hamiltonian_conjugate(p).value for p in pts])
 
     return hstar
 
 
-def _oracle_integrands(net):
-    """(J, H*) evaluators for the brute-force oracle, matching the net."""
-    if isinstance(net, LagrangianNet):
-        # H = L*, and L is closed, so H* is L itself.
-        return net.initial_values, net.lagrangian
-    if net.dimension == 1:
-        return net.initial_values, hstar_interpolator_1d(net)
-    return net.initial_values, _hstar_lp_eval(net)
-
-
-def sample_screened_points(net, count: int, seed: int, fd_step: float = 1e-4):
+def sample_screened_points(net, count: int, seed: int):
     """Seeded rejection sampler yielding exactly ``count`` screened points."""
     rng = np.random.default_rng(seed)
     lo, hi = _t_range(net)
@@ -262,7 +251,7 @@ def sample_screened_points(net, count: int, seed: int, fd_step: float = 1e-4):
         x = rng.uniform(-SAMPLE_X_HALFWIDTH, SAMPLE_X_HALFWIDTH, net.dimension)
         t = rng.uniform(lo, hi)
         attempts += 1
-        ok, _ = screen_point(net, x, t, fd_step)
+        ok, _ = screen_point(net, x, t)
         if ok:
             accepted.append((x, float(t)))
     return accepted
@@ -288,8 +277,6 @@ class VerifyReport:
     seed: int
     oracle_checked: bool
     records: list[SampleRecord] = field(default_factory=list)
-    oracle_tolerance: float = ORACLE_TOL
-    residual_tolerance: float = RESIDUAL_TOL
 
     def _oracle_gaps(self):
         return [r.oracle_gap for r in self.records if r.oracle_gap is not None]
@@ -325,8 +312,8 @@ class VerifyReport:
     def passed(self) -> bool:
         ok = True
         if self.oracle_checked:
-            ok = ok and self.max_oracle_gap <= self.oracle_tolerance
-        ok = ok and self.max_residual <= self.residual_tolerance
+            ok = ok and self.max_oracle_gap <= ORACLE_TOL
+        ok = ok and self.max_residual <= RESIDUAL_TOL
         return ok
 
     def to_kv(self) -> str:
@@ -339,11 +326,11 @@ class VerifyReport:
             ("oracle_checked", str(self.oracle_checked).lower()),
             ("max_oracle_gap", repr(self.max_oracle_gap)),
             ("mean_oracle_gap", repr(self.mean_oracle_gap)),
-            ("oracle_tolerance", repr(self.oracle_tolerance)),
+            ("oracle_tolerance", repr(ORACLE_TOL)),
             ("screened_points", self.screened_count),
             ("max_residual", repr(self.max_residual)),
             ("mean_residual", repr(self.mean_residual)),
-            ("residual_tolerance", repr(self.residual_tolerance)),
+            ("residual_tolerance", repr(RESIDUAL_TOL)),
             ("passed", str(self.passed).lower()),
         ]
         return "".join(f"{k}={v}\n" for k, v in items)
@@ -356,14 +343,14 @@ class VerifyReport:
         if self.oracle_checked:
             lines.append(
                 f"  oracle gap: max={self.max_oracle_gap:.3e} "
-                f"mean={self.mean_oracle_gap:.3e} (tolerance {self.oracle_tolerance:g})"
+                f"mean={self.mean_oracle_gap:.3e} (tolerance {ORACLE_TOL:g})"
             )
         else:
             lines.append("  oracle gap: skipped")
         lines.append(
             f"  residual at {self.screened_count} screened points: "
             f"max={self.max_residual:.3e} mean={self.mean_residual:.3e} "
-            f"(tolerance {self.residual_tolerance:g})"
+            f"(tolerance {RESIDUAL_TOL:g})"
         )
         lines.append(f"  result: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines) + "\n"
@@ -406,7 +393,7 @@ def verify_report(
     rng = np.random.default_rng(seed)
     t_lo, t_hi = _t_range(net)
     if not residual_only:
-        initial_eval, hstar_eval = _oracle_integrands(net)
+        initial_eval, hstar_eval = net.initial_values, _hstar_eval(net)
         velocity_form = isinstance(net, InitialDataNet)
         if velocity_form:
             # Velocity grid over the conjugate's domain, so the candidate
@@ -414,22 +401,21 @@ def verify_report(
             hull_lo = net.rows.min(axis=0)
             hull_hi = net.rows.max(axis=0)
     sol = _solution_eval(net)
-    ham = _hamiltonian_eval(net)
+    ham = net.hamiltonian()
 
     for i in range(samples):
         x = rng.uniform(-SAMPLE_X_HALFWIDTH, SAMPLE_X_HALFWIDTH, net.dimension)
         t = float(rng.uniform(t_lo, t_hi))
+        screened, result = screen_point(net, x, t)
         gap = None
         if not residual_only:
-            exact = net.evaluate(x, t).value if t > 0 else net.initial_values([x])[0]
             if velocity_form:
                 approx = lax_oleinik_bruteforce_velocity(
                     initial_eval, hstar_eval, x, t, hull_lo, hull_hi, cfg.pts_per_axis
                 )
             else:
                 approx = lax_oleinik_bruteforce(initial_eval, hstar_eval, x, t, cfg)
-            gap = abs(approx - exact)
-        screened, _ = screen_point(net, x, t, cfg.fd_step)
-        residual = hj_residual(sol, ham, x, t, cfg.fd_step) if t > 2 * cfg.fd_step else None
+            gap = abs(approx - result.value)
+        residual = hj_residual(sol, ham, x, t, FD_STEP) if t > 2 * FD_STEP else None
         report.records.append(SampleRecord(i, x, t, gap, residual, screened))
     return report

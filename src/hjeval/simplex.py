@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .branches import check_branch_parameters
+
 __all__ = [
     "PIVOT_TOL",
     "FEASIBILITY_TOL",
@@ -36,10 +38,17 @@ ENVELOPE_TOL = 1e-9
 
 @dataclass
 class SimplexSolution:
-    """Outcome of a simplex solve: +inf value and no weights when infeasible."""
+    """Outcome of a simplex solve: +inf value and no weights when infeasible.
+
+    ``basis`` is the optimal basis ``(columns, redundant)``: the basic
+    structural columns and the constraint rows of ``[V^T; 1]`` dropped as
+    combinations of the others, so that the remaining rows restricted to
+    the columns form a square, invertible matrix.  None when infeasible.
+    """
 
     value: float
     weights: np.ndarray | None
+    basis: tuple[list[int], list[int]] | None = None
 
     @property
     def feasible(self) -> bool:
@@ -81,19 +90,9 @@ def minimize_over_simplex(costs, points, target) -> SimplexSolution:
     """Solve min { c·α : α in the unit simplex, Σ α_i v_i = target }.
 
     ``points`` is the (m, n) array of the v_i as rows.  Returns the exact
-    optimum with an optimal α, or ``SimplexSolution(inf, None)`` when the
-    target lies outside the convex hull of the points (phase-1 infeasible).
-    """
-    return _solve_over_simplex(costs, points, target)[0]
-
-
-def _solve_over_simplex(costs, points, target):
-    """:func:`minimize_over_simplex` plus its optimal basis.
-
-    The basis is ``(columns, redundant)``: the basic structural columns and
-    the constraint rows of ``[V^T; 1]`` dropped as combinations of the
-    others, so that the remaining rows restricted to the columns form a
-    square, invertible matrix.  None when the LP is infeasible.
+    optimum with an optimal α and its basis, or ``SimplexSolution(inf,
+    None)`` when the target lies outside the convex hull of the points
+    (phase-1 infeasible).
     """
     costs = np.asarray(costs, dtype=float).reshape(-1)
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -123,7 +122,7 @@ def _solve_over_simplex(costs, points, target):
     if _bland_iterate(tableau, basis, m + n_rows) != "optimal":
         raise RuntimeError("phase-1 objective is bounded below by construction")
     if -tableau[-1, -1] > FEASIBILITY_TOL:
-        return SimplexSolution(float("inf"), None), None
+        return SimplexSolution(float("inf"), None)
 
     # Drive leftover artificials out of the basis; drop redundant rows.  A
     # tableau row with no structural entry says that the constraint of its
@@ -155,7 +154,7 @@ def _solve_over_simplex(costs, points, target):
     for i, j in enumerate(basis):
         alpha[j] = tableau2[i, -1]
     alpha[np.abs(alpha) < 1e-12] = 0.0
-    return SimplexSolution(float(costs @ alpha), alpha), (basis, redundant)
+    return SimplexSolution(float(costs @ alpha), alpha, (basis, redundant))
 
 
 @dataclass
@@ -165,7 +164,7 @@ class EnvelopeCertificate:
     ``holds`` is equivalent to the existence of a convex function
     interpolating all the pairs.  When violated, ``index`` is the 1-based
     offending row, and ``weights`` are simplex weights with
-    Σ w_j v_j = v_index and Σ w_j b_j = envelope_value < b_index - tol.
+    Σ w_j v_j = v_index and Σ w_j b_j = envelope_value < b_index - ENVELOPE_TOL.
 
     When the set passes, row k of the (m, n) array ``witnesses`` is a
     gradient p_k at which affine piece k of H(p) = max_i <p, v_i> - b_i
@@ -222,14 +221,6 @@ def _slack(points, offsets, witnesses, owners, scales=(1.0,)) -> np.ndarray:
     return out
 
 
-def _as_pairs(points, offsets):
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    offsets = np.asarray(offsets, dtype=float).reshape(-1)
-    if offsets.size != points.shape[0]:
-        raise ValueError("points and offsets must have equal length")
-    return points, offsets
-
-
 def check_witnesses(points, offsets, witnesses) -> np.ndarray:
     """Per-row slack of envelope witnesses, with one blocked Gram product.
 
@@ -239,8 +230,9 @@ def check_witnesses(points, offsets, witnesses) -> np.ndarray:
     least b_k - tol, i.e. that (v_k, b_k) lies on the lower convex envelope
     up to tol.  This is the code :func:`lower_envelope_certificate` uses, so
     ``check_witnesses(v, b, cert.witnesses)`` re-checks a certificate.
+    Both refuse empty or non-finite pairs.
     """
-    points, offsets = _as_pairs(points, offsets)
+    points, offsets = check_branch_parameters(points, offsets)
     witnesses = np.asarray(witnesses, dtype=float)
     if witnesses.shape != points.shape:
         raise ValueError(f"witnesses must have shape {points.shape}, got {witnesses.shape}")
@@ -264,26 +256,26 @@ def _basis_witness(points, offsets, basis) -> np.ndarray:
     return y[:n]
 
 
-def lower_envelope_certificate(points, offsets, *, tol: float = ENVELOPE_TOL) -> EnvelopeCertificate:
+def lower_envelope_certificate(points, offsets) -> EnvelopeCertificate:
     """Check that each point lies on the lower convex envelope of the pair set.
 
     Row k passes when the LP min { Σ α_i b_i : α in the simplex,
-    Σ α_i v_i = v_k } attains b_k within ``tol``, and a witness p_k with
-    slack at most ``tol`` (see :func:`check_witnesses`) proves exactly that.
+    Σ α_i v_i = v_k } attains b_k within :data:`ENVELOPE_TOL`, and a witness
+    p_k with slack at most that (see :func:`check_witnesses`) proves exactly that.
 
     1. Screen: the candidates p_k = s v_k for s in :data:`SCREEN_SCALES`
        are tested for all rows with one blocked Gram product V V^T.  A row
        is accepted only when its slack plus twice a forward bound on the
        rounding error of the products, 2 (n + 2) eps (|p_k| max_i |v_i| +
-       max_i |b_i|), is at most ``tol``, so the screen never accepts on
+       max_i |b_i|), is at most the tolerance, so the screen never accepts on
        rounding and large-magnitude data falls through to the LP.
     2. LP fallback: the remaining rows, in index order, solve the LP with
-       :func:`minimize_over_simplex`'s solver, which stays the authority.
+       :func:`minimize_over_simplex`, which stays the authority.
        The witness of a certified row is the dual of its optimal basis.
        The first violated row (smallest k) is reported with its minimizing
        weights and envelope value, exactly as the LP alone would.
     """
-    points, offsets = _as_pairs(points, offsets)
+    points, offsets = check_branch_parameters(points, offsets)
     m, n = points.shape
     rows = np.arange(m)
 
@@ -293,7 +285,7 @@ def lower_envelope_certificate(points, offsets, *, tol: float = ENVELOPE_TOL) ->
         scales * norms * norms.max() + np.abs(offsets).max()
     )
     slacks = _slack(points, offsets, points, rows, SCREEN_SCALES)
-    passed = slacks + bound <= tol
+    passed = slacks + bound <= ENVELOPE_TOL
     accepted = passed.any(axis=0)
     choice = passed.argmax(axis=0)
     witnesses = scales[choice] * points
@@ -301,13 +293,13 @@ def lower_envelope_certificate(points, offsets, *, tol: float = ENVELOPE_TOL) ->
 
     fallback = rows[~accepted]
     for k in fallback:
-        sol, basis = _solve_over_simplex(offsets, points, points[k])
+        sol = minimize_over_simplex(offsets, points, points[k])
         if not sol.feasible:
             raise RuntimeError("envelope LP infeasible at one of its own points")
-        if sol.value < offsets[k] - tol:
+        if sol.value < offsets[k] - ENVELOPE_TOL:
             screened = (int(accepted.sum()), int(np.searchsorted(fallback, k)))
             return EnvelopeCertificate(False, int(k) + 1, sol.weights, sol.value, screened=screened)
-        witnesses[k] = _basis_witness(points, offsets, basis)
+        witnesses[k] = _basis_witness(points, offsets, sol.basis)
     if fallback.size:
         slack[fallback] = _slack(points, offsets, witnesses[fallback], fallback)[0]
     return EnvelopeCertificate(

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numeric import tensor_grid
+
 __all__ = ["SliceSpec", "SliceTable", "SliceResult", "evaluate_slice"]
 
 
@@ -66,15 +68,10 @@ class SliceSpec:
     def grid_points(self, dimension: int) -> np.ndarray:
         """All slice points as a (k, n) array in lexicographic grid order."""
         self.validate(dimension)
-        axes = self.axis_values()
-        mesh = np.meshgrid(*axes, indexing="ij")
-        k = mesh[0].size
-        pts = np.empty((k, dimension))
-        other = [j for j in range(dimension) if j not in self.free_axes]
-        for j, value in zip(other, self.fixed_coords):
-            pts[:, j] = value
-        for axis, grid in zip(self.free_axes, mesh):
-            pts[:, axis] = grid.ravel()
+        free = tensor_grid(self.axis_values())
+        pts = np.empty((free.shape[0], dimension))
+        pts[:, [j for j in range(dimension) if j not in self.free_axes]] = self.fixed_coords
+        pts[:, list(self.free_axes)] = free
         return pts
 
 

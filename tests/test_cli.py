@@ -162,6 +162,19 @@ def test_verify_pass_and_report_files(tmp_path, capsys):
     assert "verification report" in (tmp_path / "report.txt").read_text()
 
 
+def test_verify_two_dimensional_arch2_at_default_pts_exits_one(tmp_path, capsys):
+    # The default --pts 40001 asks the velocity oracle for 1.6e9 grid nodes.
+    problem = tmp_path / "pwa2d.cfg"
+    problem.write_text(
+        "architecture = arch2\ndimension = 2\nfunction = neg_half_squared_norm\n"
+        "param = -2, -2, 4\nparam = -2, 2, 4\nparam = 2, -2, 4\nparam = 2, 2, 4\n"
+    )
+    code = main(["verify", "--config", str(problem), "--out", str(tmp_path / "r")])
+    assert code == 1
+    assert "40001^2 points exceeds the 20000000 point cap" in capsys.readouterr().err
+    assert not list(tmp_path.glob("r.*"))
+
+
 def test_verify_high_dimension_requires_residual_only(tmp_path, capsys):
     code = main([
         "verify",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,8 +30,6 @@ def test_oracle_config_validation():
         OracleConfig(search_box_halfwidth=1.0, pts_per_axis=100)
     with pytest.raises(ValueError, match="positive"):
         OracleConfig(search_box_halfwidth=-1.0, pts_per_axis=101)
-    with pytest.raises(ValueError, match="fd_step"):
-        OracleConfig(search_box_halfwidth=1.0, pts_per_axis=101, fd_step=0.0)
 
 
 def test_bruteforce_matches_lagrangian_net():
@@ -45,6 +45,21 @@ def test_bruteforce_velocity_matches_initialdata_net():
         net.initial_values, hstar, [0.0], 1.0, net.rows.min(axis=0), net.rows.max(axis=0), 4001
     )
     assert val == pytest.approx(-5.0, abs=2e-3)
+
+
+def test_velocity_oracle_refuses_grids_above_the_point_cap():
+    # 40,001^2 = 1.6e9 velocities: refused before any grid is allocated.
+    def never(points):
+        raise AssertionError("evaluated a grid above the cap")
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="20000000 point cap"):
+            lax_oleinik_bruteforce_velocity(never, never, [0.0, 0.0], 1.0, -2.0, 2.0, 40001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_bruteforce_uform_matches_initialdata_net_at_gridpoint():

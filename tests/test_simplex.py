@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hjeval.simplex as simplex
 from hjeval import check_witnesses
 from hjeval.initialdata import norm_hamiltonian_rows
 from hjeval.simplex import (
@@ -32,6 +33,14 @@ def test_lp_outside_hull_is_infeasible():
     assert sol.value == float("inf")
     assert sol.weights is None
     assert not sol.feasible
+
+
+def test_lp_returns_its_optimal_basis():
+    # Between rows 2 and 3 both are basic; the two equality rows stay.
+    sol = minimize_over_simplex(COSTS, POINTS, [1.0])
+    columns, redundant = sol.basis
+    assert sorted(columns) == [1, 2] and redundant == []
+    assert minimize_over_simplex(COSTS, POINTS, [3.0]).basis is None
 
 
 def test_lp_single_point():
@@ -237,3 +246,49 @@ def test_check_witnesses_reports_slack():
     np.testing.assert_array_equal(slack, [0.0, 1.0, 0.0])
     with pytest.raises(ValueError, match="shape"):
         check_witnesses(points, offsets, [[1.0], [1.0]])
+
+
+def _lp_rows(monkeypatch, points):
+    """Route the certificate's LPs through a recorder; returns the list of
+    row indices whose LP ran, in call order."""
+    rows = []
+
+    def recording(costs, pts, target):
+        rows.append(int(np.flatnonzero((points == target).all(axis=1))[0]))
+        return minimize_over_simplex(costs, pts, target)
+
+    monkeypatch.setattr(simplex, "minimize_over_simplex", recording)
+    return rows
+
+
+def test_certificate_solves_one_lp_per_fallback_row(monkeypatch):
+    # LP-fallback set: the witnesses 10 v_k lie outside the screen's scales.
+    points = np.linspace(-2.0, 2.0, 9).reshape(-1, 1)
+    rows = _lp_rows(monkeypatch, points)
+    cert = lower_envelope_certificate(points, 5.0 * points[:, 0] ** 2)
+    assert cert.holds
+    assert len(rows) == cert.screened[1] > 0
+    assert rows == sorted(set(rows))
+
+    # Planted violation: the last row is a lifted mix of three others.
+    rng = np.random.default_rng(11)
+    points, offsets = _paraboloid(rng, 3, 40)
+    weights = rng.dirichlet(np.ones(3))
+    points[-1] = weights @ points[:3]
+    offsets[-1] = weights @ offsets[:3] + 0.5
+    rows = _lp_rows(monkeypatch, points)
+    cert = lower_envelope_certificate(points, offsets)
+    assert not cert.holds and cert.index == len(points)
+    assert len(rows) == cert.screened[1] + 1
+    assert rows == sorted(set(rows)) and rows[-1] == len(points) - 1
+
+
+def test_certificate_refuses_empty_or_nonfinite_pairs():
+    with pytest.raises(ValueError, match="at least one"):
+        lower_envelope_certificate(np.zeros((0, 2)), [])
+    with pytest.raises(ValueError, match="finite"):
+        lower_envelope_certificate([[0.0], [np.nan]], [0.0, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        check_witnesses([[0.0], [1.0]], [0.0, np.inf], [[0.0], [1.0]])
+    with pytest.raises(ValueError, match="equal length"):
+        check_witnesses([[0.0], [1.0]], [0.0], [[0.0], [1.0]])
