@@ -1,14 +1,18 @@
 """Min-of-branches evaluation shared by both solution representations.
 
+Both nets state their m branches at time t as a :class:`Form`; this module
+owns the only exact branch formula, the screen built from the same Form and
+the winning branch's kink margin.
+
 A net's value at a point is the minimum over its m branches; the winning
 branch (1-based, smallest index on ties) and the gap to the runner-up come
 with it.  Batches of k points are reduced in row blocks whose largest
 temporaries stay at a few MiB (``EXACT_BLOCK``, ``SCREEN_BLOCK``), through
 one of two kernels:
 
-* **Exact.**  The net's branch formula on stacked (point, branch)
-  difference arrays, one activation call per block.  It is the only kernel
-  whose numbers are returned.
+* **Exact.**  The branch formula on stacked (point, branch) difference
+  arrays, one activation call per block.  It is the only kernel whose
+  numbers are returned.
 * **Screen**, for radial activations (see ``ConvexFn.radial``).  Branch i
   at point x is ``sign * rho(|x - beta c_i|) + o_i``; the squared
   distances come from ``|x|^2 - 2 beta <x, c_i> + beta^2 |c_i|^2`` with one
@@ -30,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -71,7 +74,10 @@ def reduce_branches(values: np.ndarray) -> EvalResult:
     lowest = float(values[best])
     if values.size == 1:
         return EvalResult(lowest, 1, float("inf"))
-    return EvalResult(lowest, best + 1, float(np.partition(values, 1)[1]) - lowest)
+    # np.partition's copy and partial sort, without its dispatch overhead.
+    rest = values.copy()
+    rest.partition(1)
+    return EvalResult(lowest, best + 1, float(rest[1]) - lowest)
 
 
 def reduce_branch_matrix(matrix: np.ndarray):
@@ -142,17 +148,21 @@ def check_points(points, dim: int) -> np.ndarray:
 # -- batch kernels ----------------------------------------------------------
 
 
-class Screen(NamedTuple):
-    """A net's branches at one time in radial form.
+# Slots: nets build a Form on every call, and this builds faster than a NamedTuple.
+@dataclass(slots=True)
+class Form:
+    """A net's m branches at one time: activation ``fn``, branch points
+    ``centers`` (c_i) and ``offsets`` (o_i).
 
-    Branch i at x is ``sign * scale * rho(|x - beta c_i| / scale) +
-    offsets_i``, where ``radial`` = (kind, s) gives ``rho(r) = r^2 / 2``
-    for "square" (scale 1) and ``max(r - s, 0)`` for "norm".  The exact
-    kernel feeds the activation ``(x - beta c_i) / scale``.  ``sq`` caches
-    ``|c_i|^2``.
+    Branch i at x is ``scale * fn((x - beta c_i) / scale) + offsets_i``.
+    Where ``radial`` = (kind, s) is not None, the same branch is ``sign *
+    scale * rho(|x - beta c_i| / scale) + offsets_i`` with ``rho(r) = r^2 /
+    2`` for "square" (scale 1) and ``max(r - s, 0)`` for "norm"; the screen
+    uses that form.  ``sq`` caches ``|c_i|^2``.
     """
 
-    radial: tuple[str, float]
+    fn: object
+    radial: tuple[str, float] | None
     sign: float
     beta: float
     scale: float
@@ -161,24 +171,35 @@ class Screen(NamedTuple):
     offsets: np.ndarray
 
 
-def min_over_branches(points, m: int, exact, screen: Screen | None = None):
+def _arguments(form: Form, x, cols=None, out=None):
+    """The activation arguments (x - beta c_i) / scale for the branches ``cols``
+    (all when None), written into ``out`` if given."""
+    centers = form.centers if cols is None else form.centers[cols]
+    diff = np.subtract(x, centers if form.beta == 1.0 else form.beta * centers, out=out)
+    if form.scale == 1.0:
+        return diff
+    # In place on a workspace: a block then holds one array of differences.
+    return diff / form.scale if out is None else np.divide(diff, form.scale, out=diff)
+
+
+def min_over_branches(points, exact, form: Form):
     """Row-wise (values, argmins, gaps) of the (k, m) branch matrix.
 
     ``points`` is a checked (k, n) array.  ``exact(x, cols, out)`` returns
     the exact branch values for the points x broadcast against the branches
     ``cols``, an index array over x's leading axes, and may write the
-    differences into ``out``.  ``screen`` enables the screened kernel.
+    differences into ``out``.  Radial forms take the screened kernel.
     """
-    k, n = points.shape
-    if screen is None or m == 1 or k == 1 or k * m * n < SCREEN_MIN_ELEMENTS:
+    (k, n), m = points.shape, len(form.offsets)
+    if form.radial is None or m == 1 or k == 1 or k * m * n < SCREEN_MIN_ELEMENTS:
         return _exact_rows(points, m, exact)
     step = max(1, SCREEN_BLOCK // (m + 2 * n))
     # Blocks write their largest arrays into one workspace, so they reuse
     # memory instead of each taking (and faulting in) fresh pages.
     work = np.empty(min(k, step) * (m + 2 * n))
-    cross = (-2.0 * screen.beta * screen.centers).T  # -2 beta c_i, one column a branch
+    cross = (-2.0 * form.beta * form.centers).T  # -2 beta c_i, one column a branch
     blocks = range(0, k, step)
-    return _join([_screened(points[lo : lo + step], exact, screen, cross, work) for lo in blocks])
+    return _join([_screened(points[lo : lo + step], exact, form, cross, work) for lo in blocks])
 
 
 def _join(blocks):
@@ -201,7 +222,7 @@ def _exact(x, m, exact, work):
     return reduce_branch_matrix(np.ascontiguousarray(exact(x[None], np.arange(m)[:, None], out).T))
 
 
-def _screen_values(x, s: Screen, cross, vals):
+def _screen_values(x, s: Form, cross, vals):
     """Fill ``vals`` with the (rows, m) screen values; return each row's band half-width."""
     n = x.shape[1]
     xx = np.einsum("ij,ij->i", x, x)
@@ -237,7 +258,7 @@ def _screen_values(x, s: Screen, cross, vals):
     return np.where(safe, bound, np.nan)
 
 
-def _screened(x, exact, s: Screen, cross, work):
+def _screened(x, exact, s: Form, cross, work):
     (rows, n), m = x.shape, cross.shape[1]
     vals = work[: rows * m].reshape(rows, m)
     bound = _screen_values(x, s, cross, vals)
@@ -287,11 +308,10 @@ class BranchNet:
     Holds the branch points c_i (their ``|c_i|^2`` cached) and offsets, and
     wires both paths: a single point runs every branch formula in one call
     and reduces it; a batch is checked once and reduced by
-    :func:`min_over_branches`.  Subclasses give the exact branch formula
-    ``_branch_formula(t, x, cols=None, out=None)``, with ``x`` broadcast
-    against the branch rows ``cols`` (all when None) and ``out`` free to take
-    the differences, and ``_screen(t)``, the branches in radial form at time
-    t or None.
+    :func:`min_over_branches`.  Subclasses give ``_form(t)``, their
+    branches at time t as a :class:`Form` (raising ValueError for a time
+    outside the representation), built afresh on every call so that it
+    holds the activation's methods as they are at that call.
     """
 
     def __init__(self, activation, points, offsets, points_name, fn_name):
@@ -309,19 +329,44 @@ class BranchNet:
     def n_branches(self) -> int:
         return self._points.shape[0]
 
+    @staticmethod
+    def _branch_formula(form: Form, x, cols=None, out=None):
+        """Exact ``scale * fn((x - beta c_i) / scale) + o_i``.
+
+        ``x`` is broadcast against the branch rows ``cols`` (all when None);
+        ``out`` is free to take the differences.
+        """
+        z = _arguments(form, x, cols, out)
+        vals = form.fn(z if z.ndim == 2 else z.reshape(-1, z.shape[-1]))
+        if form.scale != 1.0:
+            vals = form.scale * vals
+        if z.ndim != 2:
+            vals = vals.reshape(z.shape[:-1])
+        return vals + (form.offsets if cols is None else form.offsets[cols])
+
     def branch_values(self, x, t: float) -> np.ndarray:
         """All m branch values at one point."""
-        return self._branch_formula(t, check_point(x, self.dimension))
+        return self._branch_formula(self._form(t), check_point(x, self.dimension))
 
     def _evaluate_point(self, x, t) -> EvalResult:
         """The single-point path: one call of the branch formula, reduced."""
-        return reduce_branches(self.branch_values(x, t))
+        # branch_values inlined: one Python call less on the hottest path.
+        return reduce_branches(self._branch_formula(self._form(t), check_point(x, self.dimension)))
 
     def _branch_matrix(self, points, t):
         """Row-wise (values, argmins, gaps) over the branches at time t."""
+        form = self._form(t)  # first: a bad time is reported before bad points
         points = check_points(points, self.dimension)
-        exact = partial(self._branch_formula, t)
-        return min_over_branches(points, self.n_branches, exact, self._screen(t))
+        return min_over_branches(points, partial(self._branch_formula, form), form)
+
+    def kink_margin(self, x, t: float, index: int) -> float:
+        """Distance of branch ``index``'s (1-based) activation argument from
+        the activation's kink set, at time t > 0."""
+        if not t > 0:
+            raise ValueError("t must be positive")
+        form = self._form(t)
+        z = _arguments(form, check_point(x, self.dimension), index - 1)
+        return form.fn.smoothness_margin(z)
 
     def __repr__(self):
         return (

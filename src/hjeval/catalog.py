@@ -357,18 +357,22 @@ class MaxAffine(ConvexFn):
         self.rows, self.offsets = check_branch_parameters(rows, offsets, "rows")
         self.dim = self.rows.shape[1]
 
-    def _pieces(self, pts):
-        return pts @ self.rows.T - self.offsets
+    def _pieces(self, pts, offsets):
+        # einsum rounds each <x, v_i> the same wherever x sits in pts; a BLAS
+        # matrix product does not, and a point's value would then depend on
+        # the batch it came in (one point against its batch row, or tied
+        # branches at t = 0).
+        return np.einsum("ij,kj->ik", pts, self.rows) - offsets
 
     def _values(self, pts):
-        return self._pieces(pts).max(axis=1)
+        return self._pieces(pts, self.offsets).max(axis=1)
 
     def _recession(self, pts):
-        return (pts @ self.rows.T).max(axis=1)
+        return self._pieces(pts, 0.0).max(axis=1)
 
     def smoothness_margin(self, z):
         pts, _ = _promote(z, self.dim)
-        vals = np.sort(self._pieces(pts)[0])
+        vals = np.sort(self._pieces(pts, self.offsets)[0])
         if vals.size == 1:
             return math.inf
         return float(vals[-1] - vals[-2])

@@ -7,6 +7,7 @@ Exit codes: 0 success or verification pass, 1 validation error,
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from pathlib import Path
@@ -44,7 +45,7 @@ def _build_parser() -> _Parser:
     p_eval = sub.add_parser("eval", help="evaluate the solution at one point")
     p_eval.add_argument("--config", required=True, help="problem config path")
     p_eval.add_argument("--x", required=True, help="comma-separated point coordinates")
-    p_eval.add_argument("--t", required=True, type=float, help="time (>= 0)")
+    p_eval.add_argument("--t", required=True, type=float, help="finite time (>= 0)")
 
     p_slice = sub.add_parser("slice", help="evaluate a slice and write CSVs")
     p_slice.add_argument("--config", required=True, help="problem config path")
@@ -80,8 +81,10 @@ def _cmd_eval(args) -> int:
     x = parse_floats("x", args.x)
     if len(x) != net.dimension:
         raise ConfigError("x", f"expected {net.dimension} coordinates, got {len(x)}")
-    if args.t < 0:
-        raise ConfigError("t", "must be nonnegative")
+    if not all(map(math.isfinite, x)):
+        raise ConfigError("x", "coordinates must be finite")
+    if not 0 <= args.t < math.inf:
+        raise ConfigError("t", "must be finite and nonnegative")
     (value,), (argmin,), (gap,) = net.solution_grid([x], args.t)
     print(f"value={format_17g(value)} argmin={argmin} gap={format_17g(gap)}")
     return EXIT_OK
@@ -89,9 +92,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_slice(args) -> int:
     net = load_problem(args.config).build_net()
-    spec = load_slice(args.slice_path)
-    spec.validate(net.dimension)
-    result = evaluate_slice(net, spec)
+    result = evaluate_slice(net, load_slice(args.slice_path))
     paths = write_slice_csv(result, args.out)
     if args.render:
         paths += write_slice_pgm(result, args.out)

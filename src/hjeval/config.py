@@ -68,8 +68,6 @@ _SIMPLE_FUNCTIONS = {
 
 def _parse_float(field_name: str, token: str) -> float:
     token = token.strip()
-    if token == "inf":
-        return math.inf
     try:
         return float(token)
     except ValueError:
@@ -93,7 +91,7 @@ def _scan(text: str):
 
 
 def _fmt(x: float) -> str:
-    return "inf" if math.isinf(x) else repr(float(x))
+    return repr(float(x))
 
 
 @dataclass(frozen=True)
@@ -258,7 +256,7 @@ def parse_slice(text: str) -> SliceSpec:
             vals = parse_floats("range", value)
             if len(vals) != 3:
                 raise ConfigError("range", "expected min, max, steps")
-            if vals[2] != int(vals[2]):
+            if not (math.isfinite(vals[2]) and vals[2] == int(vals[2])):
                 raise ConfigError("range", "steps must be an integer")
             ranges.append((vals[0], vals[1], int(vals[2])))
         elif key == "fixed":

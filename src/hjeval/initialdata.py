@@ -17,15 +17,9 @@ envelope of the pair set; construction verifies this and rejects violating
 parameter sets rather than silently computing a non-solution.
 
 Evaluation cost is O(m · cost(J)) per point, independent of any mesh.
-Every entry point validates its points once and goes through one branch
-path (:class:`hjeval.branches.BranchNet`): a single point runs the m branch
-formulas in one activation call; a batch runs in row blocks of at most
-2 MiB of temporaries.  For radial J (the negated ``HalfSquaredNorm``,
-``PNorm(2)`` and ``ShiftedNormPlus``) a batch block is screened first: one
-matrix product gives every |x - t v_i|, and only the branches within a
-forward rounding bound of the two smallest are evaluated exactly, so
-values, argmins and gaps are those of the exact formula on all m branches.
-Other activations run the exact formula on every branch.
+The branches at time t are one :class:`hjeval.branches.Form` (``fn = J``,
+``beta = t``, ``scale = 1``, ``o = t b``), which :mod:`hjeval.branches`
+evaluates, screens and reduces.
 """
 
 from __future__ import annotations
@@ -34,7 +28,7 @@ import itertools
 
 import numpy as np
 
-from .branches import BranchNet, EvalResult, Screen, check_point, check_points
+from .branches import BranchNet, EvalResult, Form, check_point, check_points
 from .catalog import ConcaveFn, MaxAffine
 from .simplex import (
     EnvelopeViolationError,
@@ -74,34 +68,19 @@ class InitialDataNet(BranchNet):
     initial_data = property(lambda self: self._activation)
     rows = property(lambda self: self._points)
 
-    def _branch_formula(self, t, x, cols=None, out=None):
-        """Exact J(x - t v_i) + t b_i."""
-        params = self.rows if cols is None else self.rows[cols]
-        offsets = self.offsets if cols is None else self.offsets[cols]
-        diff = np.subtract(x, t * params, out=out)
-        if diff.ndim == 2:
-            vals = self.initial_data(diff)
-        else:
-            vals = self.initial_data(diff.reshape(-1, self.dimension)).reshape(diff.shape[:-1])
-        return vals + t * offsets
-
-    def _screen(self, t):
-        """Branches as -rho(|x - t v_i|) + t b_i, from the negated J's radial form."""
-        radial = self.initial_data.negated.radial
-        if radial is None:
-            return None
-        return Screen(radial, -1.0, t, 1.0, self.rows, self._sq, t * self.offsets)
+    def _form(self, t) -> Form:
+        """Branches J(x - t v_i) + t b_i, radial through the negated J."""
+        if t < 0:
+            raise ValueError("t must be nonnegative")
+        J = self._activation
+        return Form(J, J.negated.radial, -1.0, t, 1.0, self._points, self._sq, t * self.offsets)
 
     def evaluate(self, x, t: float) -> EvalResult:
         """Solution value at time t >= 0 (every branch equals J(x) at t = 0)."""
-        if t < 0:
-            raise ValueError("t must be nonnegative")
         return self._evaluate_point(x, t)
 
     def evaluate_grid(self, points, t: float):
         """Vectorized :meth:`evaluate` over (k, n) row points."""
-        if t < 0:
-            raise ValueError("t must be nonnegative")
         return self._branch_matrix(points, t)
 
     solution_grid = evaluate_grid

@@ -13,22 +13,17 @@ and the Hamilton-Jacobi equation it solves has Hamiltonian H equal to the
 convex conjugate of L (finite only on a bounded set when L is Lipschitz).
 
 Evaluation cost is O(m · cost(L)) per point, independent of any mesh.
-Every entry point validates its points once and goes through one branch
-path (:class:`hjeval.branches.BranchNet`): a single point runs the m branch
-formulas in one activation call; a batch runs in row blocks of at most
-2 MiB of temporaries.  For the radial Lagrangians (``PNorm(2)``,
-``ShiftedNormPlus`` and their recessions) a batch block is screened first:
-one matrix product gives every |x - u_i|, and only the branches within a
-forward rounding bound of the two smallest are evaluated exactly, so
-values, argmins and gaps are those of the exact formula on all m branches.
-Other activations run the exact formula on every branch.
+Its branches at any t >= 0 are one :class:`hjeval.branches.Form`
+(``fn = L``, ``beta = 1``, ``scale = t``, ``o = a``; at t = 0 ``fn = L_rec``
+and ``scale = 1``), which :mod:`hjeval.branches` evaluates, screens and
+reduces.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .branches import BranchNet, EvalResult, Screen
+from .branches import BranchNet, EvalResult, Form
 from .catalog import ConvexFn
 
 __all__ = ["LagrangianNet"]
@@ -51,28 +46,16 @@ class LagrangianNet(BranchNet):
     lagrangian = property(lambda self: self._activation)
     shifts = property(lambda self: self._points)
 
-    def _branch_formula(self, t, x, cols=None, out=None):
-        """Exact t L((x - u_i)/t) + a_i, or L_rec(x - u_i) + a_i for t None."""
-        params = self.shifts if cols is None else self.shifts[cols]
-        offsets = self.offsets if cols is None else self.offsets[cols]
-        diff = np.subtract(x, params, out=out)
-        flat = diff if diff.ndim == 2 else diff.reshape(-1, self.dimension)
-        if t is None:
-            vals = self.lagrangian.recession(flat)
+    def _form(self, t) -> Form:
+        """Branches t L((x - u_i)/t) + a_i; at t = 0, L_rec(x - u_i) + a_i."""
+        L = self._activation
+        if t == 0:
+            fn, radial, t = L.recession, L.radial_recession, 1.0
+        elif t < 0:
+            raise ValueError("t must be nonnegative")
         else:
-            # In place on a workspace: a block then holds one array of differences.
-            vals = t * self.lagrangian(flat / t if out is None else np.divide(flat, t, out=flat))
-        if diff.ndim != 2:
-            vals = vals.reshape(diff.shape[:-1])
-        return vals + offsets
-
-    def _screen(self, t):
-        """|x - u_i| through L at scale t, or through L_rec for t None."""
-        radial = self.lagrangian.radial_recession if t is None else self.lagrangian.radial
-        if radial is None:
-            return None
-        scale = 1.0 if t is None else t
-        return Screen(radial, 1.0, 1.0, scale, self.shifts, self._sq, self.offsets)
+            fn, radial = L, L.radial
+        return Form(fn, radial, 1.0, 1.0, t, self._points, self._sq, self.offsets)
 
     def evaluate(self, x, t: float) -> EvalResult:
         """Solution value at time t > 0."""
@@ -82,7 +65,7 @@ class LagrangianNet(BranchNet):
 
     def initial_value(self, x) -> EvalResult:
         """The t = 0 data: min over branches of the recession of L, shifted."""
-        return self._evaluate_point(x, None)
+        return self._evaluate_point(x, 0.0)
 
     def evaluate_grid(self, points, t: float):
         """Vectorized :meth:`evaluate` over (k, n) row points."""
@@ -92,15 +75,11 @@ class LagrangianNet(BranchNet):
 
     def initial_grid(self, points):
         """Vectorized :meth:`initial_value` over (k, n) row points."""
-        return self._branch_matrix(points, None)
+        return self._branch_matrix(points, 0.0)
 
     def solution_grid(self, points, t: float):
-        """Grid evaluation dispatching t = 0 to the recession formula."""
-        if t < 0:
-            raise ValueError("t must be nonnegative")
-        if t == 0:
-            return self.initial_grid(points)
-        return self.evaluate_grid(points, t)
+        """Grid evaluation at any t >= 0 (t = 0 takes the recession formula)."""
+        return self._branch_matrix(points, t)
 
     def initial_values(self, points) -> np.ndarray:
         """Initial-data values only, for use as an oracle integrand."""

@@ -188,16 +188,6 @@ def hstar_interpolator_1d(net: InitialDataNet):
     return hstar
 
 
-def _active_margin(net, x, t: float, argmin_index: int) -> float:
-    """Distance of the winning branch's activation argument from kinks."""
-    i = argmin_index - 1
-    if isinstance(net, LagrangianNet):
-        z = (np.asarray(x, dtype=float) - net.shifts[i]) / t
-        return net.lagrangian.smoothness_margin(z)
-    z = np.asarray(x, dtype=float) - t * net.rows[i]
-    return net.initial_data.smoothness_margin(z)
-
-
 def screen_point(net, x, t: float):
     """Decide whether (x, t) is safe for a pointwise residual assertion.
 
@@ -211,7 +201,7 @@ def screen_point(net, x, t: float):
         return False, result
     if not result.gap > GAP_THRESHOLD:
         return False, result
-    if not _active_margin(net, x, t, result.argmin_index) > MARGIN_THRESHOLD:
+    if not net.kink_margin(x, t, result.argmin_index) > MARGIN_THRESHOLD:
         return False, result
     return True, result
 

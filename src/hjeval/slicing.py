@@ -24,7 +24,7 @@ class SliceSpec:
     ``free_axes`` are 0-based coordinate indices; ``ranges`` gives
     (min, max, steps) per free axis; ``fixed_coords`` are the values of the
     remaining coordinates in increasing index order; ``times`` must be
-    nonnegative and sorted ascending.
+    finite, nonnegative and sorted ascending; every coordinate is finite.
     """
 
     free_axes: tuple[int, ...]
@@ -45,17 +45,19 @@ class SliceSpec:
         for lo, hi, steps in self.ranges:
             if steps < 2:
                 raise ValueError("each range needs at least 2 steps")
-            if not hi > lo:
-                raise ValueError("each range needs max > min")
+            if not -np.inf < lo < hi < np.inf:
+                raise ValueError("each range needs a finite min and max, max > min")
         if len(self.fixed_coords) != dimension - len(self.free_axes):
             raise ValueError(
                 f"expected {dimension - len(self.free_axes)} fixed coordinates, "
                 f"got {len(self.fixed_coords)}"
             )
+        if not np.isfinite(self.fixed_coords).all():
+            raise ValueError("fixed coordinates must be finite")
         if len(self.times) == 0:
             raise ValueError("need at least one time")
-        if any(t < 0 for t in self.times):
-            raise ValueError("times must be nonnegative")
+        if not all(0 <= t < np.inf for t in self.times):
+            raise ValueError("times must be finite and nonnegative")
         if list(self.times) != sorted(self.times):
             raise ValueError("times must be sorted ascending")
 

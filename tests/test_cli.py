@@ -54,6 +54,46 @@ def test_eval_validation_failures(tmp_path, capsys):
     assert "x:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "x, t, message",
+    [
+        ("0", "inf", "t: must be finite"),
+        ("0", "nan", "t: must be finite"),
+        ("inf", "1", "x: coordinates must be finite"),
+        ("nan", "1", "x: coordinates must be finite"),
+    ],
+)
+def test_eval_refuses_non_finite_input(capsys, x, t, message):
+    assert main(["eval", "--config", _cfg("clipped1d.cfg"), "--x", x, "--t", t]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("times = 1, inf", "times must be finite"),
+        ("times = nan", "times must be finite"),
+        ("range = -inf, 1, 3", "range needs a finite min and max"),
+        ("range = -1, 1, inf", "range: steps must be an integer"),
+        ("range = -1, 1, nan", "range: steps must be an integer"),
+    ],
+)
+def test_slice_refuses_non_finite_fields(tmp_path, capsys, line, message):
+    key = line.split(" = ")[0]
+    base = {"free_axes": "free_axes = 0", "range": "range = -4, 4, 5", "times": "times = 1"}
+    base[key] = line
+    spec = tmp_path / "slice.cfg"
+    spec.write_text("\n".join(base.values()) + "\n")
+    out = tmp_path / "run"
+    argv = ["slice", "--config", _cfg("clipped1d.cfg"), "--slice", str(spec), "--out", str(out)]
+    code = main(argv)
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("run*"))
+
+
 def test_l1_generator_above_cap_exits_one(tmp_path, capsys):
     big = tmp_path / "l1big.cfg"
     big.write_text(

@@ -51,6 +51,8 @@ def test_round_trip_preserves_awkward_floats():
     )
     cfg = parse_problem(text)
     assert parse_problem(cfg.serialize()) == cfg
+    cfg = parse_problem(text + "param = -inf, inf\n")
+    assert parse_problem(cfg.serialize()) == cfg
 
 
 def test_pnorm_and_max_affine_functions():

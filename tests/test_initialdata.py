@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from hjeval.branches import reduce_branch_matrix
-from hjeval.catalog import ConcaveFn, HalfSquaredNorm, MaxAffine, PNorm, ShiftedNormPlus
+from hjeval.catalog import (
+    ClippedQuadratic1D,
+    ConcaveFn,
+    HalfSquaredNorm,
+    MaxAffine,
+    PNorm,
+    ShiftedNormPlus,
+)
 from hjeval.initialdata import L1_MAX_DIMENSION, InitialDataNet, norm_hamiltonian_rows
 from hjeval.simplex import ENVELOPE_TOL, EnvelopeViolationError, check_witnesses
 from hjeval.presets import (
@@ -197,6 +204,19 @@ def _loop_reference(net, points, t):
 _RADIAL = (HalfSquaredNorm(), PNorm(2), ShiftedNormPlus())
 
 
+def _nonradial(rng, n):
+    """Concave initial data with no radial form: the batch runs every branch exactly."""
+    # Half the draws are max-affine, whose pieces are inner products with each point.
+    pick = int(rng.integers(6))
+    if pick == 0:
+        return ConcaveFn(ClippedQuadratic1D())
+    if pick >= 3:
+        pieces = int(rng.integers(1, 9))
+        rows, offsets = rng.uniform(-2.0, 2.0, (pieces, n)), rng.uniform(-1.0, 1.0, pieces)
+        return ConcaveFn(MaxAffine(rows, offsets))
+    return ConcaveFn(PNorm((1.0, np.inf)[pick - 1]))
+
+
 def _initialdata_batch(rng, case):
     j = ConcaveFn(_RADIAL[rng.integers(3)])
     n, m, k = int(rng.integers(1, 13)), int(rng.integers(2, 41)), int(rng.integers(2, 300))
@@ -231,12 +251,19 @@ def _initialdata_batch(rng, case):
     elif case == "huge":
         # |x|^2 near or past overflow: these rows take every branch exactly.
         points[::2] *= 10.0 ** rng.uniform(150.0, 160.0)
+    elif case == "nonradial":
+        j = _nonradial(rng, n)
+        if j.dim == 1:
+            rows, points = rows[:, :1], points[:, :1]
+            offsets = 0.5 * rows[:, 0] ** 2
     return InitialDataNet(j, rows, offsets), points, t
 
 
-@pytest.mark.parametrize("case", ["generic", "ties", "near", "scaled", "huge"])
+@pytest.mark.parametrize("case", ["generic", "ties", "near", "scaled", "huge", "nonradial"])
 def test_screened_batches_equal_branch_loop(case, check_batch):
-    rng = np.random.default_rng(["generic", "ties", "near", "scaled", "huge"].index(case) + 10)
+    rng = np.random.default_rng(
+        ["generic", "ties", "near", "scaled", "huge", "nonradial"].index(case) + 10
+    )
     for _ in range(20):
         net, points, t = _initialdata_batch(rng, case)
         pairs = check_batch(net, points, t, _loop_reference, rng)
@@ -255,6 +282,27 @@ def test_batch_errors_match_branch_loop():
         with pytest.raises(ValueError) as got, np.errstate(all="ignore"):
             net.solution_grid(points, t)
         assert str(got.value) == str(want.value) == "points must have finite coordinates"
+
+
+@pytest.mark.parametrize("pieces", [1, 5, 0])
+def test_time_zero_ties_every_branch(pieces):
+    # At t = 0 every branch is J(x), so all m tie exactly: the first wins with
+    # gap 0, on one point and in a batch alike (pieces = 0: the l1 norm).
+    # With 34 rows in 9-D a BLAS product of one max-affine piece rounded the
+    # stacked copies of x differently, and a later branch won by 4e-16.
+    rng = np.random.default_rng(45 + pieces)
+    rows = rng.uniform(-2.0, 2.0, (34, 9))
+    if pieces:
+        negated = MaxAffine(rng.uniform(-2.0, 2.0, (pieces, 9)), rng.uniform(-1.0, 1.0, pieces))
+    else:
+        negated = PNorm(1)
+    net = InitialDataNet(ConcaveFn(negated), rows, 0.5 * (rows * rows).sum(axis=1))
+    points = rng.uniform(-4.0, 4.0, (150, 9))
+    values, argmins, gaps = net.solution_grid(points, 0.0)
+    assert (argmins == 1).all() and (gaps == 0.0).all()
+    for x, value in zip(points, values):
+        res = net.evaluate(x, 0.0)
+        assert (res.value, res.argmin_index, res.gap) == (value, 1, 0.0)
 
 
 def test_screen_band_is_tight(count_pairs):

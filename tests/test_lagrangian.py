@@ -6,6 +6,7 @@ from hjeval.catalog import (
     ClippedQuadratic1D,
     HalfSquaredNorm,
     IntervalQuadratic1D,
+    MaxAffine,
     NormOnBall,
     PNorm,
     ShiftedNormPlus,
@@ -71,6 +72,16 @@ def test_initial_value_at_shift_with_minimal_offset():
         shifts = np.array([[0.5] * n, [-1.0] * n])
         net = LagrangianNet(lagr, shifts, [0.25, 1.5])
         assert net.initial_value(shifts[0]).value == pytest.approx(0.25)
+
+
+def test_branch_values_follow_the_time_rules():
+    # t = 0 gives the recession branches that initial_value reduces; t < 0 is
+    # outside the representation on every entry point.
+    net = clipped_quadratic_net_1d()
+    np.testing.assert_array_equal(net.branch_values([2.0], 0.0), [7.5, 4.0, -1.0])
+    for call in (net.branch_values, net.solution_grid):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            call([[2.0]], -1.0)
 
 
 def test_rejects_non_lipschitz_lagrangian():
@@ -174,6 +185,18 @@ def _loop_reference(net, points, t):
     return reduce_branch_matrix(np.stack(cols, axis=1))
 
 
+def _nonradial(rng, n):
+    """A Lipschitz activation with no radial form: the batch runs every branch exactly."""
+    # Half the draws are max-affine, whose pieces are inner products with each point.
+    pick = int(rng.integers(6))
+    if pick == 0:
+        return ClippedQuadratic1D()
+    if pick >= 3:
+        pieces = int(rng.integers(1, 9))
+        return MaxAffine(rng.uniform(-2.0, 2.0, (pieces, n)), rng.uniform(-1.0, 1.0, pieces))
+    return PNorm((1.0, np.inf)[pick - 1])
+
+
 def _lagrangian_batch(rng, case):
     lagr = (PNorm(2), ShiftedNormPlus())[rng.integers(2)]
     n, m, k = int(rng.integers(1, 13)), int(rng.integers(2, 41)), int(rng.integers(2, 300))
@@ -207,12 +230,18 @@ def _lagrangian_batch(rng, case):
         else:
             # |x|^2 near or past overflow: these rows take every branch exactly.
             points[::2] *= 10.0 ** rng.uniform(150.0, 160.0)
+    elif case == "nonradial":
+        lagr = _nonradial(rng, n)
+        if lagr.dim == 1:
+            shifts, points = shifts[:, :1], points[:, :1]
     return LagrangianNet(lagr, shifts, offsets), points, t
 
 
-@pytest.mark.parametrize("case", ["generic", "ties", "near", "scaled", "huge"])
+@pytest.mark.parametrize("case", ["generic", "ties", "near", "scaled", "huge", "nonradial"])
 def test_screened_batches_equal_branch_loop(case, check_batch):
-    rng = np.random.default_rng(["generic", "ties", "near", "scaled", "huge"].index(case))
+    rng = np.random.default_rng(
+        ["generic", "ties", "near", "scaled", "huge", "nonradial"].index(case)
+    )
     for _ in range(20):
         net, points, t = _lagrangian_batch(rng, case)
         pairs = check_batch(net, points, t, _loop_reference, rng)

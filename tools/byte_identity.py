@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Write a fixed set of hjeval outputs and a SHA-256 manifest of them.
+
+Run from any directory:
+
+    python3 tools/byte_identity.py OUT
+
+OUT receives, from the source tree this script sits in:
+
+* ``slice/``: the CSVs and pixmaps of every shipped problem/slice pair
+  (the pairs of ``demos/figure_slices.py``), through ``hjeval slice --render``;
+* ``verify/``: ``hjeval verify`` ``.kv`` and ``.txt`` reports of every shipped
+  problem at seeds 0 and 5 (``--residual-only`` above three dimensions,
+  ``--pts 4001`` for pwa1d), plus a 2-D arch2 problem at ``--pts 21``;
+* ``eval/``: ``solution_grid`` values, argmins and gaps (``tobytes()``) of
+  every shipped problem and of two max-affine problems, at t > 0 and t = 0;
+* ``MANIFEST.sha256``: one ``<sha256>  <path>`` line per file, sorted.
+
+Two source trees produce identical manifests exactly when these outputs are
+byte-identical: copy this script into each tree, run it, and compare the
+manifests (``diff A/MANIFEST.sha256 B/MANIFEST.sha256``).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from hjeval.cli import main as cli_main  # noqa: E402
+from hjeval.config import load_problem  # noqa: E402
+
+CONFIGS = ROOT / "configs"
+PROBLEMS = ["clipped1d", "pwa1d", "ball10d", "pwa10d", "l1norm5d", "linfnorm5d"]
+SLICES = [
+    ("clipped1d", "slice_line1d"),
+    ("pwa1d", "slice_line1d"),
+    ("ball10d", "slice_plane10d"),
+    ("pwa10d", "slice_plane10d_t0"),
+    ("l1norm5d", "slice_plane5d"),
+    ("linfnorm5d", "slice_plane5d"),
+]
+SEEDS = (0, 5)
+EXTRA_PROBLEMS = {
+    "pwa2d": (
+        "architecture = arch2\ndimension = 2\nfunction = neg_half_squared_norm\n"
+        "param = -1, 0, 0.5\nparam = 1, 1, 0\nparam = 0, -1, 1\n"
+    ),
+    "maxaffine3d_arch1": (
+        "architecture = arch1\ndimension = 3\nfunction = max_affine\n"
+        "affine = 1, 0.5, -0.25, 0\naffine = -1, 0.3, 0.7, 0.1\naffine = 0.2, -1, 0.4, -0.2\n"
+        "param = 0, 0, 0, 0\nparam = 1, -1, 0.5, 0.3\nparam = -0.7, 0.2, 1.1, -0.4\n"
+    ),
+    "maxaffine3d_arch2": (
+        "architecture = arch2\ndimension = 3\nfunction = neg_max_affine\n"
+        "affine = 1, 0.5, -0.25, 0\naffine = -1, 0.3, 0.7, 0.1\naffine = 0.2, -1, 0.4, -0.2\n"
+        "param = 0, 0, 0, 0\nparam = 1, -1, 0.5, 0.3\nparam = -0.7, 0.2, 1.1, -0.4\n"
+    ),
+}
+
+
+def _cli(argv) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main([str(a) for a in argv])
+    if code != 0:
+        raise SystemExit(f"hjeval {' '.join(map(str, argv))} exited {code}")
+
+
+def write_outputs(out: Path) -> None:
+    configs = {name: CONFIGS / f"{name}.cfg" for name in PROBLEMS}
+    for name, text in EXTRA_PROBLEMS.items():
+        path = out / "configs" / f"{name}.cfg"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+        configs[name] = path
+
+    (out / "slice").mkdir(parents=True, exist_ok=True)
+    for problem, slice_name in SLICES:
+        prefix = out / "slice" / f"{problem}_{slice_name}"
+        _cli(["slice", "--config", configs[problem], "--slice", CONFIGS / f"{slice_name}.cfg",
+              "--out", prefix, "--render"])
+
+    for problem in PROBLEMS + ["pwa2d"]:
+        dimension = load_problem(configs[problem]).dimension
+        for seed in SEEDS:
+            argv = ["verify", "--config", configs[problem], "--seed", seed,
+                    "--out", out / "verify" / f"{problem}_seed{seed}"]
+            if dimension > 3:
+                argv.append("--residual-only")
+            if problem == "pwa1d":
+                argv += ["--pts", 4001]
+            if problem == "pwa2d":
+                argv += ["--pts", 21, "--samples", 20]
+            _cli(argv)
+
+    (out / "eval").mkdir(parents=True, exist_ok=True)
+    for problem, path in configs.items():
+        if problem == "pwa2d":
+            continue
+        net = load_problem(path).build_net()
+        points = np.random.default_rng(11).uniform(-4.0, 4.0, (5000, net.dimension))
+        for label, t in (("t1.3", 1.3), ("t0", 0.0)):
+            values, argmins, gaps = net.solution_grid(points, t)
+            blob = values.tobytes() + argmins.tobytes() + gaps.tobytes()
+            (out / "eval" / f"{problem}_{label}.bin").write_bytes(blob)
+
+
+def write_manifest(out: Path) -> Path:
+    lines = []
+    for path in sorted(p for p in out.rglob("*") if p.is_file() and p.name != "MANIFEST.sha256"):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        lines.append(f"{digest}  {path.relative_to(out).as_posix()}\n")
+    manifest = out / "MANIFEST.sha256"
+    manifest.write_text("".join(lines), encoding="utf-8")
+    return manifest
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out = Path(args[0]).resolve()
+    write_outputs(out)
+    print(write_manifest(out))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
