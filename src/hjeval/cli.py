@@ -7,6 +7,7 @@ Exit codes: 0 success or verification pass, 1 validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -31,13 +32,15 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # Let values like "-2,0,0" (coordinate lists starting with a negative
-        # number) parse as arguments instead of being mistaken for options.
-        self._negative_number_matcher = re.compile(r"^-(?=[\d.])[\d.,eE+-]*$")
+        # number) and "-inf" parse as arguments instead of being mistaken for
+        # options, so the field checks can name what is wrong with them.
+        self._negative_number_matcher = re.compile(r"(?i)^-(?:(?=[\d.])[\d.,e+-]*|inf(?:inity)?)$")
 
     def error(self, message):  # route usage errors to the validation exit code
         raise ConfigError("usage", message)
 
 
+@functools.cache  # parse_args leaves the parser unchanged: build it once
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hjeval", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

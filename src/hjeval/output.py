@@ -3,6 +3,11 @@
 CSV schema: header ``x<axis>[,x<axis>],t,value,argmin,gap`` with one file
 per time, named ``<prefix>_t<time>.csv``.  Floats print with 17 significant
 digits so files round-trip losslessly and regenerate byte-identically.
+Every float goes through CPython's ``.17g`` (``"%.17g" % x`` and
+``format(x, ".17g")`` share one routine), but each distinct grid coordinate
+(told apart by bit pattern, so ``-0`` and ``0`` stay distinct) and each time
+is formatted once, and each row is one ``%`` operation.
+``tools/byte_identity.py`` is the check that files stay byte-identical.
 
 Images are binary 8-bit grayscale portable pixmaps (magic ``P5``): width,
 height, 255, then row-major bytes over the grid, minimum value black and
@@ -29,22 +34,25 @@ def _time_tag(t: float) -> str:
     return format(float(t), "g")
 
 
+def _column_strings(column: np.ndarray) -> list[str]:
+    """The 17-digit text of every entry, formatting each bit pattern once."""
+    bits = column.view(np.uint64).tolist()
+    text = {b: format_17g(x) for b, x in dict(zip(bits, column.tolist())).items()}
+    return [text[b] for b in bits]
+
+
 def write_slice_csv(result: SliceResult, out_prefix) -> list[Path]:
     """Write one CSV per time; returns the paths written."""
     prefix = Path(out_prefix)
-    if prefix.parent != Path(""):
-        prefix.parent.mkdir(parents=True, exist_ok=True)
+    prefix.parent.mkdir(parents=True, exist_ok=True)
     header = ",".join(f"x{axis}" for axis in result.spec.free_axes) + ",t,value,argmin,gap"
+    coords = [_column_strings(column) for column in result.grid.T]
     paths = []
     for table in result.tables:
         path = prefix.parent / f"{prefix.name}_t{_time_tag(table.t)}.csv"
-        lines = [header]
-        for i in range(result.grid.shape[0]):
-            coords = ",".join(format_17g(c) for c in result.grid[i])
-            lines.append(
-                f"{coords},{format_17g(table.t)},{format_17g(table.values[i])},"
-                f"{int(table.argmin_indices[i])},{format_17g(table.gaps[i])}"
-            )
+        row = "%s," * len(coords) + format_17g(table.t) + ",%.17g,%d,%.17g"
+        columns = (table.values.tolist(), table.argmin_indices.tolist(), table.gaps.tolist())
+        lines = [header] + [row % cells for cells in zip(*coords, *columns)]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         paths.append(path)
     return paths

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +10,7 @@ from hjeval.cli import main
 from hjeval.output import render_pgm
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC = CONFIG_DIR.parent / "src"
 
 
 def _cfg(name: str) -> str:
@@ -61,6 +65,8 @@ def test_eval_validation_failures(tmp_path, capsys):
         ("0", "nan", "t: must be finite"),
         ("inf", "1", "x: coordinates must be finite"),
         ("nan", "1", "x: coordinates must be finite"),
+        ("0", "-inf", "t: must be finite"),
+        ("-inf", "1", "x: coordinates must be finite"),
     ],
 )
 def test_eval_refuses_non_finite_input(capsys, x, t, message):
@@ -68,6 +74,41 @@ def test_eval_refuses_non_finite_input(capsys, x, t, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def _fresh_process(argv):
+    """Run ``hjeval argv`` in a new interpreter: (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    code = "import sys; from hjeval.cli import entry; sys.argv[0] = 'hjeval'; entry()"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=False
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_commands_in_one_process_match_fresh_processes(tmp_path, capsys):
+    """The parser is built once per process; reusing it after a usage error
+    and between commands changes no exit code, output or file."""
+    out = tmp_path / "line"
+    commands = [
+        ["eval", "--config", _cfg("clipped1d.cfg"), "--x", "0"],
+        ["slice", "--config", _cfg("clipped1d.cfg"), "--slice", _cfg("slice_line1d.cfg"),
+         "--out", str(out)],
+        ["eval", "--config", _cfg("pwa1d.cfg"), "--x", "-1.5", "--t", "0.5"],
+    ]
+
+    def files():
+        return {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    fresh = [(_fresh_process(argv), files()) for argv in commands]
+    assert [code for (code, _, _), _ in fresh] == [1, 0, 0]
+    for p in tmp_path.iterdir():
+        p.unlink()
+    for argv, (want, want_files) in zip(commands, fresh):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == want, argv
+        assert files() == want_files, argv
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,86 @@
+"""Byte-level checks of the slice CSV writer against a per-cell reference."""
+
+import math
+
+import numpy as np
+import pytest
+
+from hjeval.output import write_slice_csv
+from hjeval.slicing import SliceResult, SliceSpec, SliceTable
+
+TINY = 5e-324  # smallest subnormal
+T17 = 0.12345678901234568  # needs all 17 significant digits
+
+
+def _g(x) -> str:
+    return format(float(x), ".17g")
+
+
+def _reference(result: SliceResult) -> dict[str, bytes]:
+    """File name -> bytes, formatting every cell on its own."""
+    header = ",".join(f"x{axis}" for axis in result.spec.free_axes) + ",t,value,argmin,gap"
+    files = {}
+    for table in result.tables:
+        lines = [header]
+        for i in range(result.grid.shape[0]):
+            cells = [_g(c) for c in result.grid[i]]
+            cells += [_g(table.t), _g(table.values[i]), str(int(table.argmin_indices[i]))]
+            lines.append(",".join(cells + [_g(table.gaps[i])]))
+        files[f"run_t{format(table.t, 'g')}.csv"] = ("\n".join(lines) + "\n").encode("utf-8")
+    return files
+
+
+def _result(free_axes, columns, times, values, gaps) -> SliceResult:
+    grid = np.stack([np.asarray(c, dtype=float) for c in columns], axis=1)
+    k = grid.shape[0]
+    tables = tuple(
+        SliceTable(
+            t,
+            np.roll(np.asarray(values, dtype=float), j),
+            (np.arange(k, dtype=np.int64) * (j + 3)) % 7 + 1,
+            np.asarray(gaps, dtype=float),
+        )
+        for j, t in enumerate(times)
+    )
+    ranges = tuple((-1.0, 1.0, 2) for _ in free_axes)
+    return SliceResult(SliceSpec(tuple(free_axes), ranges, tuple(times)), grid, tables)
+
+
+# Repeated coordinates out of sorted order, with -0.0 and 0.0 in one column
+# and two neighbouring floats (0.3 and 0.1 + 0.2) that must stay apart.
+COL_A = [0.0, -0.0, 1.5, -0.0, 0.1 + 0.2, 0.0, 1.5, 0.3, TINY, -2.5]
+COL_B = [3.0, 3.0, -0.0, 1e-300, 0.0, 3.0, -7.25, 1e-300, -0.0, 2.0 / 3.0]
+VALUES = [math.nan, math.inf, -math.inf, TINY, 1e308, -0.0, 0.0, 1 / 3, -1e-310, 42.0]
+GAPS = [0.0, math.nan, math.inf, 1e308, TINY, 0.5, -0.0, 2.0 / 3.0, math.inf, 1e-17]
+
+
+@pytest.mark.parametrize(
+    "free_axes, columns, times",
+    [
+        ((0,), [COL_A], (0.0, T17)),
+        ((2,), [COL_B], (T17,)),
+        ((1, 4), [COL_A, COL_B], (0.0, 1.0, T17)),
+        ((9, 3), [COL_B, COL_A], (0.0,)),
+    ],
+)
+def test_slice_csv_matches_per_cell_reference(tmp_path, free_axes, columns, times):
+    result = _result(free_axes, columns, times, VALUES, GAPS)
+    want = _reference(result)
+    paths = write_slice_csv(result, tmp_path / "run")
+    assert [p.name for p in paths] == list(want)
+    for path in paths:
+        assert path.read_bytes() == want[path.name], path.name
+    # -0.0 and 0.0 print differently in one column
+    first = [line.split(",")[0] for line in paths[0].read_text().splitlines()[1:]]
+    assert "-0" in first and "0" in first
+
+
+def test_slice_csv_big_grid_matches_reference(tmp_path):
+    rng = np.random.default_rng(3)
+    levels = np.concatenate([rng.uniform(-1.0, 1.0, 13), [0.0, -0.0]])
+    columns = [rng.choice(levels, 400), rng.choice(levels, 400)]
+    values = rng.standard_normal(400) * 10.0 ** rng.integers(-300, 300, 400)
+    result = _result((0, 1), columns, (0.0, 0.25, T17), values, np.abs(values))
+    want = _reference(result)
+    for path in write_slice_csv(result, tmp_path / "run"):
+        assert path.read_bytes() == want[path.name], path.name
