@@ -18,8 +18,17 @@ from .initialdata import InitialDataNet, norm_hamiltonian_rows
 from .lagrangian import LagrangianNet
 
 __all__ = ["BenchRow", "synthetic_net", "run_bench", "bench_csv"]
+__all__ += ["BENCH_MAX_LINF_DIMENSION", "BENCH_MAX_FLOATS"]
 
 POINTS_PER_REP = 1000
+# Construction budget, about 1 s and 128 MiB on one core.  arch2's linf
+# net certifies its m = 2n rows in O((2n)^2 n): 0.77 s and a 125 MiB peak
+# at n = 1400, 1.0 s at n = 1500.  arch1 draws m x n shifts and the bench
+# 1000 x n points, (m + 1000) n floats: at 2^22 of them (m = 3194,
+# n = 1000) the net, the points and one evaluation took 0.16 s and a
+# 118 MiB peak, growing in proportion beyond.
+BENCH_MAX_LINF_DIMENSION = 1400
+BENCH_MAX_FLOATS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -52,6 +61,16 @@ def run_bench(architecture: str, dims, m: int, reps: int, seed: int = 0) -> list
         raise ValueError("dims must be nonempty")
     if reps < 1:
         raise ValueError("reps must be at least 1")
+    if architecture == "arch2" and max(dims) > BENCH_MAX_LINF_DIMENSION:
+        raise ValueError(
+            f"dims: the arch2 net at n={max(dims)} exceeds the construction budget "
+            f"(n <= {BENCH_MAX_LINF_DIMENSION})"
+        )
+    if architecture == "arch1" and (m + POINTS_PER_REP) * max(dims) > BENCH_MAX_FLOATS:
+        raise ValueError(
+            f"m, dims: the arch1 net at m={m}, n={max(dims)} needs (m + {POINTS_PER_REP}) n "
+            f"floats, above the construction budget of {BENCH_MAX_FLOATS}"
+        )
     rows = []
     for n in dims:
         net = synthetic_net(architecture, n, m, seed)

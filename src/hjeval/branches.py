@@ -182,17 +182,19 @@ def _arguments(form: Form, x, cols=None, out=None):
     return diff / form.scale if out is None else np.divide(diff, form.scale, out=diff)
 
 
-def min_over_branches(points, exact, form: Form):
-    """Row-wise (values, argmins, gaps) of the (k, m) branch matrix.
+def min_over_branches(points, exact, form: Form, values_only=False):
+    """Row-wise (values, argmins, gaps) of the (k, m) branch matrix, or
+    (values,) with ``values_only``.
 
     ``points`` is a checked (k, n) array.  ``exact(x, cols, out)`` returns
     the exact branch values for the points x broadcast against the branches
     ``cols``, an index array over x's leading axes, and may write the
-    differences into ``out``.  Radial forms take the screened kernel.
+    differences into ``out``.  Radial forms take the screened kernel, except
+    for values only: their row minima come from the exact kernel alone.
     """
     (k, n), m = points.shape, len(form.offsets)
-    if form.radial is None or m == 1 or k == 1 or k * m * n < SCREEN_MIN_ELEMENTS:
-        return _exact_rows(points, m, exact)
+    if values_only or form.radial is None or m == 1 or k == 1 or k * m * n < SCREEN_MIN_ELEMENTS:
+        return _exact_rows(points, m, exact, values_only)
     step = max(1, SCREEN_BLOCK // (m + 2 * n))
     # Blocks write their largest arrays into one workspace, so they reuse
     # memory instead of each taking (and faulting in) fresh pages.
@@ -208,18 +210,23 @@ def _join(blocks):
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
-def _exact_rows(x, m, exact):
-    """The exact kernel on every branch, in row blocks."""
+def _exact_rows(x, m, exact, values_only=False):
+    """The exact kernel on every branch, in row blocks: (values, argmins,
+    gaps), or (values,) with ``values_only``."""
     k, n = x.shape
     step = max(1, EXACT_BLOCK // (m * n))
     work = np.empty(max(min(k, step), 1) * m * n)
-    return _join([_exact(x[lo : lo + step], m, exact, work) for lo in range(0, max(k, 1), step)])
+    blocks = range(0, max(k, 1), step)
+    return _join([_exact(x[lo : lo + step], m, exact, work, values_only) for lo in blocks])
 
 
-def _exact(x, m, exact, work):
+def _exact(x, m, exact, work, values_only):
     # Branch-major pairs keep each branch's points contiguous.
     out = work[: m * x.size].reshape(m, *x.shape)
-    return reduce_branch_matrix(np.ascontiguousarray(exact(x[None], np.arange(m)[:, None], out).T))
+    matrix = exact(x[None], np.arange(m)[:, None], out)
+    if values_only:
+        return (matrix.min(axis=0),)
+    return reduce_branch_matrix(np.ascontiguousarray(matrix.T))
 
 
 def _screen_values(x, s: Form, cross, vals):
@@ -353,11 +360,12 @@ class BranchNet:
         # branch_values inlined: one Python call less on the hottest path.
         return reduce_branches(self._branch_formula(self._form(t), check_point(x, self.dimension)))
 
-    def _branch_matrix(self, points, t):
-        """Row-wise (values, argmins, gaps) over the branches at time t."""
+    def _branch_matrix(self, points, t, values_only=False):
+        """Row-wise (values, argmins, gaps), or (values,) with ``values_only``,
+        over the branches at time t."""
         form = self._form(t)  # first: a bad time is reported before bad points
         points = check_points(points, self.dimension)
-        return min_over_branches(points, partial(self._branch_formula, form), form)
+        return min_over_branches(points, partial(self._branch_formula, form), form, values_only)
 
     def kink_margin(self, x, t: float, index: int) -> float:
         """Distance of branch ``index``'s (1-based) activation argument from

@@ -83,7 +83,7 @@ class LagrangianNet(BranchNet):
 
     def initial_values(self, points) -> np.ndarray:
         """Initial-data values only, for use as an oracle integrand."""
-        return self.initial_grid(points)[0]
+        return self._branch_matrix(points, 0.0, values_only=True)[0]
 
     def hamiltonian(self) -> ConvexFn:
         """The Hamiltonian of the solved equation: the conjugate of L."""

@@ -22,10 +22,11 @@ import numpy as np
 from .catalog import ensure_extended
 from .initialdata import InitialDataNet
 from .lagrangian import LagrangianNet
-from .numeric import box_grid, finite_minimum, grid_inf_convolution
+from .numeric import MAX_GRID_POINTS, box_grid, finite_minimum, grid_inf_convolution
 
 __all__ = [
     "ORACLE_TOL",
+    "MAX_ORACLE_LPS",
     "RESIDUAL_TOL",
     "FD_STEP",
     "GAP_THRESHOLD",
@@ -34,6 +35,7 @@ __all__ = [
     "OracleDomainError",
     "lax_oleinik_bruteforce",
     "lax_oleinik_bruteforce_velocity",
+    "velocity_grid",
     "gradient_fd",
     "hj_residual",
     "hstar_interpolator_1d",
@@ -56,6 +58,11 @@ FD_STEP = 1e-4
 # branch switch or a kink.
 GAP_THRESHOLD = 0.1
 MARGIN_THRESHOLD = 0.05
+
+# Largest velocity grid, in nodes, of the oracle for n >= 2 nets: it solves
+# one simplex LP per node (about 0.1-0.2 ms each on one core), so about
+# 25-45 s of LPs; 2-D admits pts_per_axis up to 499, 3-D up to 61.
+MAX_ORACLE_LPS = 250_000
 
 # Sampling boxes for the verification report (per module invariants).
 SAMPLE_X_HALFWIDTH = 4.0
@@ -109,8 +116,19 @@ def lax_oleinik_bruteforce(initial_eval, hstar_eval, x, t: float, cfg: OracleCon
     return value
 
 
+def velocity_grid(hstar_eval, box_lo, box_hi, pts_per_axis: int):
+    """The velocity-form oracle's fixed part: the v-grid on the box [box_lo,
+    box_hi] per axis and H*(v) on it, as (v, H*(v)).
+
+    Neither depends on (x, t), so one grid serves every query.  The grid
+    has the caps of :func:`~hjeval.numeric.box_grid`.
+    """
+    v = box_grid(box_lo, box_hi, pts_per_axis)
+    return v, ensure_extended(hstar_eval(v))
+
+
 def lax_oleinik_bruteforce_velocity(
-    initial_eval, hstar_eval, x, t: float, box_lo, box_hi, pts_per_axis: int
+    initial_eval, hstar_eval, x, t: float, box_lo, box_hi, pts_per_axis: int, *, grid=None
 ) -> float:
     """Velocity-form variational minimum min_v { J(x - t v) + t H*(v) }.
 
@@ -118,16 +136,19 @@ def lax_oleinik_bruteforce_velocity(
     hull of the branch velocities (the conjugate's domain), so that the
     candidate minimizing velocities are grid nodes; t = 0 is allowed and
     reduces every term to J(x).  Complements :func:`lax_oleinik_bruteforce`
-    for nets whose conjugate Hamiltonian has a small bounded domain.  The
-    grid has the caps of :func:`~hjeval.numeric.box_grid`.
+    for nets whose conjugate Hamiltonian has a small bounded domain.
+    ``grid`` is the :func:`velocity_grid` of the same box and ``hstar_eval``,
+    built here when not given.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     x = np.asarray(x, dtype=float).reshape(-1)
-    lo = np.broadcast_to(np.asarray(box_lo, dtype=float), x.shape)
-    hi = np.broadcast_to(np.asarray(box_hi, dtype=float), x.shape)
-    v = box_grid(lo, hi, pts_per_axis)
-    vals = ensure_extended(initial_eval(x - t * v)) + t * ensure_extended(hstar_eval(v))
+    if grid is None:
+        lo = np.broadcast_to(np.asarray(box_lo, dtype=float), x.shape)
+        hi = np.broadcast_to(np.asarray(box_hi, dtype=float), x.shape)
+        grid = velocity_grid(hstar_eval, lo, hi, pts_per_axis)
+    v, hstar_v = grid
+    vals = ensure_extended(initial_eval(x - t * v)) + t * hstar_v
     value = finite_minimum(vals)
     if value == np.inf:
         raise OracleDomainError("all grid terms are +inf: the box misses dom H*")
@@ -137,25 +158,28 @@ def lax_oleinik_bruteforce_velocity(
 def gradient_fd(solution_eval, x, t: float, h: float):
     """Central-difference gradient of S(x, t): returns (dS/dt, ∇_x S).
 
-    ``solution_eval`` maps (point, time) to a float; requires t - h > 0.
+    ``solution_eval`` maps ((k, n) row points, time) to k values; requires
+    t - h > 0.  It is called three times: on the 2n spatial stencil rows
+    x + h e_1, ..., x + h e_n, x - h e_1, ..., x - h e_n at t, and on x at
+    t + h and at t - h.
     """
     if h <= 0:
         raise ValueError("h must be positive")
     if t - h <= 0:
         raise ValueError("need t - h > 0 for the centered time difference")
     x = np.asarray(x, dtype=float).reshape(-1)
-    dt = (solution_eval(x, t + h) - solution_eval(x, t - h)) / (2 * h)
-    dx = np.empty_like(x)
-    for j in range(x.size):
-        step = np.zeros_like(x)
-        step[j] = h
-        dx[j] = (solution_eval(x + step, t) - solution_eval(x - step, t)) / (2 * h)
+    n = x.size
+    steps = h * np.eye(n)
+    values = solution_eval(np.concatenate([x + steps, x - steps]), t)
+    dx = (values[:n] - values[n:]) / (2 * h)
+    dt = (solution_eval(x[None], t + h)[0] - solution_eval(x[None], t - h)[0]) / (2 * h)
     return float(dt), dx
 
 
 def hj_residual(solution_eval, hamiltonian_eval, x, t: float, h: float) -> float:
     """|∂_t S + H(∇_x S)| by central differences.
 
+    ``solution_eval`` is a batch evaluator, as in :func:`gradient_fd`.
     Returns +inf when H(∇_x S) = +inf, i.e. the numerical gradient left the
     Hamiltonian's domain; at unscreened points that flags a kink, not a bug.
     """
@@ -211,7 +235,7 @@ def _t_range(net):
 
 
 def _solution_eval(net):
-    return lambda x, t: net.evaluate(x, t).value
+    return lambda points, t: net.solution_grid(points, t)[0]
 
 
 def _hstar_eval(net):
@@ -387,9 +411,18 @@ def verify_report(
         velocity_form = isinstance(net, InitialDataNet)
         if velocity_form:
             # Velocity grid over the conjugate's domain, so the candidate
-            # minimizing velocities (the branch rows) are grid nodes.
-            hull_lo = net.rows.min(axis=0)
-            hull_hi = net.rows.max(axis=0)
+            # minimizing velocities (the branch rows) are grid nodes.  Neither
+            # it nor H* on it depends on the sample: both are built once.
+            hull_lo, hull_hi = net.rows.min(axis=0), net.rows.max(axis=0)
+            pts, n = cfg.pts_per_axis, net.dimension
+            # For n >= 2, H* is one simplex LP per node.  Grids above the
+            # point cap are left to box_grid, which refuses them first.
+            if n > 1 and MAX_ORACLE_LPS < pts**n <= MAX_GRID_POINTS:
+                raise ValueError(
+                    f"velocity grid of {pts}^{n} nodes needs one simplex LP each, "
+                    f"above the {MAX_ORACLE_LPS} LP budget; reduce pts_per_axis"
+                )
+            grid = velocity_grid(hstar_eval, hull_lo, hull_hi, pts)
     sol = _solution_eval(net)
     ham = net.hamiltonian()
 
@@ -401,7 +434,7 @@ def verify_report(
         if not residual_only:
             if velocity_form:
                 approx = lax_oleinik_bruteforce_velocity(
-                    initial_eval, hstar_eval, x, t, hull_lo, hull_hi, cfg.pts_per_axis
+                    initial_eval, hstar_eval, x, t, hull_lo, hull_hi, cfg.pts_per_axis, grid=grid
                 )
             else:
                 approx = lax_oleinik_bruteforce(initial_eval, hstar_eval, x, t, cfg)

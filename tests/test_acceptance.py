@@ -107,7 +107,7 @@ def test_criterion_05_pde_residual_at_screened_points():
             presets.concave_quadratic_net_10d(),
         ]
         for net in nets:
-            sol = lambda x, t: net.evaluate(x, t).value
+            sol = lambda points, t: net.solution_grid(points, t)[0]
             ham = net.hamiltonian()
             for x, t in sample_screened_points(net, 200, seed=0):
                 assert hj_residual(sol, ham, x, t, 1e-4) <= 1e-3
@@ -115,7 +115,7 @@ def test_criterion_05_pde_residual_at_screened_points():
         # Hamiltonian value 23.5, so the residual vanishes analytically.
         net = presets.concave_quadratic_net_1d()
         res = hj_residual(
-            lambda x, t: net.evaluate(x, t).value, net.hamiltonian(), [10.0], 1.0, 1e-4
+            lambda points, t: net.solution_grid(points, t)[0], net.hamiltonian(), [10.0], 1.0, 1e-4
         )
         assert res <= 1e-6
 

@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hjeval.cli import main
+from hjeval.initialdata import InitialDataNet
 from hjeval.output import render_pgm
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -256,6 +258,26 @@ def test_verify_two_dimensional_arch2_at_default_pts_exits_one(tmp_path, capsys)
     assert not list(tmp_path.glob("r.*"))
 
 
+def test_verify_two_dimensional_arch2_above_the_lp_budget_exits_one(tmp_path, capsys, monkeypatch):
+    # 4471^2 nodes are under the grid's point cap but each needs a simplex LP.
+    lps = []
+    solve = InitialDataNet.hamiltonian_conjugate
+    monkeypatch.setattr(
+        InitialDataNet, "hamiltonian_conjugate", lambda self, v: lps.append(v) or solve(self, v)
+    )
+    problem = tmp_path / "pwa2d.cfg"
+    problem.write_text(
+        "architecture = arch2\ndimension = 2\nfunction = neg_half_squared_norm\n"
+        "param = -2, -2, 4\nparam = -2, 2, 4\nparam = 2, -2, 4\nparam = 2, 2, 4\n"
+    )
+    argv = ["verify", "--config", str(problem), "--pts", "4471", "--out", str(tmp_path / "r")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "4471^2 nodes" in err and "LP budget; reduce pts_per_axis" in err
+    assert not lps
+    assert not list(tmp_path.glob("r.*"))
+
+
 def test_verify_high_dimension_requires_residual_only(tmp_path, capsys):
     code = main([
         "verify",
@@ -357,3 +379,25 @@ def test_bench_csv_output(tmp_path, capsys):
     assert stdout.startswith("n,m,mean_eval_time\n")
     assert main(["bench", "--architecture", "arch2", "--dims", "x", "--reps", "1"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--architecture", "arch2", "--dims", "2,1401"], "dims: the arch2 net at n=1401"),
+        (["--architecture", "arch1", "--dims", "2,4200"], "m, dims: the arch1 net at m=8, n=4200"),
+        (["--architecture", "arch1", "--dims", "10", "--m", "10000000"], "m, dims"),
+    ],
+)
+def test_bench_above_the_construction_budget_exits_one(capsys, argv, message):
+    # Refused before any net or point set is built.
+    tracemalloc.start()
+    try:
+        code = main(["bench", *argv, "--reps", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err and "construction budget" in err
+    assert peak < 1 << 20

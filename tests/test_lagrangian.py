@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hjeval.branches import reduce_branch_matrix
+from hjeval.branches import EXACT_BLOCK, reduce_branch_matrix
 from hjeval.catalog import (
     ClippedQuadratic1D,
     HalfSquaredNorm,
@@ -171,6 +171,25 @@ def test_bruteforce_oracle_bounds_from_above():
         t = rng.uniform(0.1, 3.0)
         oracle = lax_oleinik_bruteforce(net.initial_values, net.lagrangian, x, t, cfg)
         assert oracle >= net.evaluate(x, t).value - 1e-12
+
+
+@pytest.mark.parametrize("make_net", [clipped_quadratic_net_1d, shifted_norm_net_10d])
+def test_initial_values_equal_initial_grid_values(make_net):
+    # The oracle integrand reduces with a plain min; only the sign of a zero
+    # may differ from the argmin-indexed initial_grid values.
+    net = make_net()
+    rows_per_block = EXACT_BLOCK // (net.n_branches * net.dimension)
+    rng = np.random.default_rng(12)
+    points = rng.uniform(-30.0, 30.0, (3 * rows_per_block + 7, net.dimension))
+    points[::97] *= 10.0 ** rng.uniform(150.0, 160.0, (len(points[::97]), 1))
+    points[1::89] *= -1.0
+    points[5], points[6] = 0.0, -0.0
+    points[7] = net.shifts[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = net.initial_values(points)
+        want = net.initial_grid(points)[0]
+    assert got.shape == want.shape == (len(points),)
+    np.testing.assert_array_equal(got, want)  # +-inf included; 0.0 == -0.0
 
 
 # -- batch path against the per-branch loop ------------------------------------

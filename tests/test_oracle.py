@@ -1,10 +1,15 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hjeval.catalog import PNorm
+from hjeval.catalog import ConcaveFn, HalfSquaredNorm, PNorm
+from hjeval.config import load_problem
+from hjeval.initialdata import InitialDataNet
 from hjeval.oracle import (
+    FD_STEP,
+    MAX_ORACLE_LPS,
     OracleConfig,
     OracleDomainError,
     gradient_fd,
@@ -23,6 +28,12 @@ from hjeval.presets import (
 )
 
 CFG = OracleConfig(search_box_halfwidth=20.0, pts_per_axis=40001)
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _batch(net):
+    """The batch evaluator (points, t) -> values that verify passes to the residual."""
+    return lambda points, t: net.solution_grid(points, t)[0]
 
 
 def test_oracle_config_validation():
@@ -135,14 +146,14 @@ def test_hstar_interpolator_agrees_with_lp():
 def test_gradient_fd_affine_exact():
     c = np.array([2.0, -3.0, 0.5])
     d = 1.25
-    eval_fn = lambda x, t: float(c @ x) + d * t
+    eval_fn = lambda pts, t: pts @ c + d * t
     dt, dx = gradient_fd(eval_fn, [0.3, -0.7, 2.0], 1.0, 1e-4)
     assert dt == pytest.approx(d, abs=1e-10)
     np.testing.assert_allclose(dx, c, atol=1e-10)
 
 
 def test_gradient_fd_quadratic_second_order():
-    eval_fn = lambda x, t: -0.5 * float(x @ x)
+    eval_fn = lambda pts, t: -0.5 * np.einsum("ij,ij->i", pts, pts)
     rng = np.random.default_rng(2)
     for h in (1e-2, 1e-3):
         x = rng.uniform(-2, 2, 3)
@@ -152,12 +163,12 @@ def test_gradient_fd_quadratic_second_order():
 
 def test_gradient_fd_time_guard():
     with pytest.raises(ValueError, match="t - h"):
-        gradient_fd(lambda x, t: 0.0, [0.0], 5e-5, 1e-4)
+        gradient_fd(lambda pts, t: np.zeros(len(pts)), [0.0], 5e-5, 1e-4)
 
 
 def test_residual_zero_at_smooth_point():
     net = concave_quadratic_net_1d()
-    sol = lambda x, t: net.evaluate(x, t).value
+    sol = _batch(net)
     res = hj_residual(sol, net.hamiltonian(), [10.0], 1.0, 1e-4)
     assert res <= 1e-6
     dt, dx = gradient_fd(sol, [10.0], 1.0, 1e-4)
@@ -169,7 +180,7 @@ def test_gradient_fd_vanishes_at_flat_minimum():
     # Winner branch of the clipped net at (0, 1) is t L(x/t), whose space and
     # time slopes both vanish at the origin.
     net = clipped_quadratic_net_1d()
-    sol = lambda x, t: net.evaluate(x, t).value
+    sol = _batch(net)
     dt, dx = gradient_fd(sol, [0.0], 1.0, 1e-4)
     assert abs(dt) <= 1e-6
     assert abs(dx[0]) <= 1e-6
@@ -177,7 +188,7 @@ def test_gradient_fd_vanishes_at_flat_minimum():
 
 def test_residual_stationary_solution():
     # Constant data with H(0) = 0 is a stationary solution.
-    sol = lambda x, t: 4.2
+    sol = lambda pts, t: np.full(len(pts), 4.2)
     res = hj_residual(sol, PNorm(2), [0.4, -1.2], 1.0, 1e-4)
     assert res <= 1e-9
 
@@ -185,9 +196,80 @@ def test_residual_stationary_solution():
 def test_residual_flags_domain_escape():
     from hjeval.catalog import UnitBallIndicator
 
-    sol = lambda x, t: 3.0 * float(x.sum())  # gradient (3, 3): far outside the ball
+    sol = lambda pts, t: 3.0 * pts.sum(axis=1)  # gradient (3, 3): far outside the ball
     res = hj_residual(sol, UnitBallIndicator(2), [0.0, 0.0], 1.0, 1e-4)
     assert res == float("inf")
+
+
+def _pointwise_residual(net, x, t, h):
+    """The residual as 2n + 2 single-point ``evaluate`` calls, one stencil
+    point at a time: the computation the batched stencil replaced."""
+    sol = lambda p, s: net.evaluate(p, s).value
+    dt = (sol(x, t + h) - sol(x, t - h)) / (2 * h)
+    dx = np.empty_like(x)
+    for j in range(x.size):
+        step = np.zeros_like(x)
+        step[j] = h
+        dx[j] = (sol(x + step, t) - sol(x - step, t)) / (2 * h)
+    h_val = float(net.hamiltonian()(dx))
+    return float(dt), dx, float("inf") if np.isinf(h_val) else abs(dt + h_val)
+
+
+@pytest.mark.parametrize("problem", ["ball10d", "pwa10d", "clipped1d"])
+def test_batched_residual_equals_pointwise_stencil(problem):
+    net = load_problem(CONFIG_DIR / f"{problem}.cfg").build_net()
+    rng = np.random.default_rng(4)
+    for _ in range(25):
+        x = rng.uniform(-4.0, 4.0, net.dimension)
+        t = float(rng.uniform(0.1, 3.0))
+        dt, dx, residual = _pointwise_residual(net, x, t, FD_STEP)
+        got_dt, got_dx = gradient_fd(_batch(net), x, t, FD_STEP)
+        assert got_dt.hex() == dt.hex()
+        assert got_dx.tobytes() == dx.tobytes()
+        got = hj_residual(_batch(net), net.hamiltonian(), x, t, FD_STEP)
+        assert got.hex() == residual.hex()
+
+
+def _pwa2d_net():
+    rows = np.array([[-2.0, -2.0], [-2.0, 2.0], [2.0, -2.0], [2.0, 2.0]])
+    return InitialDataNet(ConcaveFn(HalfSquaredNorm()), rows, np.full(4, 4.0))
+
+
+def _count_lps(monkeypatch):
+    counts = []
+    solve = InitialDataNet.hamiltonian_conjugate
+
+    def counting(self, v):
+        counts.append(1)
+        return solve(self, v)
+
+    monkeypatch.setattr(InitialDataNet, "hamiltonian_conjugate", counting)
+    return counts
+
+
+@pytest.mark.parametrize("samples", [1, 5])
+def test_two_dimensional_verify_solves_one_lp_per_grid_node(monkeypatch, samples):
+    counts = _count_lps(monkeypatch)
+    report = verify_report(_pwa2d_net(), samples, 3, OracleConfig(20.0, 21))
+    assert len(report.records) == samples
+    assert len(counts) == 21 * 21
+    assert report.max_oracle_gap <= 2e-3
+
+
+def test_verify_refuses_velocity_grids_above_the_lp_budget(monkeypatch):
+    counts = _count_lps(monkeypatch)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="LP budget; reduce pts_per_axis"):
+            verify_report(_pwa2d_net(), 5, 0, OracleConfig(20.0, 501))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not counts
+    assert peak < 1 << 20
+    # The documented reach: 2-D up to pts_per_axis 499, 3-D up to 61.
+    assert 499**2 <= MAX_ORACLE_LPS < 501**2
+    assert 61**3 <= MAX_ORACLE_LPS < 63**3
 
 
 def test_screening_thresholds():

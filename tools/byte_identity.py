@@ -11,7 +11,8 @@ OUT receives, from the source tree this script sits in:
   (the pairs of ``demos/figure_slices.py``), through ``hjeval slice --render``;
 * ``verify/``: ``hjeval verify`` ``.kv`` and ``.txt`` reports of every shipped
   problem at seeds 0 and 5 (``--residual-only`` above three dimensions,
-  ``--pts 4001`` for pwa1d), plus a 2-D arch2 problem at ``--pts 21``;
+  ``--pts 4001`` for pwa1d), plus a 2-D arch2 problem at ``--pts 21
+  --samples 20``, whose one velocity grid serves many samples;
 * ``eval/``: ``solution_grid`` values, argmins and gaps (``tobytes()``) of
   every shipped problem and of two max-affine problems, at t > 0 and t = 0;
 * ``MANIFEST.sha256``: one ``<sha256>  <path>`` line per file, sorted.
