@@ -18,7 +18,7 @@ from .initialdata import InitialDataNet, norm_hamiltonian_rows
 from .lagrangian import LagrangianNet
 
 __all__ = ["BenchRow", "synthetic_net", "run_bench", "bench_csv"]
-__all__ += ["BENCH_MAX_LINF_DIMENSION", "BENCH_MAX_FLOATS"]
+__all__ += ["BENCH_MAX_LINF_DIMENSION", "BENCH_MAX_FLOATS", "BENCH_MAX_WORK"]
 
 POINTS_PER_REP = 1000
 # Construction budget, about 1 s and 128 MiB on one core.  arch2's linf
@@ -29,6 +29,12 @@ POINTS_PER_REP = 1000
 # 118 MiB peak, growing in proportion beyond.
 BENCH_MAX_LINF_DIMENSION = 1400
 BENCH_MAX_FLOATS = 1 << 22
+# Run-time budget, about a minute on one core.  One single-point evaluation
+# took about 25 us plus 2-12 ns per branch coordinate (m n), so it counts as
+# m n + BENCH_CALL_WORK units, and the reps x 1000 calls per dimension may
+# add up to at most BENCH_MAX_WORK of them.
+BENCH_CALL_WORK = 4096
+BENCH_MAX_WORK = 1 << 33
 
 
 @dataclass(frozen=True)
@@ -70,6 +76,13 @@ def run_bench(architecture: str, dims, m: int, reps: int, seed: int = 0) -> list
         raise ValueError(
             f"m, dims: the arch1 net at m={m}, n={max(dims)} needs (m + {POINTS_PER_REP}) n "
             f"floats, above the construction budget of {BENCH_MAX_FLOATS}"
+        )
+    branches = [2 * n if architecture == "arch2" else m for n in dims]
+    work = reps * POINTS_PER_REP * sum(b * n + BENCH_CALL_WORK for b, n in zip(branches, dims))
+    if work > BENCH_MAX_WORK:
+        raise ValueError(
+            f"reps: {reps} x {POINTS_PER_REP} evaluations per dimension need {work} units "
+            f"(m n + {BENCH_CALL_WORK} a call), above the run-time budget of {BENCH_MAX_WORK}"
         )
     rows = []
     for n in dims:

@@ -23,6 +23,7 @@ from .catalog import ensure_extended
 from .initialdata import InitialDataNet
 from .lagrangian import LagrangianNet
 from .numeric import MAX_GRID_POINTS, box_grid, finite_minimum, grid_inf_convolution
+from .simplex import stack_block_targets
 
 __all__ = [
     "ORACLE_TOL",
@@ -60,8 +61,9 @@ GAP_THRESHOLD = 0.1
 MARGIN_THRESHOLD = 0.05
 
 # Largest velocity grid, in nodes, of the oracle for n >= 2 nets: it solves
-# one simplex LP per node (about 0.1-0.2 ms each on one core), so about
-# 25-45 s of LPs; 2-D admits pts_per_axis up to 499, 3-D up to 61.
+# one simplex LP per node, stacked (2-D at pts_per_axis 499 took 2.1-2.3 s
+# on one core, 3-D at 61 took 1.5-1.7 s, with a tracemalloc peak under
+# 18 MiB); 2-D admits pts_per_axis up to 499, 3-D up to 61.
 MAX_ORACLE_LPS = 250_000
 
 # Sampling boxes for the verification report (per module invariants).
@@ -201,7 +203,7 @@ def hstar_interpolator_1d(net: InitialDataNet):
     if net.dimension != 1:
         raise ValueError("interpolator only applies to one-dimensional nets")
     nodes = np.unique(net.rows[:, 0])
-    values = np.array([net.hamiltonian_conjugate([v]).value for v in nodes])
+    values = np.array([sol.value for sol in net.hamiltonian_conjugate(nodes[:, None])])
     lo, hi = nodes[0], nodes[-1]
 
     def hstar(points):
@@ -246,9 +248,17 @@ def _hstar_eval(net):
     if net.dimension == 1:
         return hstar_interpolator_1d(net)
 
-    def hstar(points):  # per-point simplex LP (slow; for n >= 2 nets)
+    # n >= 2: one stacked simplex solve per block of points, so that only
+    # one block's solutions are alive at a time.
+    def hstar(points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.array([net.hamiltonian_conjugate(p).value for p in pts])
+        out = np.empty(len(pts))
+        block = stack_block_targets(*net.rows.shape)
+        for start in range(0, len(pts), block):
+            out[start : start + block] = [
+                sol.value for sol in net.hamiltonian_conjugate(pts[start : start + block])
+            ]
+        return out
 
     return hstar
 

@@ -5,6 +5,11 @@ unit simplex subject to Σ α_i v_i = target.  Columns number a few dozen, so
 a dense tableau with Bland's anti-cycling rule is exact enough, dependency
 free, and easy to audit.  Pivot tolerance 1e-10.
 
+A (k, n) stack of targets sharing the costs and points is solved as one
+(k, n + 2, m + n + 2) tableau stack, in blocks of about 2 MiB: every pivot,
+ratio test and tie-break runs on all LPs still pivoting at once, and each
+target gets the bits, weights and basis that solving it alone gives.
+
 The lower-envelope certificate screens all rows at once with witness
 gradients checked by one blocked Gram product and solves the LP only for
 the rows the screen leaves; :func:`check_witnesses` re-checks its evidence.
@@ -24,6 +29,8 @@ __all__ = [
     "ENVELOPE_TOL",
     "SimplexSolution",
     "minimize_over_simplex",
+    "STACK_BLOCK",
+    "stack_block_targets",
     "EnvelopeCertificate",
     "EnvelopeViolationError",
     "lower_envelope_certificate",
@@ -34,6 +41,8 @@ __all__ = [
 PIVOT_TOL = 1e-10
 FEASIBILITY_TOL = 1e-9
 ENVELOPE_TOL = 1e-9
+# Tableau floats of one block of a stacked solve (2 MiB).
+STACK_BLOCK = 1 << 18
 
 
 @dataclass
@@ -86,20 +95,33 @@ def _bland_iterate(tableau, basis, n_cols):
         _pivot(tableau, basis, row, col)
 
 
-def minimize_over_simplex(costs, points, target) -> SimplexSolution:
+def minimize_over_simplex(costs, points, target):
     """Solve min { c·α : α in the unit simplex, Σ α_i v_i = target }.
 
     ``points`` is the (m, n) array of the v_i as rows.  Returns the exact
     optimum with an optimal α and its basis, or ``SimplexSolution(inf,
     None)`` when the target lies outside the convex hull of the points
-    (phase-1 infeasible).
+    (phase-1 infeasible).  A (k, n) ``target`` is a stack of k targets: it
+    returns a list of k solutions, each bit-identical to solving its
+    target alone, from one tableau stack per block of
+    :func:`stack_block_targets` targets.
     """
     costs = np.asarray(costs, dtype=float).reshape(-1)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    target = np.asarray(target, dtype=float).reshape(-1)
+    target = np.asarray(target, dtype=float)
     m, n = points.shape
     if costs.size != m:
         raise ValueError("costs and points must have equal length")
+    if target.ndim == 2:
+        if target.shape[1] != n:
+            raise ValueError("target dimension does not match the points")
+        block = stack_block_targets(m, n)
+        return [
+            sol
+            for start in range(0, len(target), block)
+            for sol in _minimize_stack(costs, points, target[start : start + block])
+        ]
+    target = target.reshape(-1)
     if target.size != n:
         raise ValueError("target dimension does not match the points")
 
@@ -155,6 +177,129 @@ def minimize_over_simplex(costs, points, target) -> SimplexSolution:
         alpha[j] = tableau2[i, -1]
     alpha[np.abs(alpha) < 1e-12] = 0.0
     return SimplexSolution(float(costs @ alpha), alpha, (basis, redundant))
+
+
+def stack_block_targets(m: int, n: int) -> int:
+    """Targets per block of a stacked solve: :data:`STACK_BLOCK` tableau floats."""
+    return max(1, STACK_BLOCK // ((n + 2) * (m + n + 2)))
+
+
+def _pivot_stack(tableau, basis, rows, cols):
+    """:func:`_pivot` on each tableau of the stack at its own (row, col)."""
+    lps = np.arange(len(tableau))
+    tableau[lps, rows] /= tableau[lps, rows, cols][:, None]
+    factors = tableau[lps, :, cols]
+    factors[lps, rows] = 0.0
+    tableau -= factors[:, :, None] * tableau[lps, rows][:, None, :]
+    basis[lps, rows] = cols
+
+
+def _bland_stack(tableau, basis, n_cols):
+    """:func:`_bland_iterate` on a tableau stack, in place.
+
+    Each iteration pivots every LP that is not yet optimal, with its own
+    entering column, ratio test and tie-break; an optimal LP leaves the
+    working stack.  Returns 'optimal', or 'unbounded' if any LP is.
+    """
+    work, ids, bases = tableau, np.arange(len(tableau)), basis
+    while ids.size:
+        negative = work[:, -1, :n_cols] < -PIVOT_TOL
+        running = negative.any(axis=1)
+        if not running.all():
+            done = ~running
+            tableau[ids[done]] = work[done]
+            basis[ids[done]] = bases[done]
+            work, ids, bases, negative = work[running], ids[running], bases[running], negative[running]
+            if not ids.size:
+                break
+        cols = negative.argmax(axis=1)  # smallest index: Bland's entering rule
+        column = work[np.arange(len(work)), :-1, cols]
+        positive = column > PIVOT_TOL
+        if not positive.any(axis=1).all():
+            return "unbounded"
+        ratios = np.divide(work[:, :-1, -1], column, out=np.full(column.shape, np.inf), where=positive)
+        tied = positive & (ratios <= ratios.min(axis=1, keepdims=True) + 1e-12)
+        rows = np.where(tied, bases, work.shape[2]).argmin(axis=1)  # no column reaches the width
+        _pivot_stack(work, bases, rows, cols)
+    return "optimal"
+
+
+def _minimize_stack(costs, points, targets) -> list[SimplexSolution]:
+    """The one-target solve of :func:`minimize_over_simplex`, on a (k, n) stack.
+
+    Every step is the one-target step, vectorized over the stack, so each
+    LP runs the same float operations in the same order.
+    """
+    k, n = targets.shape
+    m = points.shape[0]
+    n_rows = n + 1
+
+    rhs = np.ones((k, n_rows))
+    rhs[:, :n] = targets
+    sign = np.where(rhs < 0, -1.0, 1.0)
+    rhs *= sign
+    a_mat = np.vstack([points.T, np.ones((1, m))]) * sign[:, :, None]
+
+    # Phase 1: artificial basis, minimize the artificial sum.
+    tableau = np.zeros((k, n_rows + 1, m + n_rows + 1))
+    tableau[:, :n_rows, :m] = a_mat
+    tableau[:, :n_rows, m : m + n_rows] = np.eye(n_rows)
+    tableau[:, :n_rows, -1] = rhs
+    tableau[:, -1, :m] = -a_mat.sum(axis=1)
+    tableau[:, -1, -1] = -rhs.sum(axis=1)
+    basis = np.tile(np.arange(m, m + n_rows), (k, 1))
+
+    if _bland_stack(tableau, basis, m + n_rows) != "optimal":
+        raise RuntimeError("phase-1 objective is bounded below by construction")
+    feasible = np.flatnonzero(~(-tableau[:, -1, -1] > FEASIBILITY_TOL))
+    tableau, basis = tableau[feasible], basis[feasible]
+
+    # Drive leftover artificials out of the basis, row by row; record the
+    # artificial of each redundant row in ``dropped`` (-1: row kept).
+    dropped = np.full(basis.shape, -1)
+    for i in range(n_rows):
+        lps = np.flatnonzero(basis[:, i] >= m)
+        if not lps.size:
+            continue
+        structural = np.abs(tableau[lps, i, :m]) > PIVOT_TOL
+        found = structural.any(axis=1)
+        dropped[lps[~found], i] = basis[lps[~found], i] - m
+        lps = lps[found]
+        if lps.size:
+            sub, sub_basis = tableau[lps], basis[lps]
+            _pivot_stack(sub, sub_basis, np.full(lps.size, i), structural[found].argmax(axis=1))
+            tableau[lps], basis[lps] = sub, sub_basis
+
+    # Phase 2 on structural columns only, one stack per kept-row pattern.
+    solutions = [None] * k
+    kept = dropped < 0
+    for pattern in kept[:1] if kept.all() else np.unique(kept, axis=0):
+        group = np.flatnonzero((kept == pattern).all(axis=1))
+        rows = np.flatnonzero(pattern)
+        sub = tableau[group[:, None], rows]
+        body = np.concatenate([sub[:, :, :m], sub[:, :, -1:]], axis=2)
+        group_basis = basis[group[:, None], rows]
+        lps = np.arange(len(group))
+        obj = np.tile(np.concatenate([costs, [0.0]]), (len(group), 1))
+        for i in range(len(rows)):
+            obj -= obj[lps, group_basis[:, i]][:, None] * body[:, i]
+        tableau2 = np.concatenate([body, obj[:, None]], axis=1)
+
+        if _bland_stack(tableau2, group_basis, m) != "optimal":
+            raise RuntimeError("LP over the unit simplex cannot be unbounded")
+
+        alpha = np.zeros((len(group), m))
+        alpha[lps[:, None], group_basis] = tableau2[:, :-1, -1]
+        alpha[np.abs(alpha) < 1e-12] = 0.0
+        _store_group(solutions, feasible[group], costs, alpha, group_basis, dropped[group][:, ~pattern])
+    return [SimplexSolution(float("inf"), None) if sol is None else sol for sol in solutions]
+
+
+def _store_group(solutions, lps, costs, alpha, bases, redundant):
+    """``solutions[lp]`` for the LPs of one phase-2 group, as the one-target
+    solver returns it: the value is the same dot product."""
+    for lp, weights, columns, dropped in zip(lps.tolist(), alpha, bases.tolist(), redundant.tolist()):
+        solutions[lp] = SimplexSolution(float(costs @ weights), weights, (columns, dropped))
 
 
 @dataclass

@@ -263,7 +263,9 @@ def test_verify_two_dimensional_arch2_above_the_lp_budget_exits_one(tmp_path, ca
     lps = []
     solve = InitialDataNet.hamiltonian_conjugate
     monkeypatch.setattr(
-        InitialDataNet, "hamiltonian_conjugate", lambda self, v: lps.append(v) or solve(self, v)
+        InitialDataNet,
+        "hamiltonian_conjugate",
+        lambda self, v: lps.append(len(np.atleast_2d(v))) or solve(self, v),
     )
     problem = tmp_path / "pwa2d.cfg"
     problem.write_text(
@@ -400,4 +402,28 @@ def test_bench_above_the_construction_budget_exits_one(capsys, argv, message):
     assert code == 1
     err = capsys.readouterr().err
     assert message in err and "construction budget" in err
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Buildable, but 5,000 calls at 9-36 ms each.
+        ["--architecture", "arch2", "--dims", "1400", "--reps", "5"],
+        ["--architecture", "arch1", "--dims", "1000", "--m", "3000", "--reps", "3"],
+        # Ten million calls of a tiny net.
+        ["--architecture", "arch2", "--dims", "1", "--reps", "10000"],
+    ],
+)
+def test_bench_above_the_run_time_budget_exits_one(capsys, argv):
+    # Refused before any net or point set is built, naming reps.
+    tracemalloc.start()
+    try:
+        code = main(["bench", *argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: reps:" in err and "run-time budget" in err
     assert peak < 1 << 20

@@ -1,9 +1,11 @@
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hjeval.simplex as simplex
 from hjeval.catalog import ConcaveFn, HalfSquaredNorm, PNorm
 from hjeval.config import load_problem
 from hjeval.initialdata import InitialDataNet
@@ -12,6 +14,7 @@ from hjeval.oracle import (
     MAX_ORACLE_LPS,
     OracleConfig,
     OracleDomainError,
+    _hstar_eval,
     gradient_fd,
     hj_residual,
     hstar_interpolator_1d,
@@ -19,6 +22,7 @@ from hjeval.oracle import (
     lax_oleinik_bruteforce_velocity,
     sample_screened_points,
     screen_point,
+    velocity_grid,
     verify_report,
 )
 from hjeval.presets import (
@@ -26,6 +30,7 @@ from hjeval.presets import (
     concave_quadratic_net_1d,
     shifted_norm_net_10d,
 )
+from hjeval.simplex import stack_block_targets
 
 CFG = OracleConfig(search_box_halfwidth=20.0, pts_per_axis=40001)
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -236,11 +241,12 @@ def _pwa2d_net():
 
 
 def _count_lps(monkeypatch):
+    """Record the targets (LPs) of each ``hamiltonian_conjugate`` call."""
     counts = []
     solve = InitialDataNet.hamiltonian_conjugate
 
     def counting(self, v):
-        counts.append(1)
+        counts.append(len(np.atleast_2d(v)))
         return solve(self, v)
 
     monkeypatch.setattr(InitialDataNet, "hamiltonian_conjugate", counting)
@@ -252,8 +258,45 @@ def test_two_dimensional_verify_solves_one_lp_per_grid_node(monkeypatch, samples
     counts = _count_lps(monkeypatch)
     report = verify_report(_pwa2d_net(), samples, 3, OracleConfig(20.0, 21))
     assert len(report.records) == samples
-    assert len(counts) == 21 * 21
+    assert sum(counts) == 21 * 21
     assert report.max_oracle_gap <= 2e-3
+
+
+def test_velocity_grid_is_one_stacked_call_per_block(monkeypatch):
+    # Blocks of 100 targets (32 tableau floats each at m = 4, n = 2): the
+    # 441 nodes take five stacked calls, each node's H* bit for bit its own LP.
+    net = _pwa2d_net()
+    counts = _count_lps(monkeypatch)
+    velocity_grid(_hstar_eval(net), net.rows.min(axis=0), net.rows.max(axis=0), 21)
+    assert counts == [21 * 21]
+    monkeypatch.setattr(simplex, "STACK_BLOCK", 100 * 32)
+    counts.clear()
+    v, hstar_v = velocity_grid(_hstar_eval(net), net.rows.min(axis=0), net.rows.max(axis=0), 21)
+    assert counts == [100, 100, 100, 100, 41]
+    one = np.array([net.hamiltonian_conjugate(p).value for p in v])
+    assert hstar_v.tobytes() == one.tobytes()
+
+
+def test_velocity_grid_at_the_documented_reach_stays_within_32_mib(monkeypatch):
+    # 499^2 = 249,001 LPs, the largest 2-D grid under MAX_ORACLE_LPS, in
+    # stacked blocks of 8,192 targets: about 2.1 s untraced and 7 s under
+    # tracemalloc, peak 17.7 MiB, on one core of a shared 2-CPU machine.
+    net = _pwa2d_net()
+    counts = _count_lps(monkeypatch)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        v, hstar_v = velocity_grid(_hstar_eval(net), net.rows.min(axis=0), net.rows.max(axis=0), 499)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"velocity_grid, pts_per_axis 499: {elapsed:.2f} s traced, peak {peak / 2**20:.1f} MiB")
+    assert peak < 32 << 20
+    block = stack_block_targets(4, 2)
+    assert sum(counts) == 499**2 and len(counts) == -(-(499**2) // block)
+    for i in np.random.default_rng(0).choice(len(v), 40, replace=False):
+        assert hstar_v[i].hex() == net.hamiltonian_conjugate(v[i]).value.hex()
 
 
 def test_verify_refuses_velocity_grids_above_the_lp_budget(monkeypatch):

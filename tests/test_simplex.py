@@ -292,3 +292,82 @@ def test_certificate_refuses_empty_or_nonfinite_pairs():
         check_witnesses([[0.0], [1.0]], [0.0, np.inf], [[0.0], [1.0]])
     with pytest.raises(ValueError, match="equal length"):
         check_witnesses([[0.0], [1.0]], [0.0], [[0.0], [1.0]])
+
+
+# -- stacked targets --------------------------------------------------------
+
+
+def _stack_sets():
+    """(name, points, costs) sets: paraboloids, zero-offset norm rows (ties)
+    and collinear rows in 2-D (a redundant constraint row)."""
+    rng = np.random.default_rng(5)
+    for n in (2, 3):
+        points, costs = _paraboloid(rng, n, 4 * n + 2)
+        yield f"paraboloid{n}d", points, costs
+    for kind in ("l1", "linf"):
+        for n in (2, 3):
+            yield f"{kind}{n}d", *norm_hamiltonian_rows(kind, n)
+    line = np.linspace(-2.0, 2.0, 5)
+    yield "collinear2d", np.stack([line, 0.5 * line - 1.0], axis=1), line**2
+    # A line in 3-D with a repeated row: an artificial variable re-enters
+    # phase 1, so a dropped row's artificial is not the row's own.
+    points = np.array([[-4.0, 3.0, 2.0], [2.0, -3.0, -1.0], [-2.0, 1.0, 1.0], [2.0, -3.0, -1.0]])
+    yield "collinear3d", points, np.array([1.0, 1.0, -1.0, 0.0])
+
+
+def _stack_targets(points, seed):
+    """Vertices, pair midpoints (hull edges among them), box nodes with
+    zero and negative coordinates, points in and far outside the hull, and
+    every row pushed 1e-7 out from the centroid (the phase-1 tolerance)."""
+    rng = np.random.default_rng(seed)
+    m, n = points.shape
+    i, j = np.triu_indices(m, 1)
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    axes = [np.linspace(a, b, 5) for a, b in zip(lo, hi)]
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    centroid = points.mean(axis=0)
+    return np.vstack([
+        points,
+        0.5 * (points[i] + points[j]),
+        nodes,
+        rng.uniform(1.5 * lo - 0.5, 1.5 * hi + 0.5, (30, n)),
+        3.0 * points[:2] + 1.0,
+        centroid + (1.0 + 1e-7) * (points - centroid),
+    ])
+
+
+def _assert_same_solution(stacked, alone):
+    assert type(stacked.value) is float
+    assert stacked.value.hex() == alone.value.hex()
+    if alone.weights is None:
+        assert stacked.weights is None and stacked.basis is None
+    else:
+        assert stacked.weights.tobytes() == alone.weights.tobytes()
+        assert stacked.basis == alone.basis
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_stacked_targets_equal_one_target_solves_bit_for_bit(monkeypatch, block):
+    # block=7 shrinks the blocks to 7 targets, so every stack spans many.
+    for seed, (name, points, costs) in enumerate(_stack_sets()):
+        m, n = points.shape
+        if block is not None:
+            monkeypatch.setattr(simplex, "STACK_BLOCK", block * (n + 2) * (m + n + 2))
+        targets = _stack_targets(points, seed)
+        assert block is None or len(targets) >= 3 * simplex.stack_block_targets(m, n)
+        stacked = minimize_over_simplex(costs, points, targets)
+        assert len(stacked) == len(targets), name
+        alone = [minimize_over_simplex(costs, points, target) for target in targets]
+        assert any(sol.feasible for sol in alone) and not all(sol.feasible for sol in alone)
+        for got, want in zip(stacked, alone):
+            _assert_same_solution(got, want)
+        if name.startswith("collinear"):
+            assert all(sol.basis[1] for sol in alone if sol.feasible)
+
+
+def test_stacked_targets_edge_cases():
+    assert minimize_over_simplex(COSTS, POINTS, np.zeros((0, 1))) == []
+    (sol,) = minimize_over_simplex(COSTS, POINTS, [[1.0]])
+    _assert_same_solution(sol, minimize_over_simplex(COSTS, POINTS, [1.0]))
+    with pytest.raises(ValueError, match="target dimension"):
+        minimize_over_simplex(COSTS, POINTS, np.zeros((3, 2)))

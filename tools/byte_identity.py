@@ -11,10 +11,14 @@ OUT receives, from the source tree this script sits in:
   (the pairs of ``demos/figure_slices.py``), through ``hjeval slice --render``;
 * ``verify/``: ``hjeval verify`` ``.kv`` and ``.txt`` reports of every shipped
   problem at seeds 0 and 5 (``--residual-only`` above three dimensions,
-  ``--pts 4001`` for pwa1d), plus a 2-D arch2 problem at ``--pts 21
-  --samples 20``, whose one velocity grid serves many samples;
+  ``--pts 4001`` for pwa1d), plus, at ``--samples 20``, two 2-D arch2
+  problems at ``--pts 21`` (general rows, and zero-offset l1 rows whose
+  LPs tie) and a 3-D arch2 problem at ``--pts 9``: each solves its
+  velocity grid's simplex LPs once, and one grid serves many samples;
 * ``eval/``: ``solution_grid`` values, argmins and gaps (``tobytes()``) of
   every shipped problem and of two max-affine problems, at t > 0 and t = 0;
+* ``oracle/``: the velocity grid and H* on it (``tobytes()``), as ``verify``
+  builds them, of each of those arch2 problems;
 * ``MANIFEST.sha256``: one ``<sha256>  <path>`` line per file, sorted.
 
 Two source trees produce identical manifests exactly when these outputs are
@@ -37,6 +41,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from hjeval.cli import main as cli_main  # noqa: E402
 from hjeval.config import load_problem  # noqa: E402
+from hjeval.oracle import _hstar_eval, velocity_grid  # noqa: E402
 
 CONFIGS = ROOT / "configs"
 PROBLEMS = ["clipped1d", "pwa1d", "ball10d", "pwa10d", "l1norm5d", "linfnorm5d"]
@@ -54,6 +59,16 @@ EXTRA_PROBLEMS = {
         "architecture = arch2\ndimension = 2\nfunction = neg_half_squared_norm\n"
         "param = -1, 0, 0.5\nparam = 1, 1, 0\nparam = 0, -1, 1\n"
     ),
+    "l1zero2d": (
+        "architecture = arch2\ndimension = 2\nfunction = neg_half_squared_norm\n"
+        "param = -1, -1, 0\nparam = -1, 1, 0\nparam = 1, -1, 0\nparam = 1, 1, 0\n"
+    ),
+    "pwa3d": (
+        "architecture = arch2\ndimension = 3\nfunction = neg_half_squared_norm\n"
+        "param = 1, 0, 0, 0.5\nparam = -1, 0, 0, 0.3\nparam = 0, 1, 0, 0.4\n"
+        "param = 0, -1, 0, 0.6\nparam = 0, 0, 1, 0.2\nparam = 0, 0, -1, 0.7\n"
+        "param = 0, 0, 0, -0.1\n"
+    ),
     "maxaffine3d_arch1": (
         "architecture = arch1\ndimension = 3\nfunction = max_affine\n"
         "affine = 1, 0.5, -0.25, 0\naffine = -1, 0.3, 0.7, 0.1\naffine = 0.2, -1, 0.4, -0.2\n"
@@ -65,6 +80,9 @@ EXTRA_PROBLEMS = {
         "param = 0, 0, 0, 0\nparam = 1, -1, 0.5, 0.3\nparam = -0.7, 0.2, 1.1, -0.4\n"
     ),
 }
+
+# Extra arch2 problems verified against the velocity-grid oracle: --pts of each.
+VELOCITY_GRIDS = {"pwa2d": 21, "l1zero2d": 21, "pwa3d": 9}
 
 
 def _cli(argv) -> None:
@@ -88,7 +106,7 @@ def write_outputs(out: Path) -> None:
         _cli(["slice", "--config", configs[problem], "--slice", CONFIGS / f"{slice_name}.cfg",
               "--out", prefix, "--render"])
 
-    for problem in PROBLEMS + ["pwa2d"]:
+    for problem in PROBLEMS + list(VELOCITY_GRIDS):
         dimension = load_problem(configs[problem]).dimension
         for seed in SEEDS:
             argv = ["verify", "--config", configs[problem], "--seed", seed,
@@ -97,13 +115,13 @@ def write_outputs(out: Path) -> None:
                 argv.append("--residual-only")
             if problem == "pwa1d":
                 argv += ["--pts", 4001]
-            if problem == "pwa2d":
-                argv += ["--pts", 21, "--samples", 20]
+            if problem in VELOCITY_GRIDS:
+                argv += ["--pts", VELOCITY_GRIDS[problem], "--samples", 20]
             _cli(argv)
 
     (out / "eval").mkdir(parents=True, exist_ok=True)
     for problem, path in configs.items():
-        if problem == "pwa2d":
+        if problem in VELOCITY_GRIDS:
             continue
         net = load_problem(path).build_net()
         points = np.random.default_rng(11).uniform(-4.0, 4.0, (5000, net.dimension))
@@ -111,6 +129,13 @@ def write_outputs(out: Path) -> None:
             values, argmins, gaps = net.solution_grid(points, t)
             blob = values.tobytes() + argmins.tobytes() + gaps.tobytes()
             (out / "eval" / f"{problem}_{label}.bin").write_bytes(blob)
+
+
+    (out / "oracle").mkdir(parents=True, exist_ok=True)
+    for problem, pts in VELOCITY_GRIDS.items():
+        net = load_problem(configs[problem]).build_net()
+        v, hstar_v = velocity_grid(_hstar_eval(net), net.rows.min(axis=0), net.rows.max(axis=0), pts)
+        (out / "oracle" / f"{problem}_hstar.bin").write_bytes(v.tobytes() + hstar_v.tobytes())
 
 
 def write_manifest(out: Path) -> Path:
