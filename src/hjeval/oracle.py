@@ -61,8 +61,8 @@ GAP_THRESHOLD = 0.1
 MARGIN_THRESHOLD = 0.05
 
 # Largest velocity grid, in nodes, of the oracle for n >= 2 nets: it solves
-# one simplex LP per node, stacked (2-D at pts_per_axis 499 took 2.1-2.3 s
-# on one core, 3-D at 61 took 1.5-1.7 s, with a tracemalloc peak under
+# one simplex LP per node, stacked (2-D at pts_per_axis 499 took 1.1-1.4 s
+# on one core, 3-D at 61 took 1.0-1.2 s, with a tracemalloc peak under
 # 18 MiB); 2-D admits pts_per_axis up to 499, 3-D up to 61.
 MAX_ORACLE_LPS = 250_000
 

@@ -8,7 +8,7 @@ free, and easy to audit.  Pivot tolerance 1e-10.
 A (k, n) stack of targets sharing the costs and points is solved as one
 (k, n + 2, m + n + 2) tableau stack, in blocks of about 2 MiB: every pivot,
 ratio test and tie-break runs on all LPs still pivoting at once, and each
-target gets the bits, weights and basis that solving it alone gives.
+target gets, bit for bit, the value, weights and basis of solving it alone.
 
 The lower-envelope certificate screens all rows at once with witness
 gradients checked by one blocked Gram product and solves the LP only for
@@ -95,7 +95,7 @@ def _bland_iterate(tableau, basis, n_cols):
         _pivot(tableau, basis, row, col)
 
 
-def minimize_over_simplex(costs, points, target):
+def minimize_over_simplex(costs, points, target) -> SimplexSolution | list[SimplexSolution]:
     """Solve min { c·α : α in the unit simplex, Σ α_i v_i = target }.
 
     ``points`` is the (m, n) array of the v_i as rows.  Returns the exact
@@ -209,7 +209,8 @@ def _bland_stack(tableau, basis, n_cols):
             done = ~running
             tableau[ids[done]] = work[done]
             basis[ids[done]] = bases[done]
-            work, ids, bases, negative = work[running], ids[running], bases[running], negative[running]
+            work, ids, bases = work[running], ids[running], bases[running]
+            negative = negative[running]
             if not ids.size:
                 break
         cols = negative.argmax(axis=1)  # smallest index: Bland's entering rule
@@ -217,7 +218,8 @@ def _bland_stack(tableau, basis, n_cols):
         positive = column > PIVOT_TOL
         if not positive.any(axis=1).all():
             return "unbounded"
-        ratios = np.divide(work[:, :-1, -1], column, out=np.full(column.shape, np.inf), where=positive)
+        ratios = np.full(column.shape, np.inf)
+        np.divide(work[:, :-1, -1], column, out=ratios, where=positive)
         tied = positive & (ratios <= ratios.min(axis=1, keepdims=True) + 1e-12)
         rows = np.where(tied, bases, work.shape[2]).argmin(axis=1)  # no column reaches the width
         _pivot_stack(work, bases, rows, cols)
@@ -291,15 +293,21 @@ def _minimize_stack(costs, points, targets) -> list[SimplexSolution]:
         alpha = np.zeros((len(group), m))
         alpha[lps[:, None], group_basis] = tableau2[:, :-1, -1]
         alpha[np.abs(alpha) < 1e-12] = 0.0
-        _store_group(solutions, feasible[group], costs, alpha, group_basis, dropped[group][:, ~pattern])
+        redundant = dropped[group][:, ~pattern]
+        _store_group(solutions, feasible[group], costs, alpha, group_basis, redundant)
     return [SimplexSolution(float("inf"), None) if sol is None else sol for sol in solutions]
 
 
 def _store_group(solutions, lps, costs, alpha, bases, redundant):
     """``solutions[lp]`` for the LPs of one phase-2 group, as the one-target
-    solver returns it: the value is the same dot product."""
-    for lp, weights, columns, dropped in zip(lps.tolist(), alpha, bases.tolist(), redundant.tolist()):
-        solutions[lp] = SimplexSolution(float(costs @ weights), weights, (columns, dropped))
+    solver returns them.  Each row of ``costs @ alpha[:, :, None]`` is a
+    vector @ vector matmul, the kernel of the one-target ``costs @ alpha``,
+    so the values are the same bits (``alpha @ costs`` is not)."""
+    values = (costs @ alpha[:, :, None])[:, 0].tolist()
+    for lp, value, weights, columns, dropped in zip(
+        lps.tolist(), values, alpha, bases.tolist(), redundant.tolist()
+    ):
+        solutions[lp] = SimplexSolution(value, weights, (columns, dropped))
 
 
 @dataclass

@@ -279,8 +279,8 @@ def test_velocity_grid_is_one_stacked_call_per_block(monkeypatch):
 
 def test_velocity_grid_at_the_documented_reach_stays_within_32_mib(monkeypatch):
     # 499^2 = 249,001 LPs, the largest 2-D grid under MAX_ORACLE_LPS, in
-    # stacked blocks of 8,192 targets: about 2.1 s untraced and 7 s under
-    # tracemalloc, peak 17.7 MiB, on one core of a shared 2-CPU machine.
+    # stacked blocks of 8,192 targets: 1.1-1.4 s untraced and about 6 s
+    # under tracemalloc, peak 17.8 MiB, on one core of a shared 2-CPU machine.
     net = _pwa2d_net()
     counts = _count_lps(monkeypatch)
     tracemalloc.start()

@@ -298,12 +298,13 @@ def test_certificate_refuses_empty_or_nonfinite_pairs():
 
 
 def _stack_sets():
-    """(name, points, costs) sets: paraboloids, zero-offset norm rows (ties)
-    and collinear rows in 2-D (a redundant constraint row)."""
+    """(name, points, costs) sets: paraboloids, zero-offset norm rows (ties),
+    collinear rows (a redundant constraint row), and one point of cost -0."""
     rng = np.random.default_rng(5)
-    for n in (2, 3):
-        points, costs = _paraboloid(rng, n, 4 * n + 2)
-        yield f"paraboloid{n}d", points, costs
+    for n, m in ((2, 10), (3, 14), (2, 40)):
+        points, costs = _paraboloid(rng, n, m)
+        yield f"paraboloid{n}d_m{m}", points, costs
+    yield "single", np.array([[0.5, -1.0]]), np.array([-0.0])
     for kind in ("l1", "linf"):
         for n in (2, 3):
             yield f"{kind}{n}d", *norm_hamiltonian_rows(kind, n)
