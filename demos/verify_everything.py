@@ -17,12 +17,12 @@ from hjeval import OracleConfig, load_problem, verify_report
 ROOT = Path(__file__).resolve().parent.parent
 
 RUNS = [
-    ("clipped1d", OracleConfig(search_box_halfwidth=20.0, pts_per_axis=40001), False),
-    ("pwa1d", OracleConfig(search_box_halfwidth=20.0, pts_per_axis=4001), False),
-    ("ball10d", OracleConfig(search_box_halfwidth=20.0, pts_per_axis=4001), True),
-    ("pwa10d", OracleConfig(search_box_halfwidth=20.0, pts_per_axis=4001), True),
-    ("l1norm5d", OracleConfig(search_box_halfwidth=20.0, pts_per_axis=4001), True),
-    ("linfnorm5d", OracleConfig(search_box_halfwidth=20.0, pts_per_axis=4001), True),
+    ("clipped1d", OracleConfig(pts_per_axis=40001), False),
+    ("pwa1d", OracleConfig(pts_per_axis=4001), False),
+    ("ball10d", OracleConfig(pts_per_axis=4001), True),
+    ("pwa10d", OracleConfig(pts_per_axis=4001), True),
+    ("l1norm5d", OracleConfig(pts_per_axis=4001), True),
+    ("linfnorm5d", OracleConfig(pts_per_axis=4001), True),
 ]
 
 

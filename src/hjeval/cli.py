@@ -66,7 +66,6 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="skip the oracle comparison (required above 3 dimensions)",
     )
-    p_verify.add_argument("--box", type=float, default=20.0, help="oracle search halfwidth")
     p_verify.add_argument("--pts", type=int, default=40001, help="oracle grid points per axis")
 
     p_bench = sub.add_parser("bench", help="time single-point evaluations per dimension")
@@ -112,7 +111,7 @@ def _cmd_verify(args) -> int:
             f"oracle comparison is refused for dimension {net.dimension} > 3; "
             "pass --residual-only to check the PDE residual instead",
         )
-    cfg = OracleConfig(search_box_halfwidth=args.box, pts_per_axis=args.pts)
+    cfg = OracleConfig(pts_per_axis=args.pts)
     report = verify_report(
         net, args.samples, args.seed, cfg, residual_only=args.residual_only
     )

@@ -93,12 +93,13 @@ class InitialDataNet(BranchNet):
         """The max-affine Hamiltonian determined by the branch parameters."""
         return MaxAffine(self.rows, self.offsets)
 
-    def hamiltonian_conjugate(self, v) -> SimplexSolution | list[SimplexSolution]:
+    def hamiltonian_conjugate(self, v) -> SimplexSolution | np.ndarray:
         """Conjugate of the Hamiltonian at v, by the simplex LP.
 
         +inf (no weights) outside the convex hull of the v_i, matching the
         conjugate's domain; at each v_k the optimum equals b_k.  A (k, n)
-        ``v`` gives the list of its k rows' solutions, from one stacked solve.
+        ``v`` gives the float64 array of its k rows' conjugate values, from
+        one stacked solve; non-finite ``v`` is refused.
         """
         v = np.asarray(v, dtype=float)
         v = check_points(v, self.dimension) if v.ndim == 2 else check_point(v, self.dimension)

@@ -23,7 +23,6 @@ from .catalog import ensure_extended
 from .initialdata import InitialDataNet
 from .lagrangian import LagrangianNet
 from .numeric import MAX_GRID_POINTS, box_grid, finite_minimum, grid_inf_convolution
-from .simplex import stack_block_targets
 
 __all__ = [
     "ORACLE_TOL",
@@ -61,13 +60,15 @@ GAP_THRESHOLD = 0.1
 MARGIN_THRESHOLD = 0.05
 
 # Largest velocity grid, in nodes, of the oracle for n >= 2 nets: it solves
-# one simplex LP per node, stacked (2-D at pts_per_axis 499 took 1.1-1.4 s
-# on one core, 3-D at 61 took 1.0-1.2 s, with a tracemalloc peak under
-# 18 MiB); 2-D admits pts_per_axis up to 499, 3-D up to 61.
+# one simplex LP per node, stacked (2-D at pts_per_axis 499 took 0.9-1.1 s
+# on one core, 3-D at 61 took 1.0-1.1 s, with a tracemalloc peak under
+# 16 MiB); 2-D admits pts_per_axis up to 499, 3-D up to 61.
 MAX_ORACLE_LPS = 250_000
 
-# Sampling boxes for the verification report (per module invariants).
+# Sampling boxes for the verification report (per module invariants), and
+# the halfwidth of the position-form oracle's u-grid around each sample.
 SAMPLE_X_HALFWIDTH = 4.0
+SEARCH_HALFWIDTH = 20.0
 T_RANGE_LAGRANGIAN = (0.1, 3.0)
 T_RANGE_INITIALDATA = (0.0, 3.0)
 
@@ -80,12 +81,9 @@ class OracleConfig:
     refused above three dimensions at the call sites.
     """
 
-    search_box_halfwidth: float
     pts_per_axis: int
 
     def __post_init__(self):
-        if self.search_box_halfwidth <= 0:
-            raise ValueError("search_box_halfwidth must be positive")
         if self.pts_per_axis < 3 or self.pts_per_axis % 2 == 0:
             raise ValueError("pts_per_axis must be odd and at least 3")
 
@@ -99,7 +97,7 @@ def lax_oleinik_bruteforce(initial_eval, hstar_eval, x, t: float, cfg: OracleCon
 
     ``initial_eval`` and ``hstar_eval`` take (k, n) row points and return
     length-k arrays (values in R ∪ {+inf}); +inf terms are skipped.  The
-    u-grid is centered at x with halfwidth ``cfg.search_box_halfwidth``: this
+    u-grid is centered at x with halfwidth :data:`SEARCH_HALFWIDTH`: this
     is :func:`~hjeval.numeric.grid_inf_convolution` of J and t H*(·/t).
     """
     if t <= 0:
@@ -108,7 +106,7 @@ def lax_oleinik_bruteforce(initial_eval, hstar_eval, x, t: float, cfg: OracleCon
         initial_eval,
         lambda z: t * ensure_extended(hstar_eval(z / t)),
         x,
-        cfg.search_box_halfwidth,
+        SEARCH_HALFWIDTH,
         cfg.pts_per_axis,
     )
     if value == np.inf:
@@ -203,7 +201,7 @@ def hstar_interpolator_1d(net: InitialDataNet):
     if net.dimension != 1:
         raise ValueError("interpolator only applies to one-dimensional nets")
     nodes = np.unique(net.rows[:, 0])
-    values = np.array([sol.value for sol in net.hamiltonian_conjugate(nodes[:, None])])
+    values = net.hamiltonian_conjugate(nodes[:, None])
     lo, hi = nodes[0], nodes[-1]
 
     def hstar(points):
@@ -247,20 +245,7 @@ def _hstar_eval(net):
         return net.lagrangian
     if net.dimension == 1:
         return hstar_interpolator_1d(net)
-
-    # n >= 2: one stacked simplex solve per block of points, so that only
-    # one block's solutions are alive at a time.
-    def hstar(points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty(len(pts))
-        block = stack_block_targets(*net.rows.shape)
-        for start in range(0, len(pts), block):
-            out[start : start + block] = [
-                sol.value for sol in net.hamiltonian_conjugate(pts[start : start + block])
-            ]
-        return out
-
-    return hstar
+    return net.hamiltonian_conjugate  # one stacked simplex solve of the (k, n) points
 
 
 def sample_screened_points(net, count: int, seed: int):

@@ -7,8 +7,9 @@ free, and easy to audit.  Pivot tolerance 1e-10.
 
 A (k, n) stack of targets sharing the costs and points is solved as one
 (k, n + 2, m + n + 2) tableau stack, in blocks of about 2 MiB: every pivot,
-ratio test and tie-break runs on all LPs still pivoting at once, and each
-target gets, bit for bit, the value, weights and basis of solving it alone.
+ratio test and tie-break runs on all LPs still pivoting at once.  It returns
+only the k optimal values, each bit for bit the value of solving its target
+alone.
 
 The lower-envelope certificate screens all rows at once with witness
 gradients checked by one blocked Gram product and solves the LP only for
@@ -95,16 +96,17 @@ def _bland_iterate(tableau, basis, n_cols):
         _pivot(tableau, basis, row, col)
 
 
-def minimize_over_simplex(costs, points, target) -> SimplexSolution | list[SimplexSolution]:
+def minimize_over_simplex(costs, points, target) -> SimplexSolution | np.ndarray:
     """Solve min { c·α : α in the unit simplex, Σ α_i v_i = target }.
 
     ``points`` is the (m, n) array of the v_i as rows.  Returns the exact
     optimum with an optimal α and its basis, or ``SimplexSolution(inf,
     None)`` when the target lies outside the convex hull of the points
     (phase-1 infeasible).  A (k, n) ``target`` is a stack of k targets: it
-    returns a list of k solutions, each bit-identical to solving its
-    target alone, from one tableau stack per block of
-    :func:`stack_block_targets` targets.
+    returns the float64 array of their k optimal values (+inf where
+    infeasible), each bit-identical to the value of solving its target
+    alone, from one tableau stack per block of :func:`stack_block_targets`
+    targets.  Non-finite costs, points or targets are refused.
     """
     costs = np.asarray(costs, dtype=float).reshape(-1)
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -112,18 +114,18 @@ def minimize_over_simplex(costs, points, target) -> SimplexSolution | list[Simpl
     m, n = points.shape
     if costs.size != m:
         raise ValueError("costs and points must have equal length")
-    if target.ndim == 2:
-        if target.shape[1] != n:
-            raise ValueError("target dimension does not match the points")
-        block = stack_block_targets(m, n)
-        return [
-            sol
-            for start in range(0, len(target), block)
-            for sol in _minimize_stack(costs, points, target[start : start + block])
-        ]
-    target = target.reshape(-1)
-    if target.size != n:
+    if (target.shape[1] if target.ndim == 2 else target.size) != n:
         raise ValueError("target dimension does not match the points")
+    if not (np.isfinite(costs).all() and np.isfinite(points).all() and np.isfinite(target).all()):
+        raise ValueError("costs, points and target must be finite")
+    if target.ndim == 2:
+        values = np.empty(len(target))
+        block = stack_block_targets(m, n)
+        for start in range(0, len(target), block):
+            stop = start + block
+            values[start:stop] = _minimize_stack(costs, points, target[start:stop])
+        return values
+    target = target.reshape(-1)
 
     a_mat = np.vstack([points.T, np.ones((1, m))])
     rhs = np.concatenate([target, [1.0]])
@@ -226,8 +228,9 @@ def _bland_stack(tableau, basis, n_cols):
     return "optimal"
 
 
-def _minimize_stack(costs, points, targets) -> list[SimplexSolution]:
-    """The one-target solve of :func:`minimize_over_simplex`, on a (k, n) stack.
+def _minimize_stack(costs, points, targets) -> np.ndarray:
+    """The one-target solve of :func:`minimize_over_simplex`, on a (k, n)
+    stack: the k optimal values, +inf where infeasible.
 
     Every step is the one-target step, vectorized over the stack, so each
     LP runs the same float operations in the same order.
@@ -256,16 +259,16 @@ def _minimize_stack(costs, points, targets) -> list[SimplexSolution]:
     feasible = np.flatnonzero(~(-tableau[:, -1, -1] > FEASIBILITY_TOL))
     tableau, basis = tableau[feasible], basis[feasible]
 
-    # Drive leftover artificials out of the basis, row by row; record the
-    # artificial of each redundant row in ``dropped`` (-1: row kept).
-    dropped = np.full(basis.shape, -1)
+    # Drive leftover artificials out of the basis, row by row; a row whose
+    # basic artificial has no structural entry is redundant and leaves ``kept``.
+    kept = np.ones(basis.shape, dtype=bool)
     for i in range(n_rows):
         lps = np.flatnonzero(basis[:, i] >= m)
         if not lps.size:
             continue
         structural = np.abs(tableau[lps, i, :m]) > PIVOT_TOL
         found = structural.any(axis=1)
-        dropped[lps[~found], i] = basis[lps[~found], i] - m
+        kept[lps[~found], i] = False
         lps = lps[found]
         if lps.size:
             sub, sub_basis = tableau[lps], basis[lps]
@@ -273,8 +276,7 @@ def _minimize_stack(costs, points, targets) -> list[SimplexSolution]:
             tableau[lps], basis[lps] = sub, sub_basis
 
     # Phase 2 on structural columns only, one stack per kept-row pattern.
-    solutions = [None] * k
-    kept = dropped < 0
+    values = np.full(k, np.inf)
     for pattern in kept[:1] if kept.all() else np.unique(kept, axis=0):
         group = np.flatnonzero((kept == pattern).all(axis=1))
         rows = np.flatnonzero(pattern)
@@ -293,21 +295,11 @@ def _minimize_stack(costs, points, targets) -> list[SimplexSolution]:
         alpha = np.zeros((len(group), m))
         alpha[lps[:, None], group_basis] = tableau2[:, :-1, -1]
         alpha[np.abs(alpha) < 1e-12] = 0.0
-        redundant = dropped[group][:, ~pattern]
-        _store_group(solutions, feasible[group], costs, alpha, group_basis, redundant)
-    return [SimplexSolution(float("inf"), None) if sol is None else sol for sol in solutions]
-
-
-def _store_group(solutions, lps, costs, alpha, bases, redundant):
-    """``solutions[lp]`` for the LPs of one phase-2 group, as the one-target
-    solver returns them.  Each row of ``costs @ alpha[:, :, None]`` is a
-    vector @ vector matmul, the kernel of the one-target ``costs @ alpha``,
-    so the values are the same bits (``alpha @ costs`` is not)."""
-    values = (costs @ alpha[:, :, None])[:, 0].tolist()
-    for lp, value, weights, columns, dropped in zip(
-        lps.tolist(), values, alpha, bases.tolist(), redundant.tolist()
-    ):
-        solutions[lp] = SimplexSolution(value, weights, (columns, dropped))
+        # Each row of ``costs @ alpha[:, :, None]`` is a vector @ vector
+        # matmul, the kernel of the one-target ``costs @ alpha``, so the
+        # values are the same bits (``alpha @ costs`` is not).
+        values[feasible[group]] = (costs @ alpha[:, :, None])[:, 0]
+    return values
 
 
 @dataclass

@@ -45,7 +45,7 @@ def test_criterion_01_lagrangian_oracle_equivalence():
     with criterion(1, "Lagrangian net equals the brute-force variational minimum (1-D)"):
         start = time.perf_counter()
         # u-grid spacing 1e-3 over a +-20 window around each sample.
-        cfg = OracleConfig(search_box_halfwidth=20.0, pts_per_axis=40001)
+        cfg = OracleConfig(pts_per_axis=40001)
         report = verify_report(presets.clipped_quadratic_net_1d(), 100, 0, cfg)
         elapsed = time.perf_counter() - start
         assert report.max_oracle_gap <= 2e-3
@@ -56,7 +56,7 @@ def test_criterion_02_initialdata_oracle_equivalence():
     with criterion(2, "initial-data net equals the brute-force variational minimum (1-D)"):
         start = time.perf_counter()
         # Velocity grid at resolution 1e-3 over the hull [-2, 2].
-        cfg = OracleConfig(search_box_halfwidth=20.0, pts_per_axis=4001)
+        cfg = OracleConfig(pts_per_axis=4001)
         report = verify_report(presets.concave_quadratic_net_1d(), 100, 0, cfg)
         elapsed = time.perf_counter() - start
         assert report.max_oracle_gap <= 2e-3

@@ -162,6 +162,9 @@ def test_usage_errors_exit_one(capsys):
     assert main(["eval", "--config"]) == 1
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
+    # The oracle's search box is a constant, not an option.
+    assert main(["verify", "--config", _cfg("clipped1d.cfg"), "--box", "20"]) == 1
+    assert "unrecognized arguments: --box 20" in capsys.readouterr().err
 
 
 def test_slice_csv_schema_and_determinism(tmp_path, capsys):

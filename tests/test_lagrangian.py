@@ -164,7 +164,7 @@ def test_grid_evaluation_matches_pointwise():
 
 def test_bruteforce_oracle_bounds_from_above():
     net = clipped_quadratic_net_1d()
-    cfg = OracleConfig(search_box_halfwidth=20.0, pts_per_axis=4001)
+    cfg = OracleConfig(pts_per_axis=4001)
     rng = np.random.default_rng(10)
     for _ in range(10):
         x = rng.uniform(-4, 4, 1)

@@ -32,7 +32,7 @@ from hjeval.presets import (
 )
 from hjeval.simplex import stack_block_targets
 
-CFG = OracleConfig(search_box_halfwidth=20.0, pts_per_axis=40001)
+CFG = OracleConfig(pts_per_axis=40001)
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -43,9 +43,9 @@ def _batch(net):
 
 def test_oracle_config_validation():
     with pytest.raises(ValueError, match="odd"):
-        OracleConfig(search_box_halfwidth=1.0, pts_per_axis=100)
-    with pytest.raises(ValueError, match="positive"):
-        OracleConfig(search_box_halfwidth=-1.0, pts_per_axis=101)
+        OracleConfig(pts_per_axis=100)
+    with pytest.raises(ValueError, match="at least 3"):
+        OracleConfig(pts_per_axis=1)
 
 
 def test_bruteforce_matches_lagrangian_net():
@@ -91,7 +91,7 @@ def test_bruteforce_constant_initial_data():
     # With constant data and a conjugate minimized at 0, the value is the constant.
     const = lambda pts: np.full(len(np.atleast_2d(pts)), 4.25)
     hstar = PNorm(2)  # nonnegative, zero at the origin
-    val = lax_oleinik_bruteforce(const, hstar, [1.0], 0.7, OracleConfig(5.0, 2001))
+    val = lax_oleinik_bruteforce(const, hstar, [1.0], 0.7, OracleConfig(2001))
     assert val == pytest.approx(4.25, abs=1e-3)
 
 
@@ -103,13 +103,11 @@ def test_bruteforce_requires_positive_time():
 
 def test_bruteforce_all_infinite_raises():
     net = clipped_quadratic_net_1d()
-    # Conjugate finite only on [5, 6]: reaching it needs u in x - t[5, 6],
-    # which lies outside the +-1 search box.
-    hstar = lambda v: np.where((v[:, 0] >= 5.0) & (v[:, 0] <= 6.0), 0.0, np.inf)
+    # Conjugate finite only on [35, 36]: reaching it needs u in x - t[35, 36],
+    # which lies outside the search box x +- SEARCH_HALFWIDTH (20).
+    hstar = lambda v: np.where((v[:, 0] >= 35.0) & (v[:, 0] <= 36.0), 0.0, np.inf)
     with pytest.raises(OracleDomainError):
-        lax_oleinik_bruteforce(
-            net.initial_values, hstar, [10.0], 1.0, OracleConfig(1.0, 101)
-        )
+        lax_oleinik_bruteforce(net.initial_values, hstar, [10.0], 1.0, OracleConfig(101))
 
 
 def test_velocity_form_allows_time_zero():
@@ -128,10 +126,10 @@ def test_grid_refinement_never_increases_minimum():
         x = rng.uniform(-4, 4, 1)
         t = rng.uniform(0.5, 2.0)
         coarse = lax_oleinik_bruteforce(
-            net.initial_values, net.lagrangian, x, t, OracleConfig(10.0, 101)
+            net.initial_values, net.lagrangian, x, t, OracleConfig(101)
         )
         fine = lax_oleinik_bruteforce(
-            net.initial_values, net.lagrangian, x, t, OracleConfig(10.0, 201)
+            net.initial_values, net.lagrangian, x, t, OracleConfig(201)
         )
         assert fine <= coarse + 1e-12  # nested grids: min over a superset
 
@@ -253,10 +251,23 @@ def _count_lps(monkeypatch):
     return counts
 
 
+def _count_blocks(monkeypatch):
+    """Record the targets of each block of a stacked simplex solve."""
+    blocks = []
+    solve = simplex._minimize_stack
+
+    def counting(costs, points, targets):
+        blocks.append(len(targets))
+        return solve(costs, points, targets)
+
+    monkeypatch.setattr(simplex, "_minimize_stack", counting)
+    return blocks
+
+
 @pytest.mark.parametrize("samples", [1, 5])
 def test_two_dimensional_verify_solves_one_lp_per_grid_node(monkeypatch, samples):
     counts = _count_lps(monkeypatch)
-    report = verify_report(_pwa2d_net(), samples, 3, OracleConfig(20.0, 21))
+    report = verify_report(_pwa2d_net(), samples, 3, OracleConfig(21))
     assert len(report.records) == samples
     assert sum(counts) == 21 * 21
     assert report.max_oracle_gap <= 2e-3
@@ -264,25 +275,25 @@ def test_two_dimensional_verify_solves_one_lp_per_grid_node(monkeypatch, samples
 
 def test_velocity_grid_is_one_stacked_call_per_block(monkeypatch):
     # Blocks of 100 targets (32 tableau floats each at m = 4, n = 2): the
-    # 441 nodes take five stacked calls, each node's H* bit for bit its own LP.
+    # 441 nodes take five stacked blocks, each node's H* bit for bit its own LP.
     net = _pwa2d_net()
-    counts = _count_lps(monkeypatch)
+    blocks = _count_blocks(monkeypatch)
     velocity_grid(_hstar_eval(net), net.rows.min(axis=0), net.rows.max(axis=0), 21)
-    assert counts == [21 * 21]
+    assert blocks == [21 * 21]
     monkeypatch.setattr(simplex, "STACK_BLOCK", 100 * 32)
-    counts.clear()
+    blocks.clear()
     v, hstar_v = velocity_grid(_hstar_eval(net), net.rows.min(axis=0), net.rows.max(axis=0), 21)
-    assert counts == [100, 100, 100, 100, 41]
+    assert blocks == [100, 100, 100, 100, 41]
     one = np.array([net.hamiltonian_conjugate(p).value for p in v])
     assert hstar_v.tobytes() == one.tobytes()
 
 
 def test_velocity_grid_at_the_documented_reach_stays_within_32_mib(monkeypatch):
     # 499^2 = 249,001 LPs, the largest 2-D grid under MAX_ORACLE_LPS, in
-    # stacked blocks of 8,192 targets: 1.1-1.4 s untraced and about 6 s
-    # under tracemalloc, peak 17.8 MiB, on one core of a shared 2-CPU machine.
+    # stacked blocks of 8,192 targets: 0.9-1.1 s untraced and about 1.2 s
+    # under tracemalloc, peak 14.9 MiB, on one core of a shared 2-CPU machine.
     net = _pwa2d_net()
-    counts = _count_lps(monkeypatch)
+    blocks = _count_blocks(monkeypatch)
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -294,7 +305,7 @@ def test_velocity_grid_at_the_documented_reach_stays_within_32_mib(monkeypatch):
     print(f"velocity_grid, pts_per_axis 499: {elapsed:.2f} s traced, peak {peak / 2**20:.1f} MiB")
     assert peak < 32 << 20
     block = stack_block_targets(4, 2)
-    assert sum(counts) == 499**2 and len(counts) == -(-(499**2) // block)
+    assert sum(blocks) == 499**2 and len(blocks) == -(-(499**2) // block)
     for i in np.random.default_rng(0).choice(len(v), 40, replace=False):
         assert hstar_v[i].hex() == net.hamiltonian_conjugate(v[i]).value.hex()
 
@@ -304,7 +315,7 @@ def test_verify_refuses_velocity_grids_above_the_lp_budget(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="LP budget; reduce pts_per_axis"):
-            verify_report(_pwa2d_net(), 5, 0, OracleConfig(20.0, 501))
+            verify_report(_pwa2d_net(), 5, 0, OracleConfig(501))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -349,7 +360,7 @@ def test_verify_report_empty_passes():
 
 
 def test_verify_report_deterministic_and_serializable():
-    cfg = OracleConfig(search_box_halfwidth=20.0, pts_per_axis=4001)
+    cfg = OracleConfig(pts_per_axis=4001)
     net = concave_quadratic_net_1d()
     rep1 = verify_report(net, 20, 7, cfg)
     rep2 = verify_report(net, 20, 7, cfg)

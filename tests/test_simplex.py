@@ -3,7 +3,8 @@ import pytest
 
 import hjeval.simplex as simplex
 from hjeval import check_witnesses
-from hjeval.initialdata import norm_hamiltonian_rows
+from hjeval.catalog import ConcaveFn, HalfSquaredNorm
+from hjeval.initialdata import InitialDataNet, norm_hamiltonian_rows
 from hjeval.simplex import (
     ENVELOPE_TOL,
     EnvelopeViolationError,
@@ -337,16 +338,6 @@ def _stack_targets(points, seed):
     ])
 
 
-def _assert_same_solution(stacked, alone):
-    assert type(stacked.value) is float
-    assert stacked.value.hex() == alone.value.hex()
-    if alone.weights is None:
-        assert stacked.weights is None and stacked.basis is None
-    else:
-        assert stacked.weights.tobytes() == alone.weights.tobytes()
-        assert stacked.basis == alone.basis
-
-
 @pytest.mark.parametrize("block", [None, 7])
 def test_stacked_targets_equal_one_target_solves_bit_for_bit(monkeypatch, block):
     # block=7 shrinks the blocks to 7 targets, so every stack spans many.
@@ -357,18 +348,40 @@ def test_stacked_targets_equal_one_target_solves_bit_for_bit(monkeypatch, block)
         targets = _stack_targets(points, seed)
         assert block is None or len(targets) >= 3 * simplex.stack_block_targets(m, n)
         stacked = minimize_over_simplex(costs, points, targets)
-        assert len(stacked) == len(targets), name
+        assert stacked.dtype == np.float64 and stacked.shape == (len(targets),), name
         alone = [minimize_over_simplex(costs, points, target) for target in targets]
         assert any(sol.feasible for sol in alone) and not all(sol.feasible for sol in alone)
-        for got, want in zip(stacked, alone):
-            _assert_same_solution(got, want)
+        for i, sol in enumerate(alone):
+            assert stacked[i].hex() == sol.value.hex(), (name, i)
         if name.startswith("collinear"):
             assert all(sol.basis[1] for sol in alone if sol.feasible)
 
 
 def test_stacked_targets_edge_cases():
-    assert minimize_over_simplex(COSTS, POINTS, np.zeros((0, 1))) == []
-    (sol,) = minimize_over_simplex(COSTS, POINTS, [[1.0]])
-    _assert_same_solution(sol, minimize_over_simplex(COSTS, POINTS, [1.0]))
+    empty = minimize_over_simplex(COSTS, POINTS, np.zeros((0, 1)))
+    assert empty.dtype == np.float64 and empty.shape == (0,)
+    (value,) = minimize_over_simplex(COSTS, POINTS, [[1.0]])
+    assert value.hex() == minimize_over_simplex(COSTS, POINTS, [1.0]).value.hex()
     with pytest.raises(ValueError, match="target dimension"):
         minimize_over_simplex(COSTS, POINTS, np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_are_refused_for_either_target_shape(bad):
+    net = InitialDataNet(ConcaveFn(HalfSquaredNorm()), POINTS, COSTS)
+    for target in ([bad], [[bad]], [[0.0], [bad]]):
+        with pytest.raises(ValueError, match="finite"):
+            minimize_over_simplex(COSTS, POINTS, target)
+        with pytest.raises(ValueError, match="finite"):
+            net.hamiltonian_conjugate(target)
+    for shape in ((1,), (2, 1)):
+        target = np.zeros(shape)
+        with pytest.raises(ValueError, match="finite"):
+            minimize_over_simplex([0.5, bad, 1.0], POINTS, target)
+        with pytest.raises(ValueError, match="finite"):
+            minimize_over_simplex(COSTS, [[-2.0], [bad], [2.0]], target)
+    # Shape errors keep their messages.
+    with pytest.raises(ValueError, match="equal length"):
+        minimize_over_simplex([bad], POINTS, [0.0])
+    with pytest.raises(ValueError, match="target dimension"):
+        minimize_over_simplex(COSTS, POINTS, [[bad, 0.0]])

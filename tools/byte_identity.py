@@ -19,6 +19,10 @@ OUT receives, from the source tree this script sits in:
   every shipped problem and of two max-affine problems, at t > 0 and t = 0;
 * ``oracle/``: the velocity grid and H* on it (``tobytes()``), as ``verify``
   builds them, of each of those arch2 problems;
+* ``certificate/``: the envelope certificate's witnesses and slack
+  (``tobytes()``) and its ``screened`` counts, for every arch2 problem
+  above and for a 1-D set that the witness screen mostly leaves to the
+  LP; for a planted violation, its index, weights and envelope value;
 * ``MANIFEST.sha256``: one ``<sha256>  <path>`` line per file, sorted.
 
 Two source trees produce identical manifests exactly when these outputs are
@@ -42,6 +46,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from hjeval.cli import main as cli_main  # noqa: E402
 from hjeval.config import load_problem  # noqa: E402
 from hjeval.oracle import _hstar_eval, velocity_grid  # noqa: E402
+from hjeval.simplex import lower_envelope_certificate  # noqa: E402
 
 CONFIGS = ROOT / "configs"
 PROBLEMS = ["clipped1d", "pwa1d", "ball10d", "pwa10d", "l1norm5d", "linfnorm5d"]
@@ -83,6 +88,22 @@ EXTRA_PROBLEMS = {
 
 # Extra arch2 problems verified against the velocity-grid oracle: --pts of each.
 VELOCITY_GRIDS = {"pwa2d": 21, "l1zero2d": 21, "pwa3d": 9}
+
+
+def _certificate_sets():
+    """(name, rows, offsets) pair sets for ``certificate/`` beside the arch2
+    problems: offsets 5 x^2 on a 1-D grid, whose tangent slopes 10 x the
+    screen's candidates s x miss (every row but x = 0 goes to the LP), and
+    2-D offsets 2 |v|^2, mostly left to the LP likewise, with the last row
+    lifted 0.25 above a convex combination of three others."""
+    x = np.linspace(-2.0, 2.0, 9)
+    yield "lpfallback1d", x[:, None], 5.0 * x**2
+    rows = np.random.default_rng(3).normal(size=(12, 2))
+    offsets = 2.0 * (rows * rows).sum(axis=1)
+    weights = np.array([0.2, 0.3, 0.5])
+    rows[-1] = weights @ rows[:3]
+    offsets[-1] = weights @ offsets[:3] + 0.25
+    yield "planted2d", rows, offsets
 
 
 def _cli(argv) -> None:
@@ -136,6 +157,25 @@ def write_outputs(out: Path) -> None:
         net = load_problem(configs[problem]).build_net()
         v, hstar_v = velocity_grid(_hstar_eval(net), net.rows.min(axis=0), net.rows.max(axis=0), pts)
         (out / "oracle" / f"{problem}_hstar.bin").write_bytes(v.tobytes() + hstar_v.tobytes())
+
+    (out / "certificate").mkdir(parents=True, exist_ok=True)
+    problems = {name: load_problem(path) for name, path in configs.items()}
+    certificates = {
+        name: problem.build_net().certificate
+        for name, problem in problems.items()
+        if problem.architecture == "arch2"
+    }
+    for name, rows, offsets in _certificate_sets():
+        certificates[name] = lower_envelope_certificate(rows, offsets)
+    for name, cert in certificates.items():
+        text = f"holds={cert.holds}\nscreened={cert.screened}\n"
+        if cert.holds:
+            blob = cert.witnesses.tobytes() + cert.slack.tobytes()
+        else:
+            text += f"index={cert.index}\nenvelope_value={cert.envelope_value.hex()}\n"
+            blob = cert.weights.tobytes()
+        (out / "certificate" / f"{name}.txt").write_text(text, encoding="utf-8")
+        (out / "certificate" / f"{name}.bin").write_bytes(blob)
 
 
 def write_manifest(out: Path) -> Path:
