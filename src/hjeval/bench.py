@@ -22,8 +22,8 @@ __all__ += ["BENCH_MAX_LINF_DIMENSION", "BENCH_MAX_FLOATS", "BENCH_MAX_WORK"]
 
 POINTS_PER_REP = 1000
 # Construction budget, about 1 s and 128 MiB on one core.  arch2's linf
-# net certifies its m = 2n rows in O((2n)^2 n): 0.77 s and a 125 MiB peak
-# at n = 1400, 1.0 s at n = 1500.  arch1 draws m x n shifts and the bench
+# net certifies its m = 2n rows in O((2n)^2 n), all of it the Gram product:
+# 0.71-0.93 s and a 125 MiB peak at n = 1400, 1.0-1.1 s at n = 1500.  arch1 draws m x n shifts and the bench
 # 1000 x n points, (m + 1000) n floats: at 2^22 of them (m = 3194,
 # n = 1000) the net, the points and one evaluation took 0.16 s and a
 # 118 MiB peak, growing in proportion beyond.

@@ -277,7 +277,7 @@ def _screened(x, exact, s: Form, cross, work):
     vals[r, best] = lowest
     mask = vals <= (second + 2.0 * bound)[:, None]
     mask[~np.isfinite(bound)] = True  # unsafe rows: every branch, exactly
-    pair_rows, cols = np.nonzero(mask)
+    pair_rows, cols = np.divmod(np.flatnonzero(mask), m)
     # The screen values are spent: the workspace takes the candidates, as
     # many at a time as fit.
     exact_vals = np.empty(len(cols))
@@ -285,7 +285,10 @@ def _screened(x, exact, s: Form, cross, work):
     for lo in range(0, len(cols), chunk):
         sel = slice(lo, lo + chunk)
         size = len(cols[sel])
-        candidates = np.take(x, pair_rows[sel], axis=0, out=work[: size * n].reshape(size, n))
+        # The indices come from the mask, so "clip" never clips; unlike
+        # "raise", it writes straight into ``out``.
+        out = work[: size * n].reshape(size, n)
+        candidates = np.take(x, pair_rows[sel], axis=0, out=out, mode="clip")
         exact_vals[sel] = exact(candidates, cols[sel], candidates)
     # Segmented reduction over each row's candidates (rows are sorted).
     starts = np.searchsorted(pair_rows, r)

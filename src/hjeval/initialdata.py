@@ -41,7 +41,7 @@ __all__ = ["InitialDataNet", "norm_hamiltonian_rows", "L1_MAX_DIMENSION"]
 
 # Largest n for the l1 generator (2^n rows): the envelope certificate's
 # O(m^2 n) Gram product builds the net within 1 s on one core up to here
-# (n = 13: 0.35 s; n = 14: 1.7 s, and about 4x per further step).
+# (n = 13: 0.36 s; n = 14: 1.35 s, and about 4x per further step).
 L1_MAX_DIMENSION = 13
 
 

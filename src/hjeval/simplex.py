@@ -66,10 +66,11 @@ class SimplexSolution:
 
 
 def _pivot(tableau, basis, row, col):
-    tableau[row] /= tableau[row, col]
+    pivot_row = tableau[row]
+    pivot_row /= pivot_row[col]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
+    tableau -= factors[:, None] * pivot_row
     basis[row] = col
 
 
@@ -79,20 +80,20 @@ def _bland_iterate(tableau, basis, n_cols):
     ``tableau`` rows are the constraints plus a final reduced-cost row; the
     last column is the right-hand side.  Returns 'optimal' or 'unbounded'.
     """
+    costs, rhs = tableau[-1, :n_cols], tableau[:-1, -1]  # views: pivots are in place
     while True:
-        costs = tableau[-1, :n_cols]
-        negative = np.nonzero(costs < -PIVOT_TOL)[0]
-        if negative.size == 0:
+        negative = costs < -PIVOT_TOL
+        col = negative.argmax()  # smallest index: Bland's entering rule
+        if not negative[col]:
             return "optimal"
-        col = negative[0]  # smallest index: Bland's entering rule
         column = tableau[:-1, col]
-        rhs = tableau[:-1, -1]
-        rows = np.nonzero(column > PIVOT_TOL)[0]
+        rows = (column > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             return "unbounded"
         ratios = rhs[rows] / column[rows]
         tied = rows[ratios <= ratios.min() + 1e-12]
-        row = min(tied, key=lambda i: basis[i])  # smallest basic index on ties
+        # Smallest basic index on ties.
+        row = tied[0] if tied.size == 1 else min(tied, key=lambda i: basis[i])
         _pivot(tableau, basis, row, col)
 
 
@@ -350,20 +351,35 @@ _BLOCK_ELEMENTS = 1 << 17
 _MAX_BLOCK_ROWS = 256
 
 
-def _slack(points, offsets, witnesses, owners, scales=(1.0,)) -> np.ndarray:
-    """``out[j, r]``: slack of ``scales[j] * witnesses[r]`` for row ``owners[r]``."""
+def _slack(points, offsets, witnesses, owners, bound):
+    """Each row r's slack at the first scale ``s = SCREEN_SCALES[j]``, j <
+    ``len(bound)``, where the slack of ``s * witnesses[r]`` for row
+    ``owners[r]`` plus ``bound[j, r]`` is at most :data:`ENVELOPE_TOL`, and
+    that j; where no scale passes, j = -1 and the slack is at the last one.
+
+    Each block's Gram product is computed once, into a buffer reused across
+    blocks, and never for a subset of its rows: its rounding depends on its
+    shape.  Later scales reuse its entries on the rows still left, gathered
+    into a second reused buffer (``left`` is in range, so "clip" never clips).
+    """
     m = points.shape[0]
-    out = np.empty((len(scales), len(owners)))
-    block = max(1, min(_MAX_BLOCK_ROWS, _BLOCK_ELEMENTS // m))
+    slack, choice = np.empty(len(owners)), np.full(len(owners), -1)
+    block = max(1, min(_MAX_BLOCK_ROWS, _BLOCK_ELEMENTS // m, len(owners)))
+    gram, work = np.empty((block, m)), np.empty((block, m))
     for start in range(0, len(owners), block):
         stop = min(start + block, len(owners))
-        own = (np.arange(stop - start), owners[start:stop])
-        gram = witnesses[start:stop] @ points.T
-        for j, scale in enumerate(scales):
-            values = scale * gram
+        product = np.matmul(witnesses[start:stop], points.T, out=gram[: stop - start])
+        left = np.arange(stop - start)
+        for j, scale in enumerate(SCREEN_SCALES[: len(bound)]):
+            values = np.take(product, left, axis=0, out=work[: left.size], mode="clip")
+            values *= scale
             values -= offsets
-            out[j, start:stop] = values.max(axis=1) - values[own]
-    return out
+            rows = start + left
+            slack[rows] = values.max(axis=1) - values[np.arange(left.size), owners[rows]]
+            passed = slack[rows] + bound[j, rows] <= ENVELOPE_TOL
+            choice[rows[passed]] = j
+            left = left[~passed]
+    return slack, choice
 
 
 def check_witnesses(points, offsets, witnesses) -> np.ndarray:
@@ -375,13 +391,16 @@ def check_witnesses(points, offsets, witnesses) -> np.ndarray:
     least b_k - tol, i.e. that (v_k, b_k) lies on the lower convex envelope
     up to tol.  This is the code :func:`lower_envelope_certificate` uses, so
     ``check_witnesses(v, b, cert.witnesses)`` re-checks a certificate.
-    Both refuse empty or non-finite pairs.
+    Both refuse empty or non-finite pairs, and this refuses non-finite
+    witnesses.
     """
     points, offsets = check_branch_parameters(points, offsets)
     witnesses = np.asarray(witnesses, dtype=float)
     if witnesses.shape != points.shape:
         raise ValueError(f"witnesses must have shape {points.shape}, got {witnesses.shape}")
-    return _slack(points, offsets, witnesses, np.arange(points.shape[0]))[0]
+    if not np.isfinite(witnesses).all():
+        raise ValueError("witnesses must be finite")
+    return _slack(points, offsets, witnesses, np.arange(len(points)), np.zeros((1, len(points))))[0]
 
 
 def _basis_witness(points, offsets, basis) -> np.ndarray:
@@ -409,11 +428,14 @@ def lower_envelope_certificate(points, offsets) -> EnvelopeCertificate:
     p_k with slack at most that (see :func:`check_witnesses`) proves exactly that.
 
     1. Screen: the candidates p_k = s v_k for s in :data:`SCREEN_SCALES`
-       are tested for all rows with one blocked Gram product V V^T.  A row
-       is accepted only when its slack plus twice a forward bound on the
-       rounding error of the products, 2 (n + 2) eps (|p_k| max_i |v_i| +
-       max_i |b_i|), is at most the tolerance, so the screen never accepts on
-       rounding and large-magnitude data falls through to the LP.
+       are tested in that order, from one blocked Gram product V V^T: s = 1
+       on all rows, then 2 and then 1/2 only on the rows not yet accepted,
+       from the same entries of the same block.  The first scale that
+       passes gives the witness.  A row passes only when its slack plus
+       twice a forward bound on the rounding error of the products,
+       2 (n + 2) eps (|p_k| max_i |v_i| + max_i |b_i|), is at most the
+       tolerance, so the screen never accepts on rounding and
+       large-magnitude data falls through to the LP.
     2. LP fallback: the remaining rows, in index order, solve the LP with
        :func:`minimize_over_simplex`, which stays the authority.
        The witness of a certified row is the dual of its optimal basis.
@@ -429,12 +451,9 @@ def lower_envelope_certificate(points, offsets) -> EnvelopeCertificate:
     bound = 2 * (n + 2) * np.finfo(float).eps * (
         scales * norms * norms.max() + np.abs(offsets).max()
     )
-    slacks = _slack(points, offsets, points, rows, SCREEN_SCALES)
-    passed = slacks + bound <= ENVELOPE_TOL
-    accepted = passed.any(axis=0)
-    choice = passed.argmax(axis=0)
-    witnesses = scales[choice] * points
-    slack = slacks[choice, rows]
+    slack, choice = _slack(points, offsets, points, rows, bound)
+    accepted = choice >= 0
+    witnesses = scales[choice] * points  # the LP replaces rows not accepted
 
     fallback = rows[~accepted]
     for k in fallback:
@@ -446,7 +465,8 @@ def lower_envelope_certificate(points, offsets) -> EnvelopeCertificate:
             return EnvelopeCertificate(False, int(k) + 1, sol.weights, sol.value, screened=screened)
         witnesses[k] = _basis_witness(points, offsets, sol.basis)
     if fallback.size:
-        slack[fallback] = _slack(points, offsets, witnesses[fallback], fallback)[0]
+        zero = np.zeros((1, fallback.size))
+        slack[fallback] = _slack(points, offsets, witnesses[fallback], fallback, zero)[0]
     return EnvelopeCertificate(
         True, witnesses=witnesses, slack=slack, screened=(m - fallback.size, fallback.size)
     )

@@ -182,6 +182,19 @@ def _envelope_sets(seed, count):
         yield kind, points, offsets
 
 
+def _first_passing_scale(points, offsets):
+    """Index into SCREEN_SCALES of each row's first witness s v_k whose
+    plain-numpy slack plus the screen's rounding bound is within the
+    tolerance; -1 where none is."""
+    n = points.shape[1]
+    norms = np.linalg.norm(points, axis=1)
+    first = np.full(len(points), -1)
+    for j, s in reversed(list(enumerate(simplex.SCREEN_SCALES))):
+        bound = 2 * (n + 2) * np.finfo(float).eps * (s * norms * norms.max() + np.abs(offsets).max())
+        first[_numpy_slack(points, offsets, s * points) + bound <= ENVELOPE_TOL] = j
+    return first
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_screened_certificate_matches_lp_only_reference(seed):
     for kind, points, offsets in _envelope_sets(seed, 50):
@@ -193,6 +206,12 @@ def test_screened_certificate_matches_lp_only_reference(seed):
             assert cert.weights is None and cert.envelope_value is None
             assert sum(cert.screened) == len(points)
             assert cert.witnesses.shape == points.shape
+            # Screened rows take the first passing scale; the LP, the rest.
+            first = _first_passing_scale(points, offsets)
+            screened = first >= 0
+            assert cert.screened == (screened.sum(), (~screened).sum()), kind
+            scale = np.array(simplex.SCREEN_SCALES)[first[screened]][:, None]
+            np.testing.assert_array_equal(cert.witnesses[screened], scale * points[screened])
             slack = _numpy_slack(points, offsets, cert.witnesses)
             assert (slack <= ENVELOPE_TOL).all(), kind
             np.testing.assert_allclose(cert.slack, slack, rtol=0, atol=1e-12)
@@ -201,6 +220,23 @@ def test_screened_certificate_matches_lp_only_reference(seed):
             np.testing.assert_array_equal(cert.weights, weights)
             assert cert.envelope_value == value
             assert cert.screened[1] < index
+
+
+@pytest.mark.parametrize("c", [1.0, 2.0, 0.5])
+def test_screen_witness_is_the_first_passing_scale(c):
+    # Paraboloids b = c |v|^2 / 2 have the tangent slope c v_k at row k, so
+    # scale c certifies every row; an earlier scale wins wherever it passes.
+    points = np.random.default_rng(7).normal(size=(60, 3))
+    offsets = 0.5 * c * (points * points).sum(axis=1)
+    cert = lower_envelope_certificate(points, offsets)
+    assert cert.holds and cert.screened == (60, 0)
+    first = _first_passing_scale(points, offsets)
+    scales = np.array(simplex.SCREEN_SCALES)
+    assert set(scales[first]) <= {1.0, c}
+    assert (scales[first] == c).sum() >= 30  # mostly scale c
+    np.testing.assert_array_equal(cert.witnesses, scales[first][:, None] * points)
+    np.testing.assert_allclose(cert.slack, _numpy_slack(points, offsets, cert.witnesses), rtol=0, atol=1e-12)
+    assert (check_witnesses(points, offsets, cert.witnesses) <= ENVELOPE_TOL).all()
 
 
 def test_certificate_uses_the_lp_for_rows_the_screen_leaves():
@@ -291,6 +327,9 @@ def test_certificate_refuses_empty_or_nonfinite_pairs():
         lower_envelope_certificate([[0.0], [np.nan]], [0.0, 1.0])
     with pytest.raises(ValueError, match="finite"):
         check_witnesses([[0.0], [1.0]], [0.0, np.inf], [[0.0], [1.0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="witnesses must be finite"):
+            check_witnesses([[0.0], [1.0]], [0.0, 1.0], [[0.0], [bad]])
     with pytest.raises(ValueError, match="equal length"):
         check_witnesses([[0.0], [1.0]], [0.0], [[0.0], [1.0]])
 

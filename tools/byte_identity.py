@@ -21,8 +21,10 @@ OUT receives, from the source tree this script sits in:
   builds them, of each of those arch2 problems;
 * ``certificate/``: the envelope certificate's witnesses and slack
   (``tobytes()``) and its ``screened`` counts, for every arch2 problem
-  above and for a 1-D set that the witness screen mostly leaves to the
-  LP; for a planted violation, its index, weights and envelope value;
+  above, for a 1-D set that the witness screen mostly leaves to the LP,
+  for paraboloids b = c |v|^2 / 2 with c = 2 and 1/2 (mostly certified by
+  the screen's scales 2 and 1/2) and for the l1 rows at n = 8; for a
+  planted violation, its index, weights and envelope value;
 * ``MANIFEST.sha256``: one ``<sha256>  <path>`` line per file, sorted.
 
 Two source trees produce identical manifests exactly when these outputs are
@@ -45,6 +47,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from hjeval.cli import main as cli_main  # noqa: E402
 from hjeval.config import load_problem  # noqa: E402
+from hjeval.initialdata import norm_hamiltonian_rows  # noqa: E402
 from hjeval.oracle import _hstar_eval, velocity_grid  # noqa: E402
 from hjeval.simplex import lower_envelope_certificate  # noqa: E402
 
@@ -93,11 +96,17 @@ VELOCITY_GRIDS = {"pwa2d": 21, "l1zero2d": 21, "pwa3d": 9}
 def _certificate_sets():
     """(name, rows, offsets) pair sets for ``certificate/`` beside the arch2
     problems: offsets 5 x^2 on a 1-D grid, whose tangent slopes 10 x the
-    screen's candidates s x miss (every row but x = 0 goes to the LP), and
-    2-D offsets 2 |v|^2, mostly left to the LP likewise, with the last row
-    lifted 0.25 above a convex combination of three others."""
+    screen's candidates s x miss (every row but x = 0 goes to the LP);
+    3-D paraboloids c |v|^2 / 2 whose tangent slopes c v the screen's
+    scales c = 2 and 1/2 meet; the l1 rows at n = 8 (zero offsets); and
+    2-D offsets 2 |v|^2, mostly left to the LP, with the last row lifted
+    0.25 above a convex combination of three others."""
     x = np.linspace(-2.0, 2.0, 9)
     yield "lpfallback1d", x[:, None], 5.0 * x**2
+    rows = np.random.default_rng(7).normal(size=(60, 3))
+    for label, c in (("2", 2.0), ("half", 0.5)):
+        yield f"paraboloid3d_c{label}", rows, 0.5 * c * (rows * rows).sum(axis=1)
+    yield "l1_8", *norm_hamiltonian_rows("l1", 8)
     rows = np.random.default_rng(3).normal(size=(12, 2))
     offsets = 2.0 * (rows * rows).sum(axis=1)
     weights = np.array([0.2, 0.3, 0.5])
