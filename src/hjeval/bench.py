@@ -62,9 +62,15 @@ def synthetic_net(architecture: str, n: int, m: int, seed: int = 0):
 
 
 def run_bench(architecture: str, dims, m: int, reps: int, seed: int = 0) -> list[BenchRow]:
-    """Mean single-point evaluation time per dimension, over reps × 1000 points."""
+    """Mean single-point evaluation time per dimension, over reps × 1000 points.
+
+    Refuses, before any net is built, an empty ``dims``, a dimension below 1,
+    ``reps`` below 1, and work above the construction or run-time budget.
+    """
     if not dims:
         raise ValueError("dims must be nonempty")
+    if min(dims) < 1:
+        raise ValueError(f"dims: every dimension must be at least 1, got {min(dims)}")
     if reps < 1:
         raise ValueError("reps must be at least 1")
     if architecture == "arch2" and max(dims) > BENCH_MAX_LINF_DIMENSION:

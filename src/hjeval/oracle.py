@@ -380,8 +380,11 @@ def verify_report(
     time range, and records per sample the brute-force oracle gap and the
     centered-difference residual (asserted into pass/fail only where the
     sample passes screening).  Oracle comparison needs n <= 3; pass
-    ``residual_only=True`` to skip it in higher dimension.
+    ``residual_only=True`` to skip it in higher dimension.  Negative
+    ``samples`` is refused; zero gives an empty report that passes.
     """
+    if samples < 0:
+        raise ValueError(f"samples: must be nonnegative, got {samples}")
     if not residual_only and net.dimension > 3:
         raise ValueError(
             "oracle comparison is refused above 3 dimensions; "

@@ -1,15 +1,19 @@
-"""Dense two-phase simplex for tiny LPs over the unit simplex.
+"""Dense two-phase simplex for LPs over the unit simplex.
 
 The only shape needed in this package: minimize c·α over weights α in the
-unit simplex subject to Σ α_i v_i = target.  Columns number a few dozen, so
-a dense tableau with Bland's anti-cycling rule is exact enough, dependency
-free, and easy to audit.  Pivot tolerance 1e-10.
+unit simplex subject to Σ α_i v_i = target.  A dense tableau with Bland's
+anti-cycling rule is exact enough, dependency free, and easy to audit.
+Pivot tolerance 1e-10.
 
-A (k, n) stack of targets sharing the costs and points is solved as one
-(k, n + 2, m + n + 2) tableau stack, in blocks of about 2 MiB: every pivot,
-ratio test and tie-break runs on all LPs still pivoting at once.  It returns
-only the k optimal values, each bit for bit the value of solving its target
-alone.
+There is one implementation of the set-up, phase 1, drive-out, phase 2 and
+weights, on a (k, n) stack of targets sharing the costs and points: one
+(k, n + 2, m + n + 2) tableau stack, in blocks of about 2 MiB.  A single
+target is a stack of one and gets its weights and optimal basis; a stacked
+solve returns only the k optimal values.  The stack's size alone picks the
+pivot kernel: a lone LP pivots on its one tableau, a larger stack runs
+every pivot, ratio test and tie-break on all LPs still pivoting at once.
+Both kernels make the same pivots with the same floats, so each stacked
+value is bit for bit the value of solving its target alone.
 
 The lower-envelope certificate screens all rows at once with witness
 gradients checked by one blocked Gram product and solves the LP only for
@@ -53,7 +57,10 @@ class SimplexSolution:
     ``basis`` is the optimal basis ``(columns, redundant)``: the basic
     structural columns and the constraint rows of ``[V^T; 1]`` dropped as
     combinations of the others, so that the remaining rows restricted to
-    the columns form a square, invertible matrix.  None when infeasible.
+    the columns form a square, invertible matrix.  A dropped row is named
+    by its artificial variable, the one left basic in a tableau row with no
+    structural entry, which need not be that tableau row's own.  None when
+    infeasible.
     """
 
     value: float
@@ -105,9 +112,10 @@ def minimize_over_simplex(costs, points, target) -> SimplexSolution | np.ndarray
     None)`` when the target lies outside the convex hull of the points
     (phase-1 infeasible).  A (k, n) ``target`` is a stack of k targets: it
     returns the float64 array of their k optimal values (+inf where
-    infeasible), each bit-identical to the value of solving its target
-    alone, from one tableau stack per block of :func:`stack_block_targets`
-    targets.  Non-finite costs, points or targets are refused.
+    infeasible), from one tableau stack per block of
+    :func:`stack_block_targets` targets.  A single target is a stack of one,
+    so each value is bit for bit the value of solving its target alone.
+    Non-finite costs, points or targets are refused.
     """
     costs = np.asarray(costs, dtype=float).reshape(-1)
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -124,62 +132,10 @@ def minimize_over_simplex(costs, points, target) -> SimplexSolution | np.ndarray
         block = stack_block_targets(m, n)
         for start in range(0, len(target), block):
             stop = start + block
-            values[start:stop] = _minimize_stack(costs, points, target[start:stop])
+            values[start:stop] = _minimize_stack(costs, points, target[start:stop])[0]
         return values
-    target = target.reshape(-1)
-
-    a_mat = np.vstack([points.T, np.ones((1, m))])
-    rhs = np.concatenate([target, [1.0]])
-    flip = rhs < 0
-    a_mat[flip] *= -1.0
-    rhs[flip] *= -1.0
-    n_rows = n + 1
-
-    # Phase 1: artificial basis, minimize the artificial sum.
-    tableau = np.zeros((n_rows + 1, m + n_rows + 1))
-    tableau[:n_rows, :m] = a_mat
-    tableau[:n_rows, m : m + n_rows] = np.eye(n_rows)
-    tableau[:n_rows, -1] = rhs
-    tableau[-1, :m] = -a_mat.sum(axis=0)
-    tableau[-1, -1] = -rhs.sum()
-    basis = list(range(m, m + n_rows))
-
-    if _bland_iterate(tableau, basis, m + n_rows) != "optimal":
-        raise RuntimeError("phase-1 objective is bounded below by construction")
-    if -tableau[-1, -1] > FEASIBILITY_TOL:
-        return SimplexSolution(float("inf"), None)
-
-    # Drive leftover artificials out of the basis; drop redundant rows.  A
-    # tableau row with no structural entry says that the constraint of its
-    # basic artificial is a combination of the others.
-    keep = []
-    redundant = []
-    for i in range(n_rows):
-        if basis[i] >= m:
-            structural = np.nonzero(np.abs(tableau[i, :m]) > PIVOT_TOL)[0]
-            if structural.size == 0:
-                redundant.append(basis[i] - m)
-                continue
-            _pivot(tableau, basis, i, structural[0])
-        keep.append(i)
-
-    # Phase 2 on structural columns only.
-    rows = np.array(keep, dtype=int)
-    basis = [basis[i] for i in keep]
-    body = tableau[rows][:, list(range(m)) + [m + n_rows]]
-    obj = np.concatenate([costs, [0.0]])
-    for i, j in enumerate(basis):
-        obj -= obj[j] * body[i]
-    tableau2 = np.vstack([body, obj])
-
-    if _bland_iterate(tableau2, basis, m) != "optimal":
-        raise RuntimeError("LP over the unit simplex cannot be unbounded")
-
-    alpha = np.zeros(m)
-    for i, j in enumerate(basis):
-        alpha[j] = tableau2[i, -1]
-    alpha[np.abs(alpha) < 1e-12] = 0.0
-    return SimplexSolution(float(costs @ alpha), alpha, (basis, redundant))
+    (value,), weights, basis = _minimize_stack(costs, points, target.reshape(1, n))
+    return SimplexSolution(float(value), weights, basis)
 
 
 def stack_block_targets(m: int, n: int) -> int:
@@ -229,44 +185,64 @@ def _bland_stack(tableau, basis, n_cols):
     return "optimal"
 
 
-def _minimize_stack(costs, points, targets) -> np.ndarray:
-    """The one-target solve of :func:`minimize_over_simplex`, on a (k, n)
-    stack: the k optimal values, +inf where infeasible.
+def _bland(tableau, basis, n_cols):
+    """Bland's rule on a tableau stack, in place.  The stack's size picks the
+    kernel: a lone LP pivots in :func:`_bland_iterate` on a list basis, which
+    costs less numpy dispatch a pivot; a larger stack, in :func:`_bland_stack`.
+    Both make the same pivots with the same floats."""
+    if len(tableau) != 1:
+        return _bland_stack(tableau, basis, n_cols)
+    lone = basis[0].tolist()
+    status = _bland_iterate(tableau[0], lone, n_cols)
+    basis[0] = lone
+    return status
 
-    Every step is the one-target step, vectorized over the stack, so each
-    LP runs the same float operations in the same order.
+
+def _minimize_stack(costs, points, targets):
+    """The two-phase simplex of :func:`minimize_over_simplex` on a (k, n)
+    stack of targets.  Returns the k optimal values (+inf where infeasible)
+    and, for a feasible stack of one, that LP's weights and
+    :attr:`SimplexSolution.basis`; else None and None.
+
+    Every step runs on all LPs still pivoting at once, and each LP runs the
+    float operations of solving it alone, in the same order, whatever the
+    stack holds besides it.
     """
     k, n = targets.shape
     m = points.shape[0]
     n_rows = n + 1
 
+    # Phase 1: the constraints [V^T; 1] α = [target; 1], each row flipped to
+    # a nonnegative right-hand side, under an artificial basis; minimize the
+    # artificial sum.  The bits of that objective row depend on the layout
+    # of ``a_mat`` (numpy sums pairwise along contiguous memory, else row by
+    # row), so it stays a fresh array laid out like ``points.T``.
     rhs = np.ones((k, n_rows))
     rhs[:, :n] = targets
     sign = np.where(rhs < 0, -1.0, 1.0)
     rhs *= sign
     a_mat = np.vstack([points.T, np.ones((1, m))]) * sign[:, :, None]
-
-    # Phase 1: artificial basis, minimize the artificial sum.
     tableau = np.zeros((k, n_rows + 1, m + n_rows + 1))
     tableau[:, :n_rows, :m] = a_mat
     tableau[:, :n_rows, m : m + n_rows] = np.eye(n_rows)
     tableau[:, :n_rows, -1] = rhs
     tableau[:, -1, :m] = -a_mat.sum(axis=1)
     tableau[:, -1, -1] = -rhs.sum(axis=1)
-    basis = np.tile(np.arange(m, m + n_rows), (k, 1))
+    basis = np.empty((k, n_rows), dtype=int)
+    basis[:] = np.arange(m, m + n_rows)
 
-    if _bland_stack(tableau, basis, m + n_rows) != "optimal":
+    if _bland(tableau, basis, m + n_rows) != "optimal":
         raise RuntimeError("phase-1 objective is bounded below by construction")
-    feasible = np.flatnonzero(~(-tableau[:, -1, -1] > FEASIBILITY_TOL))
+    feasible = (~(-tableau[:, -1, -1] > FEASIBILITY_TOL)).nonzero()[0]
     tableau, basis = tableau[feasible], basis[feasible]
 
     # Drive leftover artificials out of the basis, row by row; a row whose
-    # basic artificial has no structural entry is redundant and leaves ``kept``.
+    # basic artificial has no structural entry is redundant and leaves
+    # ``kept``.  A pivot changes only its own row's basis entry, so only the
+    # rows with a basic artificial after phase 1 need a visit.
     kept = np.ones(basis.shape, dtype=bool)
-    for i in range(n_rows):
-        lps = np.flatnonzero(basis[:, i] >= m)
-        if not lps.size:
-            continue
+    for i in (basis >= m).any(axis=0).nonzero()[0]:
+        lps = (basis[:, i] >= m).nonzero()[0]
         structural = np.abs(tableau[lps, i, :m]) > PIVOT_TOL
         found = structural.any(axis=1)
         kept[lps[~found], i] = False
@@ -279,28 +255,31 @@ def _minimize_stack(costs, points, targets) -> np.ndarray:
     # Phase 2 on structural columns only, one stack per kept-row pattern.
     values = np.full(k, np.inf)
     for pattern in kept[:1] if kept.all() else np.unique(kept, axis=0):
-        group = np.flatnonzero((kept == pattern).all(axis=1))
-        rows = np.flatnonzero(pattern)
-        sub = tableau[group[:, None], rows]
-        body = np.concatenate([sub[:, :, :m], sub[:, :, -1:]], axis=2)
-        group_basis = basis[group[:, None], rows]
+        group = (kept == pattern).all(axis=1).nonzero()[0]
+        rows = pattern.nonzero()[0]
         lps = np.arange(len(group))
-        obj = np.tile(np.concatenate([costs, [0.0]]), (len(group), 1))
-        for i in range(len(rows)):
-            obj -= obj[lps, group_basis[:, i]][:, None] * body[:, i]
-        tableau2 = np.concatenate([body, obj[:, None]], axis=1)
+        tableau2 = np.zeros((len(group), rows.size + 1, m + 1))
+        tableau2[:, :-1, :m] = tableau[group[:, None], rows, :m]
+        tableau2[:, :-1, -1] = tableau[group[:, None], rows, -1]
+        group_basis = basis[group[:, None], rows]
+        obj = tableau2[:, -1]
+        obj[:, :m] = costs
+        for i, columns in enumerate(group_basis.T):
+            obj -= obj[lps, columns, None] * tableau2[:, i]
 
-        if _bland_stack(tableau2, group_basis, m) != "optimal":
+        if _bland(tableau2, group_basis, m) != "optimal":
             raise RuntimeError("LP over the unit simplex cannot be unbounded")
 
         alpha = np.zeros((len(group), m))
         alpha[lps[:, None], group_basis] = tableau2[:, :-1, -1]
         alpha[np.abs(alpha) < 1e-12] = 0.0
         # Each row of ``costs @ alpha[:, :, None]`` is a vector @ vector
-        # matmul, the kernel of the one-target ``costs @ alpha``, so the
-        # values are the same bits (``alpha @ costs`` is not).
+        # matmul, the kernel of ``costs @ alpha`` on one LP, so a value does
+        # not depend on its stack (``alpha @ costs`` would).
         values[feasible[group]] = (costs @ alpha[:, :, None])[:, 0]
-    return values
+    if k == 1 and feasible.size:
+        return values, alpha[0], (group_basis[0].tolist(), (basis[0, ~kept[0]] - m).tolist())
+    return values, None, None
 
 
 @dataclass

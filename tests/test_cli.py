@@ -361,6 +361,37 @@ def test_verify_samples_zero_trivially_passes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("samples, code", [("-5", 1), ("0", 0)])
+def test_verify_refuses_negative_samples_but_not_zero(tmp_path, capsys, samples, code):
+    # A negative count checks nothing, so it must not pass; zero stays an
+    # empty report that passes.
+    out = tmp_path / "r"
+    assert main([
+        "verify",
+        "--config", _cfg("pwa10d.cfg"),
+        "--samples", samples,
+        "--residual-only",
+        "--out", str(out),
+    ]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert "error: samples:" in err
+        assert not out.with_suffix(".kv").exists()
+    else:
+        kv = out.with_suffix(".kv").read_text()
+        assert "samples=0\n" in kv and "passed=true\n" in kv
+
+
+@pytest.mark.parametrize("architecture", ["arch1", "arch2"])
+@pytest.mark.parametrize("dims", ["0", "-1", "3,0"])
+def test_bench_refuses_dimensions_below_one(monkeypatch, capsys, architecture, dims):
+    built = []
+    monkeypatch.setattr("hjeval.bench.synthetic_net", lambda *args: built.append(args))
+    assert main(["bench", "--architecture", architecture, "--dims", dims, "--reps", "1"]) == 1
+    assert "error: dims:" in capsys.readouterr().err
+    assert built == []
+
+
 def test_bench_csv_output(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     code = main([

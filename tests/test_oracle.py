@@ -359,6 +359,11 @@ def test_verify_report_empty_passes():
     assert report.screened_count == 0
 
 
+def test_verify_report_refuses_negative_samples():
+    with pytest.raises(ValueError, match="samples"):
+        verify_report(clipped_quadratic_net_1d(), -1, 0, CFG)
+
+
 def test_verify_report_deterministic_and_serializable():
     cfg = OracleConfig(pts_per_axis=4001)
     net = concave_quadratic_net_1d()

@@ -396,6 +396,36 @@ def test_stacked_targets_equal_one_target_solves_bit_for_bit(monkeypatch, block)
             assert all(sol.basis[1] for sol in alone if sol.feasible)
 
 
+def test_single_solves_are_optimal_by_duality():
+    # The dual y of the optimal basis, from numpy alone: A_B^T y = c_B over
+    # the kept rows of A = [V^T; 1], y = 0 on the dropped ones.  Optimality
+    # is primal and dual feasibility, equality on the basis, and equal
+    # objectives.
+    solves = 0
+    for seed, (name, points, costs) in enumerate(_stack_sets()):
+        m, n = points.shape
+        a_mat = np.vstack([points.T, np.ones(m)])
+        tol = 1e-9 * (1.0 + np.abs(costs).max())
+        for target in _stack_targets(points, seed):
+            sol = minimize_over_simplex(costs, points, target)
+            if not sol.feasible:
+                continue
+            weights = sol.weights
+            assert weights.min() >= 0.0 and abs(weights.sum() - 1.0) <= 1e-12, (name, target)
+            np.testing.assert_allclose(weights @ points, target, rtol=0, atol=1e-9 * np.abs(points).max())
+            columns, redundant = sol.basis
+            kept = np.setdiff1d(np.arange(n + 1), redundant)
+            y = np.zeros(n + 1)
+            y[kept] = np.linalg.solve(a_mat[np.ix_(kept, columns)].T, costs[columns])
+            reduced = costs - (points @ y[:n] + y[n])
+            assert reduced.min() >= -tol, (name, target)
+            np.testing.assert_allclose(reduced[columns], 0.0, atol=tol, err_msg=name)
+            assert abs(y[:n] @ target + y[n] - sol.value) <= tol, (name, target)
+            assert (costs @ weights).hex() == sol.value.hex(), (name, target)
+            solves += 1
+    assert solves > 1000
+
+
 def test_stacked_targets_edge_cases():
     empty = minimize_over_simplex(COSTS, POINTS, np.zeros((0, 1)))
     assert empty.dtype == np.float64 and empty.shape == (0,)

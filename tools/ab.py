@@ -1,0 +1,152 @@
+#!/usr/bin/env python3
+"""In-process A/B timing of hjeval kernels: a git revision against this tree.
+
+Run from any directory:
+
+    python3 tools/ab.py REV
+
+REV (any git revision, e.g. ``HEAD~1``) is unpacked with ``git archive``
+into a temporary directory, so the repository's ``.git`` is left as it is.
+Its ``src/hjeval`` and this checkout's are imported side by side as the
+packages ``hjeval_base`` and ``hjeval_head``, with one BLAS thread.  Each
+kernel is built once per tree, then timed in 15 interleaved rounds: each
+round runs the kernel once on each tree, in alternating order, a run being
+as many calls as fill about 20 ms.  Per kernel it prints:
+
+* ``base_us`` / ``head_us``: the fastest run of each tree, per call;
+* ``ratio`` with ``q1``-``q3``: the median over rounds of head/base and its
+  quartiles (below 1 means this tree is faster);
+* ``base_flt`` / ``head_flt``: minor page faults (``ru_minflt``) per call,
+  the median over rounds.
+
+Kernels: the envelope certificate of a planted violation (10-D, m = 100),
+that set's one fallback LP, the certificate of b = |v|^4/4 on 200 Gaussian
+rows in 5-D (mostly LP fallback), a 3-row 1-D LP, and the stacked solve of
+the 2-D ``pwa2d`` velocity grid at ``--pts 21`` (441 targets).
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import importlib.util  # noqa: E402
+import io  # noqa: E402
+import resource  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import tarfile  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+ROUNDS = 15
+RUN_SECONDS = 0.02
+
+
+def load_package(src: Path, name: str):
+    """Import the hjeval package at ``src`` under the module name ``name``."""
+    spec = importlib.util.spec_from_file_location(
+        name, src / "__init__.py", submodule_search_locations=[str(src)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _paraboloid(rng, n, m):
+    rows = rng.normal(size=(m, n))
+    return rows, 0.5 * (rows * rows).sum(axis=1)
+
+
+def kernels(hj):
+    """Name -> zero-argument callable, each built from the package ``hj``."""
+    simplex = hj.simplex
+    rng = np.random.default_rng(0)
+    planted, offsets = _paraboloid(rng, 10, 100)
+    weights = rng.dirichlet(np.ones(3))
+    donors = rng.choice(99, 3, replace=False)
+    planted[-1] = weights @ planted[donors]
+    offsets[-1] = weights @ offsets[donors] + 0.25
+    quartic = np.random.default_rng(1).normal(size=(200, 5))
+    quartic_offsets = 0.25 * (quartic * quartic).sum(axis=1) ** 2
+    pwa_rows = np.array([[-1.0, 0.0], [1.0, 1.0], [0.0, -1.0]])
+    pwa_offsets = np.array([0.5, 0.0, 1.0])
+    axes = [np.linspace(lo, hi, 21) for lo, hi in zip(pwa_rows.min(axis=0), pwa_rows.max(axis=0))]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    return {
+        "certificate_planted10d_m100": lambda: simplex.lower_envelope_certificate(planted, offsets),
+        "lp10d_m100": lambda: simplex.minimize_over_simplex(offsets, planted, planted[-1]),
+        "certificate_quartic5d_m200": lambda: simplex.lower_envelope_certificate(
+            quartic, quartic_offsets
+        ),
+        "lp1d_3rows": lambda: simplex.minimize_over_simplex([0.5, -5.0, 1.0], [[-2.0], [0.0], [2.0]], [1.0]),
+        "stack_pwa2d_441": lambda: simplex.minimize_over_simplex(pwa_offsets, pwa_rows, grid),
+    }
+
+
+def _run(fn, calls):
+    """Seconds and minor faults per call over ``calls`` calls."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.perf_counter()
+    for _ in range(calls):
+        fn()
+    elapsed = time.perf_counter() - start
+    return elapsed / calls, (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / calls
+
+
+def compare(base, head):
+    """Rows of (name, base_us, head_us, ratio, q1, q3, base_flt, head_flt)."""
+    rows = []
+    base_kernels, head_kernels = kernels(base), kernels(head)
+    for name, base_fn in base_kernels.items():
+        head_fn = head_kernels[name]
+        once = min(_run(base_fn, 1)[0], _run(head_fn, 1)[0])  # also warms both
+        calls = max(1, int(RUN_SECONDS / max(once, 1e-9)))
+        runs = {"base": [], "head": []}
+        for i in range(ROUNDS):
+            order = (("base", base_fn), ("head", head_fn))
+            for side, fn in order if i % 2 == 0 else order[::-1]:
+                runs[side].append(_run(fn, calls))
+        base_t, base_f = np.array(runs["base"]).T
+        head_t, head_f = np.array(runs["head"]).T
+        q1, ratio, q3 = np.percentile(head_t / base_t, [25, 50, 75])
+        rows.append((name, 1e6 * base_t.min(), 1e6 * head_t.min(), ratio, q1, q3,
+                     np.median(base_f), np.median(head_f)))
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="git revision to compare this tree against")
+    args = parser.parse_args(argv)
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", args.rev, "src"], capture_output=True, check=False
+    )
+    if archive.returncode != 0:
+        print(archive.stderr.decode(errors="replace"), end="", file=sys.stderr)
+        return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        base = load_package(Path(tmp) / "src" / "hjeval", "hjeval_base")
+        head = load_package(ROOT / "src" / "hjeval", "hjeval_head")
+        rows = compare(base, head)
+    print(f"# {args.rev} (base) vs {ROOT} (head), {ROUNDS} rounds, numpy {np.__version__}")
+    print(f"{'kernel':30s} {'base_us':>10s} {'head_us':>10s} {'ratio':>6s} {'q1':>6s} {'q3':>6s}"
+          f" {'base_flt':>9s} {'head_flt':>9s}")
+    for name, base_us, head_us, ratio, q1, q3, base_f, head_f in rows:
+        print(f"{name:30s} {base_us:10.1f} {head_us:10.1f} {ratio:6.3f} {q1:6.3f} {q3:6.3f}"
+              f" {base_f:9.1f} {head_f:9.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,6 +25,10 @@ OUT receives, from the source tree this script sits in:
   for paraboloids b = c |v|^2 / 2 with c = 2 and 1/2 (mostly certified by
   the screen's scales 2 and 1/2) and for the l1 rows at n = 8; for a
   planted violation, its index, weights and envelope value;
+* ``simplex/``: one-target simplex solves on every target of the LP sets of
+  ``tests/test_simplex.py`` (``_stack_sets()`` x ``_stack_targets()``,
+  infeasible targets included): one ``.txt`` line a target with the value
+  (``hex``) and the basis, and the weights (``tobytes()``) in ``.bin``;
 * ``MANIFEST.sha256``: one ``<sha256>  <path>`` line per file, sorted.
 
 Two source trees produce identical manifests exactly when these outputs are
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import sys
 from pathlib import Path
@@ -49,7 +54,7 @@ from hjeval.cli import main as cli_main  # noqa: E402
 from hjeval.config import load_problem  # noqa: E402
 from hjeval.initialdata import norm_hamiltonian_rows  # noqa: E402
 from hjeval.oracle import _hstar_eval, velocity_grid  # noqa: E402
-from hjeval.simplex import lower_envelope_certificate  # noqa: E402
+from hjeval.simplex import lower_envelope_certificate, minimize_over_simplex  # noqa: E402
 
 CONFIGS = ROOT / "configs"
 PROBLEMS = ["clipped1d", "pwa1d", "ball10d", "pwa10d", "l1norm5d", "linfnorm5d"]
@@ -113,6 +118,15 @@ def _certificate_sets():
     rows[-1] = weights @ rows[:3]
     offsets[-1] = weights @ offsets[:3] + 0.25
     yield "planted2d", rows, offsets
+
+
+def _lp_sets():
+    """(name, points, costs, targets) of the stacked-solve tests."""
+    spec = importlib.util.spec_from_file_location("test_simplex", ROOT / "tests" / "test_simplex.py")
+    tests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tests)
+    for seed, (name, points, costs) in enumerate(tests._stack_sets()):
+        yield name, points, costs, tests._stack_targets(points, seed)
 
 
 def _cli(argv) -> None:
@@ -185,6 +199,20 @@ def write_outputs(out: Path) -> None:
             blob = cert.weights.tobytes()
         (out / "certificate" / f"{name}.txt").write_text(text, encoding="utf-8")
         (out / "certificate" / f"{name}.bin").write_bytes(blob)
+
+    (out / "simplex").mkdir(parents=True, exist_ok=True)
+    for name, points, costs, targets in _lp_sets():
+        lines, blob = [], b""
+        for target in targets:
+            sol = minimize_over_simplex(costs, points, target)
+            line = sol.value.hex()
+            if sol.feasible:
+                columns, redundant = sol.basis
+                line += f" columns={','.join(map(str, columns))} redundant={','.join(map(str, redundant))}"
+                blob += sol.weights.tobytes()
+            lines.append(line + "\n")
+        (out / "simplex" / f"{name}.txt").write_text("".join(lines), encoding="utf-8")
+        (out / "simplex" / f"{name}.bin").write_bytes(blob)
 
 
 def write_manifest(out: Path) -> Path:
