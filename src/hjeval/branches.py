@@ -26,8 +26,10 @@ one of two kernels:
   Rows whose magnitudes could overflow or whose bound is not finite go to
   the exact kernel whole, and so raise the same errors.
 
-Single points, and batches too small to repay the screen, take the exact
-kernel directly.
+The size of a batch alone picks the kernel: a batch whose (k, m, n)
+differences reach ``SCREEN_MIN_ELEMENTS`` is screened, one row included;
+a smaller one takes the exact kernel directly.  Single points given to
+``evaluate`` take their own path (:meth:`BranchNet._evaluate_point`).
 """
 
 from __future__ import annotations
@@ -193,7 +195,7 @@ def min_over_branches(points, exact, form: Form, values_only=False):
     for values only: their row minima come from the exact kernel alone.
     """
     (k, n), m = points.shape, len(form.offsets)
-    if values_only or form.radial is None or m == 1 or k == 1 or k * m * n < SCREEN_MIN_ELEMENTS:
+    if values_only or form.radial is None or m == 1 or k * m * n < SCREEN_MIN_ELEMENTS:
         return _exact_rows(points, m, exact, values_only)
     step = max(1, SCREEN_BLOCK // (m + 2 * n))
     # Blocks write their largest arrays into one workspace, so they reuse

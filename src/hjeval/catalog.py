@@ -114,8 +114,10 @@ class ConvexFn:
     def recession(self, d):
         """Recession function: directional linear growth rate at infinity.
 
-        Positively 1-homogeneous; 0 at the origin.  Only defined here for
-        finite-valued catalog members.
+        Positively 1-homogeneous; 0 at the origin.  Members with a bounded
+        domain, or growing faster than linearly, keep the default: the
+        indicator of the origin, +inf in every nonzero direction however
+        small; globally Lipschitz members override it.
         """
         pts, single = _promote(d, self.dim)
         vals = self._recession(pts)
@@ -143,7 +145,8 @@ class ConvexFn:
         raise NotImplementedError
 
     def _recession(self, pts):
-        raise NotImplementedError
+        # Tested on the coordinates, not a norm that could underflow to 0.
+        return np.where(pts.any(axis=1), np.inf, 0.0)
 
 
 @dataclass(frozen=True)
@@ -186,11 +189,6 @@ class IntervalQuadratic1D(ConvexFn):
         p = pts[:, 0]
         inside = (p >= -1.0 - DOMAIN_ATOL) & (p <= 2.0 + DOMAIN_ATOL)
         return np.where(inside, 0.5 * p * p, np.inf)
-
-    def _recession(self, pts):
-        # Bounded domain: +inf in every direction except 0.
-        p = pts[:, 0]
-        return np.where(p == 0.0, 0.0, np.inf)
 
     def conjugate(self):
         return ClippedQuadratic1D()
@@ -264,10 +262,6 @@ class UnitBallIndicator(ConvexFn):
         r = np.linalg.norm(pts, ord=self.ball, axis=1)
         return np.where(r <= 1.0 + DOMAIN_ATOL, 0.0, np.inf)
 
-    def _recession(self, pts):
-        r = np.linalg.norm(pts, ord=self.ball, axis=1)
-        return np.where(r == 0.0, 0.0, np.inf)
-
     def conjugate(self):
         return PNorm(p=_dual_exponent(self.ball))
 
@@ -312,10 +306,6 @@ class NormOnBall(ConvexFn):
         r = np.linalg.norm(pts, axis=1)
         return np.where(r <= 1.0 + DOMAIN_ATOL, r, np.inf)
 
-    def _recession(self, pts):
-        r = np.linalg.norm(pts, axis=1)
-        return np.where(r == 0.0, 0.0, np.inf)
-
     def conjugate(self):
         return ShiftedNormPlus()
 
@@ -333,10 +323,6 @@ class HalfSquaredNorm(ConvexFn):
 
     def _values(self, pts):
         return 0.5 * np.einsum("ij,ij->i", pts, pts)
-
-    def _recession(self, pts):
-        r2 = np.einsum("ij,ij->i", pts, pts)
-        return np.where(r2 == 0.0, 0.0, np.inf)
 
     def conjugate(self):
         return HalfSquaredNorm()

@@ -11,6 +11,12 @@ small oracle gaps certify the representation.
 central differences.  Viscosity solutions are nonsmooth, so residuals are
 asserted only at screened points: winning-branch gap above a threshold and
 activation arguments away from the activation's kink set.
+
+``verify_report`` draws seeded samples and keeps one row per sample in a
+structured array (:class:`VerifyReport`): the point ``x`` and time ``t``,
+the ``oracle_gap`` |oracle - net| and the ``residual`` (each NaN where it
+is not taken) and whether the sample passed ``screened``.  It chooses the
+net's oracle once, before the sample loop.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ __all__ = [
     "hstar_interpolator_1d",
     "screen_point",
     "sample_screened_points",
-    "SampleRecord",
     "VerifyReport",
     "verify_report",
 ]
@@ -234,96 +239,109 @@ def _t_range(net):
     return T_RANGE_LAGRANGIAN if isinstance(net, LagrangianNet) else T_RANGE_INITIALDATA
 
 
-def _solution_eval(net):
-    return lambda points, t: net.solution_grid(points, t)[0]
+def _draws(net, seed: int):
+    """Seeded endless stream of sample points (x, t): x ~ U[-4, 4]^n, then
+    t uniform over the net's time range."""
+    rng = np.random.default_rng(seed)
+    t_lo, t_hi = _t_range(net)
+    while True:
+        x = rng.uniform(-SAMPLE_X_HALFWIDTH, SAMPLE_X_HALFWIDTH, net.dimension)
+        yield x, float(rng.uniform(t_lo, t_hi))
 
 
-def _hstar_eval(net):
-    """H* evaluator for the brute-force oracle, matching the net."""
-    if isinstance(net, LagrangianNet):
-        # H = L*, and L is closed, so H* is L itself.
-        return net.lagrangian
+def _hstar_eval(net: InitialDataNet):
+    """H* evaluator of an InitialDataNet for the velocity-form oracle."""
     if net.dimension == 1:
         return hstar_interpolator_1d(net)
     return net.hamiltonian_conjugate  # one stacked simplex solve of the (k, n) points
 
 
+def _oracle(net, cfg: OracleConfig):
+    """The brute-force oracle for ``net`` as (x, t) -> value.
+
+    A LagrangianNet gets the position form, whose H* is L itself (H = L*,
+    and L is closed).  An InitialDataNet gets the velocity form on the hull
+    of its branch velocities, the conjugate's domain, so that the candidate
+    minimizing velocities (the branch rows) are grid nodes.  Neither that
+    grid nor H* on it depends on the sample: both are built here, once.
+    """
+    initial_eval = net.initial_values
+    if isinstance(net, LagrangianNet):
+        return lambda x, t: lax_oleinik_bruteforce(initial_eval, net.lagrangian, x, t, cfg)
+    hull_lo, hull_hi = net.rows.min(axis=0), net.rows.max(axis=0)
+    pts, n = cfg.pts_per_axis, net.dimension
+    # For n >= 2, H* is one simplex LP per node.  Grids above the point cap
+    # are left to box_grid, which refuses them first.
+    if n > 1 and MAX_ORACLE_LPS < pts**n <= MAX_GRID_POINTS:
+        raise ValueError(
+            f"velocity grid of {pts}^{n} nodes needs one simplex LP each, "
+            f"above the {MAX_ORACLE_LPS} LP budget; reduce pts_per_axis"
+        )
+    hstar_eval = _hstar_eval(net)
+    grid = velocity_grid(hstar_eval, hull_lo, hull_hi, pts)
+    return lambda x, t: lax_oleinik_bruteforce_velocity(
+        initial_eval, hstar_eval, x, t, hull_lo, hull_hi, pts, grid=grid
+    )
+
+
 def sample_screened_points(net, count: int, seed: int):
     """Seeded rejection sampler yielding exactly ``count`` screened points."""
-    rng = np.random.default_rng(seed)
-    lo, hi = _t_range(net)
     accepted = []
-    attempts = 0
-    while len(accepted) < count:
+    for attempts, (x, t) in enumerate(_draws(net, seed)):
+        if len(accepted) == count:
+            return accepted
         if attempts > 1000 * max(count, 1):
             raise RuntimeError("rejection sampling stalled; screening too strict for this net")
-        x = rng.uniform(-SAMPLE_X_HALFWIDTH, SAMPLE_X_HALFWIDTH, net.dimension)
-        t = rng.uniform(lo, hi)
-        attempts += 1
-        ok, _ = screen_point(net, x, t)
-        if ok:
-            accepted.append((x, float(t)))
-    return accepted
+        if screen_point(net, x, t)[0]:
+            accepted.append((x, t))
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    index: int
-    x: np.ndarray
-    t: float
-    oracle_gap: float | None
-    residual: float | None
-    screened: bool
+def _max_mean(values):
+    return (float(values.max()), float(np.mean(values))) if values.size else (0.0, 0.0)
 
 
 @dataclass
 class VerifyReport:
-    """Seeded verification run: oracle gaps plus screened PDE residuals."""
+    """Seeded verification run: oracle gaps plus screened PDE residuals.
+
+    ``records`` is a structured array with one row per sample and the
+    columns ``x`` (the point, shape (n,)), ``t``, ``oracle_gap`` (NaN when
+    the oracle is skipped), ``residual`` (NaN when t <= 2 ``FD_STEP`` leaves
+    no room for the time stencil) and ``screened``.  The summary fields are
+    computed from the columns once, when the report is built: gaps over the
+    non-NaN ``oracle_gap``, residuals over the screened samples.
+    """
 
     label: str
-    dimension: int
-    samples: int
     seed: int
     oracle_checked: bool
-    records: list[SampleRecord] = field(default_factory=list)
+    records: np.ndarray
+    max_oracle_gap: float = field(init=False)
+    mean_oracle_gap: float = field(init=False)
+    screened_count: int = field(init=False)
+    max_residual: float = field(init=False)
+    mean_residual: float = field(init=False)
+    passed: bool = field(init=False)
 
-    def _oracle_gaps(self):
-        return [r.oracle_gap for r in self.records if r.oracle_gap is not None]
-
-    def _screened_residuals(self):
-        return [r.residual for r in self.records if r.screened and r.residual is not None]
-
-    @property
-    def max_oracle_gap(self) -> float:
-        gaps = self._oracle_gaps()
-        return max(gaps) if gaps else 0.0
-
-    @property
-    def mean_oracle_gap(self) -> float:
-        gaps = self._oracle_gaps()
-        return float(np.mean(gaps)) if gaps else 0.0
-
-    @property
-    def screened_count(self) -> int:
-        return len(self._screened_residuals())
+    def __post_init__(self):
+        gaps = self.records["oracle_gap"]
+        gaps = gaps[~np.isnan(gaps)]
+        res = self.records["residual"]
+        res = res[self.records["screened"] & ~np.isnan(res)]
+        self.max_oracle_gap, self.mean_oracle_gap = _max_mean(gaps)
+        self.screened_count = res.size
+        self.max_residual, self.mean_residual = _max_mean(res)
+        self.passed = (
+            not self.oracle_checked or self.max_oracle_gap <= ORACLE_TOL
+        ) and self.max_residual <= RESIDUAL_TOL
 
     @property
-    def max_residual(self) -> float:
-        res = self._screened_residuals()
-        return max(res) if res else 0.0
+    def samples(self) -> int:
+        return len(self.records)
 
     @property
-    def mean_residual(self) -> float:
-        res = self._screened_residuals()
-        return float(np.mean(res)) if res else 0.0
-
-    @property
-    def passed(self) -> bool:
-        ok = True
-        if self.oracle_checked:
-            ok = ok and self.max_oracle_gap <= ORACLE_TOL
-        ok = ok and self.max_residual <= RESIDUAL_TOL
-        return ok
+    def dimension(self) -> int:
+        return self.records["x"].shape[1]
 
     def to_kv(self) -> str:
         """Machine-readable serialization: one metric=value per line."""
@@ -381,7 +399,8 @@ def verify_report(
     centered-difference residual (asserted into pass/fail only where the
     sample passes screening).  Oracle comparison needs n <= 3; pass
     ``residual_only=True`` to skip it in higher dimension.  Negative
-    ``samples`` is refused; zero gives an empty report that passes.
+    ``samples`` is refused; zero gives an empty report that passes, and
+    builds no oracle.
     """
     if samples < 0:
         raise ValueError(f"samples: must be nonnegative, got {samples}")
@@ -392,51 +411,20 @@ def verify_report(
         )
     if label is None:
         label = "lagrangian" if isinstance(net, LagrangianNet) else "initial-data"
-    report = VerifyReport(
-        label=label,
-        dimension=net.dimension,
-        samples=samples,
-        seed=seed,
-        oracle_checked=not residual_only,
-    )
-    if samples == 0:
-        return report
+    columns = [("x", float, (net.dimension,)), ("t", float)]
+    columns += [("oracle_gap", float), ("residual", float), ("screened", bool)]
+    records = np.zeros(samples, columns)
+    if samples:
+        # A NaN oracle leaves every gap NaN.
+        oracle = (lambda x, t: np.nan) if residual_only else _oracle(net, cfg)
+        ham = net.hamiltonian()
 
-    rng = np.random.default_rng(seed)
-    t_lo, t_hi = _t_range(net)
-    if not residual_only:
-        initial_eval, hstar_eval = net.initial_values, _hstar_eval(net)
-        velocity_form = isinstance(net, InitialDataNet)
-        if velocity_form:
-            # Velocity grid over the conjugate's domain, so the candidate
-            # minimizing velocities (the branch rows) are grid nodes.  Neither
-            # it nor H* on it depends on the sample: both are built once.
-            hull_lo, hull_hi = net.rows.min(axis=0), net.rows.max(axis=0)
-            pts, n = cfg.pts_per_axis, net.dimension
-            # For n >= 2, H* is one simplex LP per node.  Grids above the
-            # point cap are left to box_grid, which refuses them first.
-            if n > 1 and MAX_ORACLE_LPS < pts**n <= MAX_GRID_POINTS:
-                raise ValueError(
-                    f"velocity grid of {pts}^{n} nodes needs one simplex LP each, "
-                    f"above the {MAX_ORACLE_LPS} LP budget; reduce pts_per_axis"
-                )
-            grid = velocity_grid(hstar_eval, hull_lo, hull_hi, pts)
-    sol = _solution_eval(net)
-    ham = net.hamiltonian()
+        def solution(points, t):
+            return net.solution_grid(points, t)[0]
 
-    for i in range(samples):
-        x = rng.uniform(-SAMPLE_X_HALFWIDTH, SAMPLE_X_HALFWIDTH, net.dimension)
-        t = float(rng.uniform(t_lo, t_hi))
-        screened, result = screen_point(net, x, t)
-        gap = None
-        if not residual_only:
-            if velocity_form:
-                approx = lax_oleinik_bruteforce_velocity(
-                    initial_eval, hstar_eval, x, t, hull_lo, hull_hi, cfg.pts_per_axis, grid=grid
-                )
-            else:
-                approx = lax_oleinik_bruteforce(initial_eval, hstar_eval, x, t, cfg)
-            gap = abs(approx - result.value)
-        residual = hj_residual(sol, ham, x, t, FD_STEP) if t > 2 * FD_STEP else None
-        report.records.append(SampleRecord(i, x, t, gap, residual, screened))
-    return report
+        for i, (x, t) in zip(range(samples), _draws(net, seed)):
+            screened, result = screen_point(net, x, t)
+            gap = abs(oracle(x, t) - result.value)
+            residual = hj_residual(solution, ham, x, t, FD_STEP) if t > 2 * FD_STEP else np.nan
+            records[i] = x, t, gap, residual, screened
+    return VerifyReport(label, seed, not residual_only, records)

@@ -22,6 +22,7 @@ the rows the screen leaves; :func:`check_witnesses` re-checks its evidence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,13 +82,22 @@ def _pivot(tableau, basis, row, col):
     basis[row] = col
 
 
+def _pivot_limit(tableau, n_cols: int) -> int:
+    """The number of bases of a tableau, or of each tableau of a stack: the
+    ways to choose one of ``n_cols`` columns per constraint row.  Bland's
+    rule never revisits a basis, so no valid solve pivots more often."""
+    return math.comb(n_cols, tableau.shape[-2] - 1)
+
+
 def _bland_iterate(tableau, basis, n_cols):
     """Minimize the tableau objective with Bland's rule.
 
     ``tableau`` rows are the constraints plus a final reduced-cost row; the
-    last column is the right-hand side.  Returns 'optimal' or 'unbounded'.
+    last column is the right-hand side.  Returns 'optimal' or 'unbounded';
+    raises RuntimeError past :func:`_pivot_limit` pivots.
     """
     costs, rhs = tableau[-1, :n_cols], tableau[:-1, -1]  # views: pivots are in place
+    limit, pivots = _pivot_limit(tableau, n_cols), 0
     while True:
         negative = costs < -PIVOT_TOL
         col = negative.argmax()  # smallest index: Bland's entering rule
@@ -101,6 +111,9 @@ def _bland_iterate(tableau, basis, n_cols):
         tied = rows[ratios <= ratios.min() + 1e-12]
         # Smallest basic index on ties.
         row = tied[0] if tied.size == 1 else min(tied, key=lambda i: basis[i])
+        if pivots == limit:
+            raise RuntimeError(f"Bland's rule cycled: more pivots than the {limit} bases")
+        pivots += 1
         _pivot(tableau, basis, row, col)
 
 
@@ -158,9 +171,11 @@ def _bland_stack(tableau, basis, n_cols):
 
     Each iteration pivots every LP that is not yet optimal, with its own
     entering column, ratio test and tie-break; an optimal LP leaves the
-    working stack.  Returns 'optimal', or 'unbounded' if any LP is.
+    working stack.  Returns 'optimal', or 'unbounded' if any LP is; raises
+    RuntimeError past :func:`_pivot_limit` pivots.
     """
     work, ids, bases = tableau, np.arange(len(tableau)), basis
+    limit, pivots = _pivot_limit(tableau, n_cols), 0
     while ids.size:
         negative = work[:, -1, :n_cols] < -PIVOT_TOL
         running = negative.any(axis=1)
@@ -181,6 +196,9 @@ def _bland_stack(tableau, basis, n_cols):
         np.divide(work[:, :-1, -1], column, out=ratios, where=positive)
         tied = positive & (ratios <= ratios.min(axis=1, keepdims=True) + 1e-12)
         rows = np.where(tied, bases, work.shape[2]).argmin(axis=1)  # no column reaches the width
+        if pivots == limit:
+            raise RuntimeError(f"Bland's rule cycled: more pivots than the {limit} bases")
+        pivots += 1
         _pivot_stack(work, bases, rows, cols)
     return "optimal"
 

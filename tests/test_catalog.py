@@ -161,6 +161,32 @@ def test_recession_vanishes_at_origin():
         assert f.recession(np.zeros(n)) == 0.0
 
 
+@pytest.mark.parametrize(
+    "f",
+    [
+        IntervalQuadratic1D(),
+        UnitBallIndicator(1),
+        UnitBallIndicator(2),
+        UnitBallIndicator(math.inf),
+        NormOnBall(),
+        HalfSquaredNorm(),
+    ],
+    ids=repr,
+)
+def test_recession_is_infinite_in_tiny_directions(f):
+    # A bounded domain or superlinear growth recedes to +inf in every
+    # nonzero direction, however short: the squared length of these
+    # directions underflows to 0.
+    n = f.dim or 2
+    tiny = np.zeros((3, n))
+    tiny[0, 0] = 1e-200
+    tiny[1, -1] = -5e-324
+    tiny[2] = 1e-170
+    assert f.recession(tiny).tolist() == [INF, INF, INF]
+    assert f.recession(tiny[0]) == INF
+    assert f.recession(-np.zeros(n)) == 0.0
+
+
 def test_recession_positive_homogeneity():
     rng = np.random.default_rng(11)
     for f in FINITE_FNS:

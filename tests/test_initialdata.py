@@ -318,3 +318,16 @@ def test_screen_band_is_tight(count_pairs):
     counts.clear()
     net.solution_grid(points[:1000], 0.0)
     assert sum(counts) == 1000 * net.n_branches
+
+
+def test_one_row_batch_is_screened(count_pairs):
+    # The batch size alone picks the kernel: one row of m·n = 400·200 =
+    # 80,000 differences is screened, so only its band reaches the exact
+    # kernel, with the values, argmin and gap of the single-point path.
+    net = linf_hamiltonian_net(200)
+    counts = count_pairs(net)
+    x = np.random.default_rng(46).uniform(-4.0, 4.0, (1, 200))
+    (value,), (argmin,), (gap,) = net.solution_grid(x, 1.7)
+    assert 0 < sum(counts) < net.n_branches
+    res = net.evaluate(x[0], 1.7)
+    assert (value.hex(), argmin, gap.hex()) == (res.value.hex(), res.argmin_index, res.gap.hex())

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hjeval.oracle as oracle
 import hjeval.simplex as simplex
 from hjeval.catalog import ConcaveFn, HalfSquaredNorm, PNorm
 from hjeval.config import load_problem
@@ -357,6 +358,78 @@ def test_verify_report_empty_passes():
     assert report.passed
     assert report.max_oracle_gap == 0.0
     assert report.screened_count == 0
+
+
+def test_verify_report_with_no_samples_builds_no_oracle(monkeypatch):
+    # At pts_per_axis 501 building the pwa2d oracle would refuse the LP budget.
+    counts = _count_lps(monkeypatch)
+    monkeypatch.setattr(oracle, "velocity_grid", None)
+    report = verify_report(_pwa2d_net(), 0, 0, OracleConfig(501))
+    assert report.passed and report.samples == 0 and report.dimension == 2
+    assert report.records.shape == (0,) and report.records["x"].shape == (0, 2)
+    assert not counts
+
+
+def _early_times(draws):
+    """``oracle._draws`` with every third t moved to 0 or 2 FD_STEP, where
+    the time stencil has no room and no residual is taken."""
+
+    def patched(net, seed):
+        for i, (x, t) in enumerate(draws(net, seed)):
+            yield x, (t if i % 3 else (0.0, 2 * FD_STEP)[i // 3 % 2])
+
+    return patched
+
+
+def _direct_record(net, x, t, cfg, residual_only):
+    """(oracle_gap, residual, screened) at (x, t) from direct calls, NaN
+    where no gap or residual is taken."""
+    value = net.evaluate(x, t).value
+    gap = residual = np.nan
+    if not residual_only:
+        if isinstance(net, InitialDataNet):
+            lo, hi = net.rows.min(axis=0), net.rows.max(axis=0)
+            approx = lax_oleinik_bruteforce_velocity(
+                net.initial_values, _hstar_eval(net), x, t, lo, hi, cfg.pts_per_axis
+            )
+        else:
+            approx = lax_oleinik_bruteforce(net.initial_values, net.lagrangian, x, t, cfg)
+        gap = abs(approx - value)
+    if t > 2 * FD_STEP:
+        residual = hj_residual(_batch(net), net.hamiltonian(), x, t, FD_STEP)
+    return gap, residual, screen_point(net, x, t)[0]
+
+
+@pytest.mark.parametrize(
+    "problem, pts, residual_only",
+    [("clipped1d", 40001, False), ("pwa1d", 4001, False), ("pwa10d", 3, True)],
+)
+def test_verify_records_equal_direct_calls(monkeypatch, problem, pts, residual_only):
+    net = load_problem(CONFIG_DIR / f"{problem}.cfg").build_net()
+    if isinstance(net, InitialDataNet):  # t = 0 is in its time range
+        monkeypatch.setattr(oracle, "_draws", _early_times(oracle._draws))
+    cfg = OracleConfig(pts)
+    report = verify_report(net, 12, 5, cfg, residual_only=residual_only)
+    records = report.records
+    assert records.dtype.names == ("x", "t", "oracle_gap", "residual", "screened")
+    assert (report.samples, report.dimension) == (12, net.dimension)
+    for rec in records:
+        gap, residual, screened = _direct_record(net, rec["x"], float(rec["t"]), cfg, residual_only)
+        assert float(rec["oracle_gap"]).hex() == float(gap).hex()
+        assert float(rec["residual"]).hex() == float(residual).hex()
+        assert rec["screened"] == screened
+    assert np.isnan(records["oracle_gap"]).all() == residual_only
+    assert (np.isnan(records["residual"]) == (records["t"] <= 2 * FD_STEP)).all()
+    if isinstance(net, InitialDataNet):
+        assert np.isnan(records["residual"]).sum() == 4
+    # The summary, from the records as lists of the non-NaN entries.
+    gaps = [g for g in records["oracle_gap"].tolist() if g == g]
+    res = [r for r, ok in zip(records["residual"].tolist(), records["screened"]) if ok and r == r]
+    assert report.max_oracle_gap == (max(gaps) if gaps else 0.0)
+    assert report.mean_oracle_gap == (float(np.mean(gaps)) if gaps else 0.0)
+    assert report.screened_count == len(res) > 0
+    assert (report.max_residual, report.mean_residual) == (max(res), float(np.mean(res)))
+    assert report.passed
 
 
 def test_verify_report_refuses_negative_samples():

@@ -89,6 +89,22 @@ def test_lp_degenerate_duplicate_points_terminate():
     assert sol.value == pytest.approx(1.0, abs=1e-12)
 
 
+def test_bland_loops_stop_at_the_basis_count(monkeypatch):
+    # Bland's rule visits each basis at most once, so a loop that pivots
+    # more often than there are bases has cycled: it raises, not hangs.
+    # Phase 1 of an interior 2-D target takes three pivots, one a row.
+    points, costs = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0.0, 1.0, 2.0]
+    targets = np.array([[0.2, 0.3], [0.5, 0.25]])
+    # Phase 1: 3 structural and 3 artificial columns, 3 constraint rows.
+    assert simplex._pivot_limit(np.zeros((4, 7)), 6) == 20
+    assert minimize_over_simplex(costs, points, targets[0]).value == pytest.approx(0.8)
+    monkeypatch.setattr(simplex, "_pivot_limit", lambda tableau, n_cols: 1)
+    with pytest.raises(RuntimeError, match="cycled"):
+        minimize_over_simplex(costs, points, targets[0])
+    with pytest.raises(RuntimeError, match="cycled"):
+        minimize_over_simplex(costs, points, targets)
+
+
 def test_lp_redundant_rows_from_signed_basis():
     rows, offsets = norm_hamiltonian_rows("linf", 3)
     for k in range(len(rows)):

@@ -21,8 +21,13 @@ as many calls as fill about 20 ms.  Per kernel it prints:
 
 Kernels: the envelope certificate of a planted violation (10-D, m = 100),
 that set's one fallback LP, the certificate of b = |v|^4/4 on 200 Gaussian
-rows in 5-D (mostly LP fallback), a 3-row 1-D LP, and the stacked solve of
-the 2-D ``pwa2d`` velocity grid at ``--pts 21`` (441 targets).
+rows in 5-D (mostly LP fallback), a 3-row 1-D LP, the stacked solve of
+the 2-D ``pwa2d`` velocity grid at ``--pts 21`` (441 targets),
+``verify_report`` on the shipped ``clipped1d`` (10 samples, pts 40001),
+``pwa1d`` (10 samples, pts 4001) and ``pwa10d`` (30 samples, residual
+only) problems, and a one-row ``solution_grid`` on the linf Hamiltonian
+net at n = 1000 (m = 2000) and on a ``shifted_norm_plus`` net with m = 64
+branches in 1000-D.
 """
 
 from __future__ import annotations
@@ -81,6 +86,17 @@ def kernels(hj):
     pwa_offsets = np.array([0.5, 0.0, 1.0])
     axes = [np.linspace(lo, hi, 21) for lo, hi in zip(pwa_rows.min(axis=0), pwa_rows.max(axis=0))]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    problems = {
+        name: hj.config.load_problem(ROOT / "configs" / f"{name}.cfg").build_net()
+        for name in ("clipped1d", "pwa1d", "pwa10d")
+    }
+    verify = hj.oracle.verify_report
+    linf = importlib.import_module(f"{hj.__name__}.presets").linf_hamiltonian_net(1000)
+    snp_rng = np.random.default_rng(2)
+    snp = hj.lagrangian.LagrangianNet(
+        hj.catalog.ShiftedNormPlus(), snp_rng.uniform(-1.0, 1.0, (64, 1000)), snp_rng.uniform(-1.0, 1.0, 64)
+    )
+    row = np.random.default_rng(3).uniform(-4.0, 4.0, (1, 1000))
     return {
         "certificate_planted10d_m100": lambda: simplex.lower_envelope_certificate(planted, offsets),
         "lp10d_m100": lambda: simplex.minimize_over_simplex(offsets, planted, planted[-1]),
@@ -89,6 +105,13 @@ def kernels(hj):
         ),
         "lp1d_3rows": lambda: simplex.minimize_over_simplex([0.5, -5.0, 1.0], [[-2.0], [0.0], [2.0]], [1.0]),
         "stack_pwa2d_441": lambda: simplex.minimize_over_simplex(pwa_offsets, pwa_rows, grid),
+        "verify_clipped1d_10": lambda: verify(problems["clipped1d"], 10, 0, hj.oracle.OracleConfig(40001)),
+        "verify_pwa1d_10": lambda: verify(problems["pwa1d"], 10, 0, hj.oracle.OracleConfig(4001)),
+        "verify_pwa10d_30": lambda: verify(
+            problems["pwa10d"], 30, 0, hj.oracle.OracleConfig(3), residual_only=True
+        ),
+        "grid1_linf_n1000": lambda: linf.solution_grid(row, 1.7),
+        "grid1_snp_m64_n1000": lambda: snp.solution_grid(row, 1.7),
     }
 
 
