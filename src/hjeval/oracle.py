@@ -109,7 +109,7 @@ def lax_oleinik_bruteforce(initial_eval, hstar_eval, x, t: float, cfg: OracleCon
         raise ValueError("t must be positive")
     value = grid_inf_convolution(
         initial_eval,
-        lambda z: t * ensure_extended(hstar_eval(z / t)),
+        lambda z: t * hstar_eval(z / t),
         x,
         SEARCH_HALFWIDTH,
         cfg.pts_per_axis,

@@ -1,6 +1,10 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import hjeval.numeric as numeric
 from hjeval.catalog import (
     ClippedQuadratic1D,
     HalfSquaredNorm,
@@ -8,12 +12,17 @@ from hjeval.catalog import (
     MaxAffine,
     PNorm,
     ShiftedNormPlus,
+    ensure_extended,
 )
 from hjeval.numeric import (
+    box_grid,
+    box_grid_blocks,
+    finite_minimum,
     grid_conjugate,
     grid_inf_convolution,
     grid_points,
     recession_quotient,
+    tensor_grid,
 )
 
 
@@ -136,3 +145,100 @@ def test_grid_contains_center_for_odd_counts():
     pts = grid_points(np.array([0.3, -1.7]), 2.0, 11)
     assert any(np.allclose(p, [0.3, -1.7], atol=1e-12) for p in pts)
     assert pts.shape == (121, 2)
+
+
+def _linspace_grid(lo, hi, pts):
+    """The tensor grid built from whole ``np.linspace`` axes."""
+    return tensor_grid([np.linspace(a, b, pts) for a, b in zip(lo, hi)])
+
+
+@pytest.mark.parametrize("n, pts", [(1, 41), (2, 9), (3, 5)])
+def test_grid_blocks_concatenate_to_the_linspace_grid(n, pts):
+    rng = np.random.default_rng(n)
+    total = pts**n
+    # Blocks of one row, of pts rows (a divisor of the row count), of 7 (not
+    # a divisor), of all rows but one (a one-row last block) and of more
+    # rows than the grid has.
+    sizes = {1, pts, 7, total - 1, total + 5}
+    for _ in range(10):
+        lo = rng.uniform(-50.0, 50.0, n) * 10.0 ** rng.integers(-3, 4, n)
+        hi = lo + rng.uniform(1e-6, 100.0, n)
+        want = _linspace_grid(lo, hi, pts)
+        got = box_grid(lo, hi, pts)
+        assert got.shape == want.shape == (total, n)
+        assert got.tobytes() == want.tobytes()
+        for rows in sizes:
+            blocks = list(box_grid_blocks(lo, hi, pts, rows))
+            assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+            assert 1 <= len(blocks[-1]) <= rows
+            assert np.concatenate(blocks).tobytes() == want.tobytes()
+
+
+def test_grid_blocks_match_linspace_on_degenerate_axes():
+    # A zero-width axis, a step that underflows to 0 (np.linspace then
+    # divides before it multiplies) and a reversed box.
+    lo, hi = np.array([1.5, 0.0, 2.0]), np.array([1.5, 5e-324, -3.0])
+    assert np.concatenate(list(box_grid_blocks(lo, hi, 7, 10))).tobytes() == (
+        _linspace_grid(lo, hi, 7).tobytes()
+    )
+
+
+@pytest.mark.parametrize(
+    "lo, pts, message",
+    [
+        (
+            np.zeros(4),
+            11,
+            "grid search refused for n=4 > 3: tensor grids are for desk-scale verification only",
+        ),
+        (np.zeros(1), 2, "pts_per_axis must be at least 3"),
+        (
+            np.zeros(3),
+            2001,
+            "grid of 2001^3 points exceeds the 20000000 point cap; reduce pts_per_axis",
+        ),
+    ],
+)
+def test_grid_blocks_refuse_before_the_first_block(lo, pts, message):
+    # The first next() raises instead of yielding a block: nothing of the
+    # grid is built (2001^3 rows in one block would be 192 GB).
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            next(box_grid_blocks(lo, lo + 1.0, pts, numeric.MAX_GRID_POINTS))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            box_grid(lo, lo + 1.0, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _unblocked_inf_convolution(f_eval, g_eval, x, halfwidth, pts):
+    """inf-convolution over the whole grid at once."""
+    x = np.asarray(x, dtype=float)
+    u = _linspace_grid(x - halfwidth, x + halfwidth, pts)
+    return finite_minimum(ensure_extended(f_eval(u)) + ensure_extended(g_eval(x - u)))
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_blocked_inf_convolution_equals_the_unblocked_formula(monkeypatch, block):
+    monkeypatch.setattr(numeric, "GRID_BLOCK", block)
+    rng = np.random.default_rng(block)
+    interval = IntervalQuadratic1D()  # +inf outside its interval
+    indicator = PNorm(2).conjugate()  # +inf outside the unit ball
+    cases = [
+        (ClippedQuadratic1D(), interval, 1, 2001),
+        (interval, ClippedQuadratic1D(), 1, 2001),
+        (MaxAffine(rng.uniform(-2, 2, (3, 2)), rng.uniform(-1, 1, 3)), indicator, 2, 41),
+        (ShiftedNormPlus(), indicator, 3, 11),
+    ]
+    for f, g, n, pts in cases:
+        for _ in range(5):
+            x = rng.uniform(-2.0, 2.0, n)
+            want = _unblocked_inf_convolution(f, g, x, 3.0, pts)
+            got = grid_inf_convolution(f, g, x, 3.0, pts)
+            assert np.isfinite(want)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    # Every term +inf, in every block.
+    assert grid_inf_convolution(interval, interval, [50.0], 1.0, 101) == float("inf")

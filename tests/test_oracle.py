@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hjeval.numeric as numeric
 import hjeval.oracle as oracle
 import hjeval.simplex as simplex
-from hjeval.catalog import ConcaveFn, HalfSquaredNorm, PNorm
+from hjeval.catalog import ConcaveFn, HalfSquaredNorm, PNorm, ensure_extended
 from hjeval.config import load_problem
 from hjeval.initialdata import InitialDataNet
 from hjeval.oracle import (
@@ -109,6 +110,60 @@ def test_bruteforce_all_infinite_raises():
     hstar = lambda v: np.where((v[:, 0] >= 35.0) & (v[:, 0] <= 36.0), 0.0, np.inf)
     with pytest.raises(OracleDomainError):
         lax_oleinik_bruteforce(net.initial_values, hstar, [10.0], 1.0, OracleConfig(101))
+
+
+def _unblocked_bruteforce(net, x, t, pts):
+    """The position oracle over its whole u-grid at once, as float64 bytes."""
+    x = np.asarray(x, dtype=float)
+    half = oracle.SEARCH_HALFWIDTH
+    u = numeric.tensor_grid([np.linspace(c - half, c + half, pts) for c in x])
+    initial, hstar = net.initial_values, net.lagrangian
+    terms = ensure_extended(initial(u)) + ensure_extended(t * hstar((x - u) / t))
+    return np.float64(numeric.finite_minimum(terms)).tobytes()
+
+
+@pytest.mark.parametrize("block", [7, 4096])
+def test_blocked_bruteforce_equals_the_unblocked_formula(monkeypatch, block):
+    monkeypatch.setattr(numeric, "GRID_BLOCK", block)
+    net = load_problem(CONFIG_DIR / "clipped1d.cfg").build_net()
+    rng = np.random.default_rng(block)
+    pts = 4001 if block == 7 else 40001
+    for _ in range(10):
+        x, t = rng.uniform(-4.0, 4.0, 1), float(rng.uniform(0.1, 3.0))
+        got = lax_oleinik_bruteforce(net.initial_values, net.lagrangian, x, t, OracleConfig(pts))
+        assert np.float64(got).tobytes() == _unblocked_bruteforce(net, x, t, pts)
+
+
+def test_bruteforce_all_infinite_raises_in_every_block(monkeypatch):
+    monkeypatch.setattr(numeric, "GRID_BLOCK", 7)
+    net = clipped_quadratic_net_1d()
+    hstar = lambda v: np.where((v[:, 0] >= 35.0) & (v[:, 0] <= 36.0), 0.0, np.inf)
+    with pytest.raises(OracleDomainError, match="all grid terms are"):
+        lax_oleinik_bruteforce(net.initial_values, hstar, [10.0], 1.0, OracleConfig(101))
+
+
+@pytest.mark.parametrize("bad, message", [(np.nan, "produced NaN"), (-np.inf, "produced -inf")])
+def test_bruteforce_refuses_nan_and_neginf_conjugate_values(bad, message):
+    # H* is validated once, after scaling by t > 0, which keeps NaN and -inf.
+    net = clipped_quadratic_net_1d()
+    hstar = lambda v: np.where(v[:, 0] > 3.0, bad, 0.0)
+    with pytest.raises(ValueError, match=message):
+        lax_oleinik_bruteforce(net.initial_values, hstar, [0.0], 0.5, OracleConfig(101))
+
+
+def test_bruteforce_memory_does_not_grow_with_the_grid():
+    # 2,000,001 u-points: one block at a time keeps the peak far below the
+    # 16 MB of the grid alone (the whole-grid scan peaked at 126 MiB).
+    net = load_problem(CONFIG_DIR / "clipped1d.cfg").build_net()
+    x, t, pts = np.array([0.7]), 1.3, 2_000_001
+    tracemalloc.start()
+    try:
+        got = lax_oleinik_bruteforce(net.initial_values, net.lagrangian, x, t, OracleConfig(pts))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert np.float64(got).tobytes() == _unblocked_bruteforce(net, x, t, pts)
 
 
 def test_velocity_form_allows_time_zero():

@@ -25,7 +25,9 @@ rows in 5-D (mostly LP fallback), a 3-row 1-D LP, the stacked solve of
 the 2-D ``pwa2d`` velocity grid at ``--pts 21`` (441 targets),
 ``verify_report`` on the shipped ``clipped1d`` (10 samples, pts 40001),
 ``pwa1d`` (10 samples, pts 4001) and ``pwa10d`` (30 samples, residual
-only) problems, and a one-row ``solution_grid`` on the linf Hamiltonian
+only) problems, one sample of the position-form oracle
+(``lax_oleinik_bruteforce``) on ``clipped1d`` at pts 40001 and at
+2,000,001, and a one-row ``solution_grid`` on the linf Hamiltonian
 net at n = 1000 (m = 2000) and on a ``shifted_norm_plus`` net with m = 64
 branches in 1000-D.
 """
@@ -91,6 +93,14 @@ def kernels(hj):
         for name in ("clipped1d", "pwa1d", "pwa10d")
     }
     verify = hj.oracle.verify_report
+    clipped = problems["clipped1d"]
+
+    def position_oracle(pts):
+        cfg = hj.oracle.OracleConfig(pts)
+        return lambda: hj.oracle.lax_oleinik_bruteforce(
+            clipped.initial_values, clipped.lagrangian, np.array([0.7]), 1.3, cfg
+        )
+
     linf = importlib.import_module(f"{hj.__name__}.presets").linf_hamiltonian_net(1000)
     snp_rng = np.random.default_rng(2)
     snp = hj.lagrangian.LagrangianNet(
@@ -107,6 +117,8 @@ def kernels(hj):
         "stack_pwa2d_441": lambda: simplex.minimize_over_simplex(pwa_offsets, pwa_rows, grid),
         "verify_clipped1d_10": lambda: verify(problems["clipped1d"], 10, 0, hj.oracle.OracleConfig(40001)),
         "verify_pwa1d_10": lambda: verify(problems["pwa1d"], 10, 0, hj.oracle.OracleConfig(4001)),
+        "oracle_clipped1d_40001": position_oracle(40001),
+        "oracle_clipped1d_2000001": position_oracle(2_000_001),
         "verify_pwa10d_30": lambda: verify(
             problems["pwa10d"], 30, 0, hj.oracle.OracleConfig(3), residual_only=True
         ),
