@@ -161,8 +161,10 @@ class ClippedQuadratic1D(ConvexFn):
     uniformly_lipschitz = True
 
     def _values(self, pts):
-        x = pts[:, 0]
-        return np.where(x < -1.0, -x - 0.5, np.where(x > 2.0, 2.0 * x - 2.0, 0.5 * x * x))
+        # c (x - c/2) with c = clip(x, -1, 2) is -x - 1/2, x^2/2 or 2x - 2
+        # with the same bits as each piece's own formula; + 0.0 turns -0 to +0.
+        c = pts[:, 0].clip(-1.0, 2.0)
+        return c * (pts[:, 0] - 0.5 * c) + 0.0
 
     def _recession(self, pts):
         d = pts[:, 0]

@@ -7,13 +7,16 @@ Pivot tolerance 1e-10.
 
 There is one implementation of the set-up, phase 1, drive-out, phase 2 and
 weights, on a (k, n) stack of targets sharing the costs and points: one
-(k, n + 2, m + n + 2) tableau stack, in blocks of about 2 MiB.  A single
-target is a stack of one and gets its weights and optimal basis; a stacked
-solve returns only the k optimal values.  The stack's size alone picks the
-pivot kernel: a lone LP pivots on its one tableau, a larger stack runs
-every pivot, ratio test and tie-break on all LPs still pivoting at once.
-Both kernels make the same pivots with the same floats, so each stacked
-value is bit for bit the value of solving its target alone.
+(k, n + 2, m + n + 2) tableau stack, in blocks of about 2 MiB.  Both phases
+run on that one tableau: the drive-out zeroes the structural entries of a
+redundant constraint row, so no phase-2 pivot touches it, and each LP's
+basis row is its own optimal basis.  A single target is a stack of one and
+gets its weights and optimal basis; a stacked solve returns only the k
+optimal values.  The stack's size alone picks the pivot kernel: a lone LP
+pivots on its one tableau, a larger stack runs every pivot, ratio test and
+tie-break on all LPs still pivoting at once.  Both kernels make the same
+pivots with the same floats, so each stacked value is bit for bit the value
+of solving its target alone.
 
 The lower-envelope certificate screens all rows at once with witness
 gradients checked by one blocked Gram product and solves the LP only for
@@ -55,13 +58,14 @@ STACK_BLOCK = 1 << 18
 class SimplexSolution:
     """Outcome of a simplex solve: +inf value and no weights when infeasible.
 
-    ``basis`` is the optimal basis ``(columns, redundant)``: the basic
-    structural columns and the constraint rows of ``[V^T; 1]`` dropped as
-    combinations of the others, so that the remaining rows restricted to
-    the columns form a square, invertible matrix.  A dropped row is named
-    by its artificial variable, the one left basic in a tableau row with no
-    structural entry, which need not be that tableau row's own.  None when
-    infeasible.
+    ``basis`` is the optimal basis row of the tableau split in two,
+    ``(columns, redundant)``: its structural columns, in row order, and its
+    artificial indices minus m, the constraint rows of ``[V^T; 1]`` that
+    are combinations of the others, so that the remaining rows restricted
+    to the columns form a square, invertible matrix.  A redundant row is
+    named by its artificial variable, the one left basic in a tableau row
+    whose structural entries the drive-out zeroed, which need not be that
+    tableau row's own.  None when infeasible.
     """
 
     value: float
@@ -90,14 +94,16 @@ def _pivot_limit(tableau, n_cols: int) -> int:
 
 
 def _bland_iterate(tableau, basis, n_cols):
-    """Minimize the tableau objective with Bland's rule.
+    """Minimize the tableau objective with Bland's rule; only the first
+    ``n_cols`` columns enter.
 
     ``tableau`` rows are the constraints plus a final reduced-cost row; the
     last column is the right-hand side.  Returns 'optimal' or 'unbounded';
-    raises RuntimeError past :func:`_pivot_limit` pivots.
+    raises RuntimeError past :func:`_pivot_limit` pivots, the bases over all
+    columns but the right-hand side.
     """
     costs, rhs = tableau[-1, :n_cols], tableau[:-1, -1]  # views: pivots are in place
-    limit, pivots = _pivot_limit(tableau, n_cols), 0
+    limit, pivots = _pivot_limit(tableau, tableau.shape[-1] - 1), 0
     while True:
         negative = costs < -PIVOT_TOL
         col = negative.argmax()  # smallest index: Bland's entering rule
@@ -175,7 +181,7 @@ def _bland_stack(tableau, basis, n_cols):
     RuntimeError past :func:`_pivot_limit` pivots.
     """
     work, ids, bases = tableau, np.arange(len(tableau)), basis
-    limit, pivots = _pivot_limit(tableau, n_cols), 0
+    limit, pivots = _pivot_limit(tableau, tableau.shape[-1] - 1), 0
     while ids.size:
         negative = work[:, -1, :n_cols] < -PIVOT_TOL
         running = negative.any(axis=1)
@@ -222,9 +228,10 @@ def _minimize_stack(costs, points, targets):
     and, for a feasible stack of one, that LP's weights and
     :attr:`SimplexSolution.basis`; else None and None.
 
-    Every step runs on all LPs still pivoting at once, and each LP runs the
-    float operations of solving it alone, in the same order, whatever the
-    stack holds besides it.
+    Both phases pivot the one (k, n + 2, m + n + 2) tableau stack.  Every
+    step runs on all LPs still pivoting at once, and each LP runs the float
+    operations of solving it alone, in the same order, whatever the stack
+    holds besides it.
     """
     k, n = targets.shape
     m = points.shape[0]
@@ -254,49 +261,48 @@ def _minimize_stack(costs, points, targets):
     feasible = (~(-tableau[:, -1, -1] > FEASIBILITY_TOL)).nonzero()[0]
     tableau, basis = tableau[feasible], basis[feasible]
 
-    # Drive leftover artificials out of the basis, row by row; a row whose
-    # basic artificial has no structural entry is redundant and leaves
-    # ``kept``.  A pivot changes only its own row's basis entry, so only the
-    # rows with a basic artificial after phase 1 need a visit.
-    kept = np.ones(basis.shape, dtype=bool)
+    # Drive leftover artificials out of the basis, row by row.  A row whose
+    # basic artificial has no structural entry is redundant: its structural
+    # entries are zeroed, so no later pivot touches it, and its artificial
+    # stays basic and names it.  A pivot changes only its own row's basis
+    # entry, so only the rows with a basic artificial after phase 1 need a
+    # visit.
     for i in (basis >= m).any(axis=0).nonzero()[0]:
         lps = (basis[:, i] >= m).nonzero()[0]
         structural = np.abs(tableau[lps, i, :m]) > PIVOT_TOL
         found = structural.any(axis=1)
-        kept[lps[~found], i] = False
+        tableau[lps[~found], i, :m] = 0.0
         lps = lps[found]
         if lps.size:
             sub, sub_basis = tableau[lps], basis[lps]
             _pivot_stack(sub, sub_basis, np.full(lps.size, i), structural[found].argmax(axis=1))
             tableau[lps], basis[lps] = sub, sub_basis
 
-    # Phase 2 on structural columns only, one stack per kept-row pattern.
+    # Phase 2 on the same tableau: the costs, padded with zeros, replace the
+    # objective row, which is reduced over the basis in row order; only
+    # structural columns enter.
+    lps = np.arange(len(tableau))
+    obj = tableau[:, -1]
+    obj[:] = np.concatenate((costs, np.zeros(n_rows + 1)))
+    for i, columns in enumerate(basis.T):
+        obj -= obj[lps, columns, None] * tableau[:, i]
+    if _bland(tableau, basis, m) != "optimal":
+        raise RuntimeError("LP over the unit simplex cannot be unbounded")
+
+    # The weights: each row's right-hand side scattered to its basic column;
+    # the artificial columns, a redundant row's among them, are cut off.
+    alpha = np.zeros((len(tableau), m + n_rows))
+    alpha[lps[:, None], basis] = tableau[:, :-1, -1]
+    alpha = alpha[:, :m]
+    alpha[np.abs(alpha) < 1e-12] = 0.0
+    # Each row of ``costs @ alpha[:, :, None]`` is a vector @ vector matmul,
+    # the kernel of ``costs @ alpha`` on one LP, so a value does not depend
+    # on its stack (``alpha @ costs`` would).
     values = np.full(k, np.inf)
-    for pattern in kept[:1] if kept.all() else np.unique(kept, axis=0):
-        group = (kept == pattern).all(axis=1).nonzero()[0]
-        rows = pattern.nonzero()[0]
-        lps = np.arange(len(group))
-        tableau2 = np.zeros((len(group), rows.size + 1, m + 1))
-        tableau2[:, :-1, :m] = tableau[group[:, None], rows, :m]
-        tableau2[:, :-1, -1] = tableau[group[:, None], rows, -1]
-        group_basis = basis[group[:, None], rows]
-        obj = tableau2[:, -1]
-        obj[:, :m] = costs
-        for i, columns in enumerate(group_basis.T):
-            obj -= obj[lps, columns, None] * tableau2[:, i]
-
-        if _bland(tableau2, group_basis, m) != "optimal":
-            raise RuntimeError("LP over the unit simplex cannot be unbounded")
-
-        alpha = np.zeros((len(group), m))
-        alpha[lps[:, None], group_basis] = tableau2[:, :-1, -1]
-        alpha[np.abs(alpha) < 1e-12] = 0.0
-        # Each row of ``costs @ alpha[:, :, None]`` is a vector @ vector
-        # matmul, the kernel of ``costs @ alpha`` on one LP, so a value does
-        # not depend on its stack (``alpha @ costs`` would).
-        values[feasible[group]] = (costs @ alpha[:, :, None])[:, 0]
+    values[feasible] = (costs @ alpha[:, :, None])[:, 0]
     if k == 1 and feasible.size:
-        return values, alpha[0], (group_basis[0].tolist(), (basis[0, ~kept[0]] - m).tolist())
+        row = basis[0]
+        return values, alpha[0], (row[row < m].tolist(), (row[row >= m] - m).tolist())
     return values, None, None
 
 

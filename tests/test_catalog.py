@@ -39,6 +39,21 @@ def test_clipped_quadratic_values():
     assert L(1.0) == 0.5
 
 
+def test_clipped_quadratic_matches_its_three_pieces_bit_for_bit():
+    # The one-clip formula against the piecewise definition, at the
+    # breakpoints and their neighbours, signed zeros, subnormals, huge and
+    # infinite values, and random values on every piece.
+    edges = [-1.0, 2.0, 0.0, -0.0, 5e-324, -5e-324, 3e-323, 2.2e-308, -2.2e-308]
+    edges += [1e308, -1e308, INF, -INF]
+    edges += [np.nextafter(b, d) for b in (-1.0, 2.0, 0.0) for d in (-INF, INF)]
+    rng = np.random.default_rng(0)
+    x = np.concatenate([edges, rng.uniform(-4.0, 5.0, 10_000), rng.normal(scale=1e6, size=1_000)])
+    with np.errstate(over="ignore"):
+        want = np.where(x < -1.0, -x - 0.5, np.where(x > 2.0, 2.0 * x - 2.0, 0.5 * x * x))
+        got = ClippedQuadratic1D()._values(x[:, None])
+    assert got.tobytes() == want.tobytes()
+
+
 def test_interval_quadratic_values():
     H = IntervalQuadratic1D()
     assert H(3.0) == INF

@@ -45,6 +45,17 @@ def test_time_zero_reduces_to_initial_data():
             assert res.argmin_index == 1
 
 
+def test_single_branch_batches():
+    # One branch: every row's argmin is 1 and its gap +inf, and the values
+    # are those of the single-point path.
+    net = InitialDataNet(ConcaveFn(HalfSquaredNorm()), [[0.5, -1.0]], [0.25])
+    points = np.random.default_rng(4).uniform(-3.0, 3.0, (7, 2))
+    for t in (0.0, 1.7):
+        values, argmins, gaps = net.solution_grid(points, t)
+        assert (argmins == 1).all() and (gaps == np.inf).all()
+        assert values.tolist() == [net.evaluate(x, t).value for x in points]
+
+
 def test_negative_time_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
         concave_quadratic_net_1d().evaluate([0.0], -0.5)

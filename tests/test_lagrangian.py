@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,29 @@ def test_single_branch_net():
     assert res.value == pytest.approx(1.7 * 0.0 + 0.75)
     assert res.argmin_index == 1
     assert res.gap == float("inf")
+
+
+def test_single_branch_batches():
+    # One branch: every row's argmin is 1 and its gap +inf, and the values
+    # are those of the single-point path.
+    net = LagrangianNet(PNorm(2), [[1.0, 2.0]], [0.75])
+    points = np.random.default_rng(4).uniform(-3.0, 3.0, (7, 2))
+    for t in (0.0, 1.7):
+        values, argmins, gaps = net.solution_grid(points, t)
+        assert (argmins == 1).all() and (gaps == np.inf).all()
+        point = net.initial_value if t == 0 else lambda x: net.evaluate(x, t)
+        assert values.tolist() == [point(x).value for x in points]
+
+
+@pytest.mark.parametrize("p, margin", [(1, 0.25), (2, math.sqrt(2.5625)), (math.inf, 1.0)])
+def test_pnorm_kink_margin_is_the_distance_to_the_kinks(p, margin):
+    # Branch 2's argument at t = 2 is (x - u_2) / 2 = (0.5, -0.25, 1.5): the
+    # l1 norm kinks where a coordinate vanishes, l2 only at the origin, and
+    # linf where the two largest magnitudes tie.
+    net = LagrangianNet(PNorm(p), [[0.0, 0.0, 0.0], [1.0, 1.0, -1.0]], [0.0, 0.3])
+    assert net.kink_margin([2.0, 0.5, 2.0], 2.0, 2) == pytest.approx(margin, rel=1e-15)
+    # In 1-D every norm is |z|, with its one kink at 0.
+    assert LagrangianNet(PNorm(p), [[0.5]], [0.0]).kink_margin([1.5], 4.0, 1) == 0.25
 
 
 def test_evaluate_rejects_nonpositive_time():

@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 from pathlib import Path
@@ -11,6 +12,7 @@ import hjeval.simplex as simplex
 from hjeval.catalog import ConcaveFn, HalfSquaredNorm, PNorm, ensure_extended
 from hjeval.config import load_problem
 from hjeval.initialdata import InitialDataNet
+from hjeval.lagrangian import LagrangianNet
 from hjeval.oracle import (
     FD_STEP,
     MAX_ORACLE_LPS,
@@ -504,6 +506,19 @@ def test_verify_report_deterministic_and_serializable():
     assert kv["passed"] == "true"
     assert float(kv["max_oracle_gap"]) <= 2e-3
     assert "PASS" in rep1.to_text()
+
+
+@pytest.mark.parametrize("p", [1, 2, math.inf])
+@pytest.mark.parametrize("n, pts", [(1, 801), (2, 161)])
+def test_verify_passes_on_pnorm_nets(n, pts, p):
+    # S = min_i |x - u_i|_p + a_i for every t > 0, and the oracle's grid
+    # holds the point itself, its own minimizer.  Samples are screened
+    # through the norm's kink margin.
+    rng = np.random.default_rng(0)
+    net = LagrangianNet(PNorm(p), rng.uniform(-2.0, 2.0, (3, n)), rng.uniform(0.0, 1.0, 3))
+    report = verify_report(net, 6, 0, OracleConfig(pts))
+    assert report.passed and report.screened_count > 0
+    assert report.max_oracle_gap <= 1e-12 and report.max_residual <= 1e-10
 
 
 def test_verify_report_high_dimension_needs_residual_only():

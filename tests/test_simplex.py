@@ -355,7 +355,8 @@ def test_certificate_refuses_empty_or_nonfinite_pairs():
 
 def _stack_sets():
     """(name, points, costs) sets: paraboloids, zero-offset norm rows (ties),
-    collinear rows (a redundant constraint row), and one point of cost -0."""
+    collinear rows (a redundant constraint row), one point of cost -0, and a
+    large-magnitude line in 4-D (redundant rows that rounding nearly hides)."""
     rng = np.random.default_rng(5)
     for n, m in ((2, 10), (3, 14), (2, 40)):
         points, costs = _paraboloid(rng, n, m)
@@ -370,6 +371,12 @@ def _stack_sets():
     # phase 1, so a dropped row's artificial is not the row's own.
     points = np.array([[-4.0, 3.0, 2.0], [2.0, -3.0, -1.0], [-2.0, 1.0, 1.0], [2.0, -3.0, -1.0]])
     yield "collinear3d", points, np.array([1.0, 1.0, -1.0, 0.0])
+    # Nine points on a line in R^4 at scale 4e4: three constraint rows are
+    # redundant, and rounding leaves their structural entries near the pivot
+    # tolerance, where later pivots would lift them unless they are zeroed.
+    rng = np.random.default_rng(44)
+    line = rng.normal(size=(9, 1)) @ rng.normal(size=(1, 4)) + rng.normal(size=4)
+    yield "flat4d", 4e4 * line, rng.uniform(-1e3, 1e3, 9)
 
 
 def _stack_targets(points, seed):
@@ -408,7 +415,7 @@ def test_stacked_targets_equal_one_target_solves_bit_for_bit(monkeypatch, block)
         assert any(sol.feasible for sol in alone) and not all(sol.feasible for sol in alone)
         for i, sol in enumerate(alone):
             assert stacked[i].hex() == sol.value.hex(), (name, i)
-        if name.startswith("collinear"):
+        if name.startswith(("collinear", "flat")):
             assert all(sol.basis[1] for sol in alone if sol.feasible)
 
 

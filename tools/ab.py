@@ -22,7 +22,9 @@ as many calls as fill about 20 ms.  Per kernel it prints:
 Kernels: the envelope certificate of a planted violation (10-D, m = 100),
 that set's one fallback LP, the certificate of b = |v|^4/4 on 200 Gaussian
 rows in 5-D (mostly LP fallback), a 3-row 1-D LP, the stacked solve of
-the 2-D ``pwa2d`` velocity grid at ``--pts 21`` (441 targets),
+the 2-D ``pwa2d`` velocity grid at ``--pts 21`` (441 targets), the stacked
+solve of a 21 x 21 grid on a plane of 12 points in R^4, whose LPs drop
+different pairs of redundant rows, and one LP at that set's centroid,
 ``verify_report`` on the shipped ``clipped1d`` (10 samples, pts 40001),
 ``pwa1d`` (10 samples, pts 4001) and ``pwa10d`` (30 samples, residual
 only) problems, one sample of the position-form oracle
@@ -73,6 +75,12 @@ def _paraboloid(rng, n, m):
     return rows, 0.5 * (rows * rows).sum(axis=1)
 
 
+def _grid21(rows):
+    """The 21 x 21 grid over the bounding box of 2-D ``rows``, as (441, 2) rows."""
+    axes = [np.linspace(lo, hi, 21) for lo, hi in zip(rows.min(axis=0), rows.max(axis=0))]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
 def kernels(hj):
     """Name -> zero-argument callable, each built from the package ``hj``."""
     simplex = hj.simplex
@@ -86,8 +94,14 @@ def kernels(hj):
     quartic_offsets = 0.25 * (quartic * quartic).sum(axis=1) ** 2
     pwa_rows = np.array([[-1.0, 0.0], [1.0, 1.0], [0.0, -1.0]])
     pwa_offsets = np.array([0.5, 0.0, 1.0])
-    axes = [np.linspace(lo, hi, 21) for lo, hi in zip(pwa_rows.min(axis=0), pwa_rows.max(axis=0))]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    grid = _grid21(pwa_rows)
+    # Twelve points on a plane in R^4: two constraint rows are redundant, and
+    # which two an LP drops varies over the grid on the plane.
+    plane_rng = np.random.default_rng(2)
+    coords = plane_rng.normal(size=(12, 2))
+    frame, origin = plane_rng.normal(size=(2, 4)), plane_rng.normal(size=4)
+    plane, plane_costs = coords @ frame + origin, 0.5 * (coords * coords).sum(axis=1)
+    plane_grid = _grid21(coords) @ frame + origin
     problems = {
         name: hj.config.load_problem(ROOT / "configs" / f"{name}.cfg").build_net()
         for name in ("clipped1d", "pwa1d", "pwa10d")
@@ -115,6 +129,8 @@ def kernels(hj):
         ),
         "lp1d_3rows": lambda: simplex.minimize_over_simplex([0.5, -5.0, 1.0], [[-2.0], [0.0], [2.0]], [1.0]),
         "stack_pwa2d_441": lambda: simplex.minimize_over_simplex(pwa_offsets, pwa_rows, grid),
+        "stack_plane4d_441": lambda: simplex.minimize_over_simplex(plane_costs, plane, plane_grid),
+        "lp_plane4d_m12": lambda: simplex.minimize_over_simplex(plane_costs, plane, plane.mean(axis=0)),
         "verify_clipped1d_10": lambda: verify(problems["clipped1d"], 10, 0, hj.oracle.OracleConfig(40001)),
         "verify_pwa1d_10": lambda: verify(problems["pwa1d"], 10, 0, hj.oracle.OracleConfig(4001)),
         "oracle_clipped1d_40001": position_oracle(40001),
