@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import ConcaveFn, HalfSquaredNorm, ShiftedNormPlus
-from .initialdata import InitialDataNet, norm_hamiltonian_rows
+from .catalog import ShiftedNormPlus
 from .lagrangian import LagrangianNet
+from .presets import linf_hamiltonian_net
 
 __all__ = ["BenchRow", "synthetic_net", "run_bench", "bench_csv"]
 __all__ += ["BENCH_MAX_LINF_DIMENSION", "BENCH_MAX_FLOATS", "BENCH_MAX_WORK"]
@@ -56,8 +56,7 @@ def synthetic_net(architecture: str, n: int, m: int, seed: int = 0):
         offsets = rng.uniform(-1.0, 1.0, m)
         return LagrangianNet(ShiftedNormPlus(), shifts, offsets)
     if architecture == "arch2":
-        rows, offsets = norm_hamiltonian_rows("linf", n)
-        return InitialDataNet(ConcaveFn(HalfSquaredNorm()), rows, offsets)
+        return linf_hamiltonian_net(n)
     raise ValueError(f"unknown architecture {architecture!r}")
 
 
@@ -65,14 +64,19 @@ def run_bench(architecture: str, dims, m: int, reps: int, seed: int = 0) -> list
     """Mean single-point evaluation time per dimension, over reps × 1000 points.
 
     Refuses, before any net is built, an empty ``dims``, a dimension below 1,
-    ``reps`` below 1, and work above the construction or run-time budget.
+    arch1's ``m`` below 1, ``reps`` below 1, a negative ``seed``, and work
+    above the construction or run-time budget.
     """
     if not dims:
         raise ValueError("dims must be nonempty")
     if min(dims) < 1:
         raise ValueError(f"dims: every dimension must be at least 1, got {min(dims)}")
+    if architecture == "arch1" and m < 1:
+        raise ValueError(f"m: the arch1 net needs at least one branch, got {m}")
     if reps < 1:
         raise ValueError("reps must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed: must be nonnegative, got {seed}")
     if architecture == "arch2" and max(dims) > BENCH_MAX_LINF_DIMENSION:
         raise ValueError(
             f"dims: the arch2 net at n={max(dims)} exceeds the construction budget "

@@ -399,11 +399,13 @@ def verify_report(
     centered-difference residual (asserted into pass/fail only where the
     sample passes screening).  Oracle comparison needs n <= 3; pass
     ``residual_only=True`` to skip it in higher dimension.  Negative
-    ``samples`` is refused; zero gives an empty report that passes, and
-    builds no oracle.
+    ``samples`` or ``seed`` is refused; zero samples give an empty report
+    that passes, and build no oracle.
     """
     if samples < 0:
         raise ValueError(f"samples: must be nonnegative, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed: must be nonnegative, got {seed}")
     if not residual_only and net.dimension > 3:
         raise ValueError(
             "oracle comparison is refused above 3 dimensions; "

@@ -16,11 +16,13 @@ optimal values.  The stack's size alone picks the pivot kernel: a lone LP
 pivots on its one tableau, a larger stack runs every pivot, ratio test and
 tie-break on all LPs still pivoting at once.  Both kernels make the same
 pivots with the same floats, so each stacked value is bit for bit the value
-of solving its target alone.
+of solving its target alone.  Neither phase can be unbounded, so a kernel
+that finds an entering column with no positive entry raises RuntimeError.
 
 The lower-envelope certificate screens all rows at once with witness
 gradients checked by one blocked Gram product and solves the LP only for
-the rows the screen leaves; :func:`check_witnesses` re-checks its evidence.
+the rows the screen leaves, whose witnesses are least-squares duals of their
+optimal bases; :func:`check_witnesses` re-checks its evidence.
 """
 
 from __future__ import annotations
@@ -98,9 +100,10 @@ def _bland_iterate(tableau, basis, n_cols):
     ``n_cols`` columns enter.
 
     ``tableau`` rows are the constraints plus a final reduced-cost row; the
-    last column is the right-hand side.  Returns 'optimal' or 'unbounded';
-    raises RuntimeError past :func:`_pivot_limit` pivots, the bases over all
-    columns but the right-hand side.
+    last column is the right-hand side.  Returns at the optimum; raises
+    RuntimeError on an entering column with no positive entry (unbounded),
+    and past :func:`_pivot_limit` pivots, the bases over all columns but the
+    right-hand side.
     """
     costs, rhs = tableau[-1, :n_cols], tableau[:-1, -1]  # views: pivots are in place
     limit, pivots = _pivot_limit(tableau, tableau.shape[-1] - 1), 0
@@ -108,11 +111,11 @@ def _bland_iterate(tableau, basis, n_cols):
         negative = costs < -PIVOT_TOL
         col = negative.argmax()  # smallest index: Bland's entering rule
         if not negative[col]:
-            return "optimal"
+            return
         column = tableau[:-1, col]
         rows = (column > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
-            return "unbounded"
+            raise RuntimeError(f"unbounded: entering column {col} has no positive entry")
         ratios = rhs[rows] / column[rows]
         tied = rows[ratios <= ratios.min() + 1e-12]
         # Smallest basic index on ties.
@@ -177,8 +180,9 @@ def _bland_stack(tableau, basis, n_cols):
 
     Each iteration pivots every LP that is not yet optimal, with its own
     entering column, ratio test and tie-break; an optimal LP leaves the
-    working stack.  Returns 'optimal', or 'unbounded' if any LP is; raises
-    RuntimeError past :func:`_pivot_limit` pivots.
+    working stack.  Returns when every LP is optimal; raises RuntimeError
+    where an entering column has no positive entry, and past
+    :func:`_pivot_limit` pivots.
     """
     work, ids, bases = tableau, np.arange(len(tableau)), basis
     limit, pivots = _pivot_limit(tableau, tableau.shape[-1] - 1), 0
@@ -197,7 +201,7 @@ def _bland_stack(tableau, basis, n_cols):
         column = work[np.arange(len(work)), :-1, cols]
         positive = column > PIVOT_TOL
         if not positive.any(axis=1).all():
-            return "unbounded"
+            raise RuntimeError("unbounded: an entering column has no positive entry")
         ratios = np.full(column.shape, np.inf)
         np.divide(work[:, :-1, -1], column, out=ratios, where=positive)
         tied = positive & (ratios <= ratios.min(axis=1, keepdims=True) + 1e-12)
@@ -206,7 +210,6 @@ def _bland_stack(tableau, basis, n_cols):
             raise RuntimeError(f"Bland's rule cycled: more pivots than the {limit} bases")
         pivots += 1
         _pivot_stack(work, bases, rows, cols)
-    return "optimal"
 
 
 def _bland(tableau, basis, n_cols):
@@ -215,11 +218,11 @@ def _bland(tableau, basis, n_cols):
     costs less numpy dispatch a pivot; a larger stack, in :func:`_bland_stack`.
     Both make the same pivots with the same floats."""
     if len(tableau) != 1:
-        return _bland_stack(tableau, basis, n_cols)
+        _bland_stack(tableau, basis, n_cols)
+        return
     lone = basis[0].tolist()
-    status = _bland_iterate(tableau[0], lone, n_cols)
+    _bland_iterate(tableau[0], lone, n_cols)
     basis[0] = lone
-    return status
 
 
 def _minimize_stack(costs, points, targets):
@@ -256,8 +259,7 @@ def _minimize_stack(costs, points, targets):
     basis = np.empty((k, n_rows), dtype=int)
     basis[:] = np.arange(m, m + n_rows)
 
-    if _bland(tableau, basis, m + n_rows) != "optimal":
-        raise RuntimeError("phase-1 objective is bounded below by construction")
+    _bland(tableau, basis, m + n_rows)
     feasible = (~(-tableau[:, -1, -1] > FEASIBILITY_TOL)).nonzero()[0]
     tableau, basis = tableau[feasible], basis[feasible]
 
@@ -286,8 +288,7 @@ def _minimize_stack(costs, points, targets):
     obj[:] = np.concatenate((costs, np.zeros(n_rows + 1)))
     for i, columns in enumerate(basis.T):
         obj -= obj[lps, columns, None] * tableau[:, i]
-    if _bland(tableau, basis, m) != "optimal":
-        raise RuntimeError("LP over the unit simplex cannot be unbounded")
+    _bland(tableau, basis, m)
 
     # The weights: each row's right-hand side scattered to its basic column;
     # the artificial columns, a redundant row's among them, are cut off.
@@ -406,21 +407,19 @@ def check_witnesses(points, offsets, witnesses) -> np.ndarray:
     return _slack(points, offsets, witnesses, np.arange(len(points)), np.zeros((1, len(points))))[0]
 
 
-def _basis_witness(points, offsets, basis) -> np.ndarray:
-    """Witness from an optimal basis of the row-k LP: the dual y of the equality rows.
+def _basis_witness(points, offsets, columns) -> np.ndarray:
+    """Witness from the optimal basis ``columns`` of the row-k LP: a dual y
+    of the equality rows.
 
-    Solves A_B^T y = c_B for the unflipped A = [V^T; 1], which undoes the
-    solver's row flips, with redundant rows held at y = 0.  Dual
-    feasibility <y[:n], v_i> + y[n] <= b_i and the optimal value
-    <y[:n], v_k> + y[n] make p = y[:n] a witness for row k.
+    Takes the least-squares solution of A_B^T y = c_B for the unflipped
+    A = [V^T; 1], which undoes the solver's row flips.  A redundant row is
+    a combination of the other rows in every column, so every solution
+    prices every column alike and is a dual of the basis; a singular A_B
+    needs no special case.  Dual feasibility <y[:n], v_i> + y[n] <= b_i and
+    the optimal value <y[:n], v_k> + y[n] make p = y[:n] a witness for row k.
     """
-    columns, redundant = basis
-    n = points.shape[1]
-    rows = [i for i in range(n + 1) if i not in redundant]
-    a_b = np.vstack([points[columns].T, np.ones(len(columns))])[rows]
-    y = np.zeros(n + 1)
-    y[rows] = np.linalg.solve(a_b.T, offsets[columns])
-    return y[:n]
+    a_b = np.vstack([points[columns].T, np.ones(len(columns))])
+    return np.linalg.lstsq(a_b.T, offsets[columns])[0][: points.shape[1]]
 
 
 def lower_envelope_certificate(points, offsets) -> EnvelopeCertificate:
@@ -441,7 +440,8 @@ def lower_envelope_certificate(points, offsets) -> EnvelopeCertificate:
        large-magnitude data falls through to the LP.
     2. LP fallback: the remaining rows, in index order, solve the LP with
        :func:`minimize_over_simplex`, which stays the authority.
-       The witness of a certified row is the dual of its optimal basis.
+       The witness of a certified row is a least-squares dual of its
+       optimal basis.
        The first violated row (smallest k) is reported with its minimizing
        weights and envelope value, exactly as the LP alone would.
     """
@@ -466,7 +466,7 @@ def lower_envelope_certificate(points, offsets) -> EnvelopeCertificate:
         if sol.value < offsets[k] - ENVELOPE_TOL:
             screened = (int(accepted.sum()), int(np.searchsorted(fallback, k)))
             return EnvelopeCertificate(False, int(k) + 1, sol.weights, sol.value, screened=screened)
-        witnesses[k] = _basis_witness(points, offsets, sol.basis)
+        witnesses[k] = _basis_witness(points, offsets, sol.basis[0])
     if fallback.size:
         zero = np.zeros((1, fallback.size))
         slack[fallback] = _slack(points, offsets, witnesses[fallback], fallback, zero)[0]

@@ -106,6 +106,8 @@ def test_dimension_mismatch_rejected():
         ClippedQuadratic1D()([1.0, 2.0])
     with pytest.raises(ValueError, match="dimension mismatch"):
         MaxAffine([[1.0, 0.0]], [0.0])([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="ndim=3"):
+        PNorm(2)(np.zeros((2, 2, 2)))
 
 
 def test_nonfinite_points_rejected():
@@ -240,6 +242,8 @@ def test_flags():
     assert not IntervalQuadratic1D().finite_everywhere
     assert not NormOnBall().finite_everywhere
     assert not UnitBallIndicator(2).finite_everywhere
+    with pytest.raises(ValueError, match="ball exponent must be 1, 2 or inf"):
+        UnitBallIndicator(ball=3)
     for f in FINITE_FNS:
         assert f.finite_everywhere
     assert not HalfSquaredNorm().uniformly_lipschitz
@@ -258,6 +262,18 @@ def test_smoothness_margins():
     assert HalfSquaredNorm().smoothness_margin([5.0]) == INF
     f = MaxAffine([[1.0], [-1.0]], [0.0, 0.0])
     assert f.smoothness_margin([0.25]) == pytest.approx(0.5)  # top-two value gap
+    assert MaxAffine([[1.0]], [0.0]).smoothness_margin([3.0]) == INF  # one piece, no kink
+    # Distances to the domain's end points -1 and 2.
+    assert IntervalQuadratic1D().smoothness_margin([0.5]) == 1.5
+    assert IntervalQuadratic1D().smoothness_margin([1.75]) == 0.25
+    # Distance of the ball's own norm from 1.
+    assert UnitBallIndicator(2).smoothness_margin([0.6, 0.8]) == pytest.approx(0.0, abs=1e-15)
+    assert UnitBallIndicator(1).smoothness_margin([0.5, -0.25]) == 0.25
+    assert UnitBallIndicator(INF).smoothness_margin([0.5, -1.5]) == 0.5
+    # The kink at 0 or the sphere, whichever is nearer.
+    assert NormOnBall().smoothness_margin([0.0, 0.0]) == 0.0
+    assert NormOnBall().smoothness_margin([0.0, 0.25]) == 0.25
+    assert NormOnBall().smoothness_margin([0.0, -0.875]) == 0.125
 
 
 def test_concave_wrapper():

@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hjeval.bench import run_bench, synthetic_net
 from hjeval.cli import main
 from hjeval.initialdata import InitialDataNet
 from hjeval.output import render_pgm
+from hjeval.presets import linf_hamiltonian_net
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC = CONFIG_DIR.parent / "src"
@@ -390,6 +392,55 @@ def test_bench_refuses_dimensions_below_one(monkeypatch, capsys, architecture, d
     assert main(["bench", "--architecture", architecture, "--dims", dims, "--reps", "1"]) == 1
     assert "error: dims:" in capsys.readouterr().err
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--architecture", "arch1", "--dims", "2", "--m", "0"], "error: m: the arch1 net needs at least one branch, got 0"),
+        (["--architecture", "arch1", "--dims", "2", "--m", "-1"], "error: m: "),
+        (["--architecture", "arch1", "--dims", "2", "--seed", "-1"], "error: seed: must be nonnegative, got -1"),
+        (["--architecture", "arch2", "--dims", "2", "--seed", "-1"], "error: seed: "),
+    ],
+)
+def test_bench_refuses_no_branches_and_negative_seeds(monkeypatch, capsys, argv, message):
+    built = []
+    monkeypatch.setattr("hjeval.bench.synthetic_net", lambda *args: built.append(args))
+    assert main(["bench", *argv, "--reps", "1"]) == 1
+    assert message in capsys.readouterr().err
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(architecture="arch1", dims=[], m=8, reps=1), "dims must be nonempty"),
+        (dict(architecture="arch2", dims=[2], m=8, reps=0), "reps must be at least 1"),
+    ],
+)
+def test_run_bench_refusals_build_no_net(monkeypatch, kwargs, message):
+    monkeypatch.setattr("hjeval.bench.synthetic_net", None)
+    with pytest.raises(ValueError, match=message):
+        run_bench(**kwargs)
+
+
+def test_synthetic_net_is_the_linf_preset_for_arch2():
+    net, preset = synthetic_net("arch2", 6, 8), linf_hamiltonian_net(6)
+    np.testing.assert_array_equal(net.rows, preset.rows)
+    np.testing.assert_array_equal(net.offsets, preset.offsets)
+    assert net.initial_data == preset.initial_data
+    with pytest.raises(ValueError, match="unknown architecture 'arch3'"):
+        synthetic_net("arch3", 2, 8)
+
+
+def test_verify_refuses_a_negative_seed_before_its_oracle(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr("hjeval.oracle._oracle", None)
+    out = tmp_path / "r"
+    assert main([
+        "verify", "--config", _cfg("pwa1d.cfg"), "--seed", "-1", "--out", str(out),
+    ]) == 1
+    assert "error: seed: must be nonnegative, got -1" in capsys.readouterr().err
+    assert not out.with_suffix(".kv").exists()
 
 
 def test_bench_csv_output(tmp_path, capsys):

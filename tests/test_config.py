@@ -111,6 +111,14 @@ def test_comments_and_blank_lines_ignored():
         ("architecture = arch1\ndimension = 1\nfunction = neg_half_squared_norm\nparam = 0, 0\n", "function"),
         ("architecture = arch1\ndimension = 2\nfunction = clipped_quadratic\nparam = 0, 0, 0\n", "dimension"),
         ("architecture = arch1\ndimension = 1\nfunction = clipped_quadratic\nbroken line\n", "line 4"),
+        ("architecture = arch1\ndimension = 2.5\nfunction = clipped_quadratic\nparam = 0, 0\n", "dimension"),
+        ("architecture = arch1\ndimension = 1\nfunction = max_affine\nparam = 0, 0\n", "affine"),
+        ("architecture = arch1\ndimension = 2\nfunction = max_affine\naffine = 1, 0\nparam = 0, 0, 0\n", "affine"),
+        (
+            "architecture = arch2\ndimension = 1\nfunction = neg_half_squared_norm\n"
+            "param = 0, 0\nnorm_hamiltonian = l1\n",
+            "param",
+        ),
     ],
 )
 def test_validation_errors_name_the_field(text, field):

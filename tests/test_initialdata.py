@@ -143,6 +143,8 @@ def test_norm_rows_linf():
     np.testing.assert_array_equal(rows[0], [1.0, 0, 0, 0, 0])
     np.testing.assert_array_equal(rows[1], [-1.0, 0, 0, 0, 0])
     np.testing.assert_array_equal(rows[8], [0, 0, 0, 0, 1.0])
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        norm_hamiltonian_rows("linf", 0)
 
 
 def test_norm_rows_coincide_in_1d():

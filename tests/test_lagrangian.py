@@ -78,6 +78,8 @@ def test_evaluate_rejects_nonpositive_time():
         net.evaluate([0.0], -1.0)
     with pytest.raises(ValueError, match="initial_grid"):
         net.evaluate_grid([[0.0]], 0.0)
+    with pytest.raises(ValueError, match="t must be positive"):
+        net.kink_margin([0.0], 0.0, 1)
 
 
 def test_initial_value_clipped_net():
@@ -115,6 +117,8 @@ def test_rejects_non_lipschitz_lagrangian():
 
 
 def test_rejects_bad_parameters():
+    with pytest.raises(ValueError, match="finite on all of R\\^n"):
+        LagrangianNet(IntervalQuadratic1D(), [[0.0]], [0.0])
     with pytest.raises(ValueError, match="equal length"):
         LagrangianNet(PNorm(2), [[0.0, 0.0]], [0.0, 1.0])
     with pytest.raises(ValueError, match="finite"):
@@ -124,6 +128,14 @@ def test_rejects_bad_parameters():
     net = clipped_quadratic_net_1d()
     with pytest.raises(ValueError, match="dimension"):
         net.evaluate([0.0, 1.0], 1.0)
+    with pytest.raises(ValueError, match="ndim=3"):
+        net.solution_grid(np.zeros((2, 1, 1)), 1.0)
+
+
+def test_evaluate_takes_a_one_row_point():
+    net = shifted_norm_net_10d()
+    x = np.linspace(-1.0, 1.0, 10)
+    assert net.evaluate(x[None], 1.5) == net.evaluate(x, 1.5)
 
 
 def test_hamiltonian_closed_forms():

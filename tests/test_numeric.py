@@ -12,6 +12,7 @@ from hjeval.catalog import (
     MaxAffine,
     PNorm,
     ShiftedNormPlus,
+    UnitBallIndicator,
     ensure_extended,
 )
 from hjeval.numeric import (
@@ -128,6 +129,8 @@ def test_recession_quotient_flags_superlinear_growth():
     # then only a finite lower estimate of the true +inf recession value.
     finite_estimate = recession_quotient(g, [1.0])
     assert np.isfinite(finite_estimate) and finite_estimate > 1e8
+    # +inf at a sample (s d leaves the domain from s = 2 on) is +inf at once.
+    assert recession_quotient(UnitBallIndicator(), [1.0]) == float("inf")
 
 
 def test_grid_refuses_high_dimension_and_bad_sizes():
@@ -137,6 +140,8 @@ def test_grid_refuses_high_dimension_and_bad_sizes():
         grid_points(np.zeros(1), 1.0, 2)
     with pytest.raises(ValueError, match="cap"):
         grid_points(np.zeros(3), 1.0, 2001)
+    with pytest.raises(ValueError, match="halfwidth must be positive"):
+        grid_points(np.zeros(1), 0.0, 11)
     with pytest.raises(ValueError, match="n=4"):
         grid_inf_convolution(PNorm(2), PNorm(2), np.zeros(4), 1.0, 11)
 

@@ -67,6 +67,16 @@ def test_bruteforce_velocity_matches_initialdata_net():
     assert val == pytest.approx(-5.0, abs=2e-3)
 
 
+def test_bruteforce_velocity_refuses_negative_time_and_an_empty_domain():
+    net = concave_quadratic_net_1d()
+    hstar = hstar_interpolator_1d(net)
+    with pytest.raises(ValueError, match="t must be nonnegative"):
+        lax_oleinik_bruteforce_velocity(net.initial_values, hstar, [0.0], -1.0, -2.0, 2.0, 11)
+    # The box [3, 4] lies outside dom H* = [-2, 2]: every term is +inf.
+    with pytest.raises(OracleDomainError, match="all grid terms are \\+inf"):
+        lax_oleinik_bruteforce_velocity(net.initial_values, hstar, [0.0], 1.0, 3.0, 4.0, 11)
+
+
 def test_velocity_oracle_refuses_grids_above_the_point_cap():
     # 40,001^2 = 1.6e9 velocities: refused before any grid is allocated.
     def never(points):
@@ -192,6 +202,11 @@ def test_grid_refinement_never_increases_minimum():
         assert fine <= coarse + 1e-12  # nested grids: min over a superset
 
 
+def test_hstar_interpolator_refuses_nets_above_one_dimension():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        hstar_interpolator_1d(_pwa2d_net())
+
+
 def test_hstar_interpolator_agrees_with_lp():
     net = concave_quadratic_net_1d()
     hstar = hstar_interpolator_1d(net)
@@ -225,6 +240,9 @@ def test_gradient_fd_quadratic_second_order():
 def test_gradient_fd_time_guard():
     with pytest.raises(ValueError, match="t - h"):
         gradient_fd(lambda pts, t: np.zeros(len(pts)), [0.0], 5e-5, 1e-4)
+    for h in (0.0, -1e-4):
+        with pytest.raises(ValueError, match="h must be positive"):
+            gradient_fd(lambda pts, t: np.zeros(len(pts)), [0.0], 1.0, h)
 
 
 def test_residual_zero_at_smooth_point():
@@ -408,6 +426,12 @@ def test_sample_screened_points_deterministic():
     for (xa, ta), (xb, tb) in zip(a, b):
         np.testing.assert_array_equal(xa, xb)
         assert ta == tb
+
+
+def test_sample_screened_points_stalls_when_nothing_passes(monkeypatch):
+    monkeypatch.setattr(oracle, "screen_point", lambda net, x, t: (False, None))
+    with pytest.raises(RuntimeError, match="stalled"):
+        sample_screened_points(clipped_quadratic_net_1d(), 2, seed=0)
 
 
 def test_verify_report_empty_passes():

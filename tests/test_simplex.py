@@ -4,6 +4,7 @@ import pytest
 import hjeval.simplex as simplex
 from hjeval import check_witnesses
 from hjeval.catalog import ConcaveFn, HalfSquaredNorm
+from hjeval.cli import main
 from hjeval.initialdata import InitialDataNet, norm_hamiltonian_rows
 from hjeval.simplex import (
     ENVELOPE_TOL,
@@ -103,6 +104,21 @@ def test_bland_loops_stop_at_the_basis_count(monkeypatch):
         minimize_over_simplex(costs, points, targets[0])
     with pytest.raises(RuntimeError, match="cycled"):
         minimize_over_simplex(costs, points, targets)
+
+
+def _unbounded_tableau():
+    # One constraint row -x0 + x1 = 1 with x1 basic, and reduced costs
+    # (-1, 0): column 0 enters, but no row bounds its ratio test.
+    return np.array([[-1.0, 1.0, 1.0], [-1.0, 0.0, 0.0]]), [1]
+
+
+def test_bland_kernels_raise_on_an_unbounded_entering_column():
+    tableau, basis = _unbounded_tableau()
+    with pytest.raises(RuntimeError, match="no positive entry"):
+        simplex._bland_iterate(tableau, basis, 2)
+    tableau, basis = _unbounded_tableau()
+    with pytest.raises(RuntimeError, match="no positive entry"):
+        simplex._bland_stack(np.stack([tableau, tableau]), np.array([basis, basis]), 2)
 
 
 def test_lp_redundant_rows_from_signed_basis():
@@ -236,6 +252,37 @@ def test_screened_certificate_matches_lp_only_reference(seed):
             np.testing.assert_array_equal(cert.weights, weights)
             assert cert.envelope_value == value
             assert cert.screened[1] < index
+
+
+@pytest.mark.parametrize("scale", [1e2, 1e6])
+@pytest.mark.parametrize("seed", range(2))
+def test_scaled_envelope_sets_certify_and_match_the_lp_alone(seed, scale):
+    # Flat sets scaled up keep rounding residue in rows the drive-out names
+    # redundant, so an optimal basis matrix can be singular; every LP-certified
+    # row still gets a witness, and the result is the LP's alone.
+    for kind, points, offsets in _envelope_sets(seed, 50):
+        points, offsets = points * scale, offsets * scale**2
+        cert = lower_envelope_certificate(points, offsets)
+        holds, index, weights, value = _lp_only_certificate(points, offsets)
+        assert (cert.holds, cert.index) == (holds, index), kind
+        if not holds:
+            np.testing.assert_array_equal(cert.weights, weights)
+            assert cert.envelope_value == value
+
+
+def test_eval_on_scaled_flat_data_finishes(tmp_path, capsys):
+    # 15 rows on a 4-dimensional affine subspace of R^7, coordinates up to
+    # 865 in magnitude, where an exact solve for an LP row's witness meets a
+    # singular basis matrix.
+    kind, points, offsets = list(_envelope_sets(0, 50))[24]
+    assert kind == "flat" and points.shape == (15, 7)
+    lines = ["architecture = arch2", "dimension = 7", "function = neg_half_squared_norm"]
+    for row, b in zip(points * 100, offsets * 1e4):
+        lines.append("param = " + ", ".join(repr(float(v)) for v in (*row, b)))
+    cfg = tmp_path / "flat7d.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert main(["eval", "--config", str(cfg), "--x", "0,0,0,0,0,0,0", "--t", "1"]) == 0
+    assert capsys.readouterr().out.startswith("value=-738856.81272856693 argmin=11 ")
 
 
 @pytest.mark.parametrize("c", [1.0, 2.0, 0.5])

@@ -43,6 +43,7 @@ def test_grid_points_layout():
         (dict(free_axes=(0,), ranges=((-1, 1, 5),), times=(-1.0,), fixed_coords=(0.0,) * 9), "nonnegative"),
         (dict(free_axes=(0,), ranges=((-1, 1, 5),), times=(1.0,), fixed_coords=(0.0,) * 3), "fixed"),
         (dict(free_axes=(0, 1, 2), ranges=((-1, 1, 5),) * 3, times=(1.0,), fixed_coords=(0.0,) * 7), "one or two"),
+        (dict(free_axes=(0, 1), ranges=((-1, 1, 5),), times=(1.0,), fixed_coords=(0.0,) * 8), "one .* range per free axis"),
         (dict(free_axes=(0,), ranges=((-1, 1, 5),), times=(1.0, float("inf")), fixed_coords=(0.0,) * 9), "times must be finite"),
         (dict(free_axes=(0,), ranges=((-1, 1, 5),), times=(float("nan"),), fixed_coords=(0.0,) * 9), "times must be finite"),
         (dict(free_axes=(0,), ranges=((float("-inf"), 1, 3),), times=(1.0,), fixed_coords=(0.0,) * 9), "range needs a finite"),

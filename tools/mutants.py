@@ -1,0 +1,223 @@
+#!/usr/bin/env python3
+"""Mutation check: does tier-1 catch each of a fixed list of planted faults?
+
+Run from any directory:
+
+    python3 tools/mutants.py [-k SUBSTRING]
+
+Each entry of ``MUTANTS`` is a ``(file, old, new, why)`` edit: ``old`` must
+occur exactly once in ``file`` (a path under the checkout).  For each
+mutant, ``src/`` and ``tests/`` are copied into a temporary directory, the
+edit is applied to the copy, and tier-1 runs there with ``-x`` under a
+per-mutant timeout of ``TIMEOUT`` seconds.  ``pyproject.toml``, which holds the pytest settings,
+is copied beside them; the other top-level directories the tests read
+(``configs/``, ``perfbench/``) are linked, not copied, and the checkout
+itself is never written.  The unmutated copy runs first and must pass.
+
+Prints one Markdown table row per mutant with its outcome:
+
+* ``caught``: tier-1 failed, naming the first failing test;
+* ``timeout``: tier-1 ran past the timeout (a mutant that makes a loop
+  cycle, say);
+* ``uncaught``: tier-1 passed;
+* ``equivalent``: declared in ``EQUIVALENT`` with a reason, and not run;
+* ``stale``: ``old`` no longer occurs exactly once, so the list needs
+  updating.
+
+``-k`` keeps the mutants whose ``why`` contains SUBSTRING.  The check is
+not part of tier-1: it runs tier-1 once per mutant.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml")
+LINKED = ("configs", "perfbench")
+TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+TIER1 += ["--continue-on-collection-errors"]
+# Unmutated tier-1 takes about 30 s; a cycling pivot loop once ran past 240 s.
+TIMEOUT = 180.0
+
+SIMPLEX = "src/hjeval/simplex.py"
+MUTANTS = [
+    (
+        SIMPLEX,
+        "min(tied, key=lambda i: basis[i])",
+        "max(tied, key=lambda i: basis[i])",
+        "Bland's tie-break reversed (lone-LP kernel)",
+    ),
+    (
+        SIMPLEX,
+        "tied = rows[ratios <= ratios.min() + 1e-12]",
+        "tied = rows[ratios <= ratios.min()]",
+        "ratio-test tie tolerance dropped (lone-LP kernel)",
+    ),
+    (
+        SIMPLEX,
+        "FEASIBILITY_TOL = 1e-9",
+        "FEASIBILITY_TOL = 1e-3",
+        "FEASIBILITY_TOL loosened to 1e-3",
+    ),
+    (
+        SIMPLEX,
+        "for i, columns in enumerate(basis.T):",
+        "for i, columns in reversed(list(enumerate(basis.T))):",
+        "phase-2 objective reduction reversed",
+    ),
+    (
+        SIMPLEX,
+        "        tableau[lps[~found], i, :m] = 0.0\n",
+        "",
+        "redundant rows not zeroed by the drive-out",
+    ),
+    (
+        SIMPLEX,
+        "passed = slack[rows] + bound[j, rows] <= ENVELOPE_TOL",
+        "passed = slack[rows] <= ENVELOPE_TOL",
+        "the screen's rounding bound dropped",
+    ),
+    (
+        SIMPLEX,
+        "left = left[~passed]",
+        "left = left",
+        "later witness scales overwrite earlier ones",
+    ),
+    (
+        SIMPLEX,
+        "a_b = np.vstack([points[columns].T, np.ones(len(columns))])",
+        "a_b = points[columns].T",
+        "least-squares witness without the row of ones",
+    ),
+    (
+        SIMPLEX,
+        "witnesses[k] = _basis_witness(points, offsets, sol.basis[0])",
+        "witnesses[k] = points[k]",
+        "LP witness replaced by v_k",
+    ),
+    (
+        "src/hjeval/branches.py",
+        "mask = vals <= (second + 2.0 * bound)[:, None]",
+        "mask = vals <= (second + bound)[:, None]",
+        "the branch screen's 2e band cut to e",
+    ),
+    (
+        "src/hjeval/catalog.py",
+        'return np.einsum("ij,kj->ik", pts, self.rows) - offsets',
+        "return pts @ self.rows.T - offsets",
+        "the MaxAffine sum switched back to BLAS",
+    ),
+    (
+        "src/hjeval/catalog.py",
+        "return np.where(r <= 1.0 + DOMAIN_ATOL, r, np.inf)",
+        "return np.where(r <= 2.0 + DOMAIN_ATOL, r, np.inf)",
+        "wrong conjugate radius (NormOnBall on the ball of radius 2)",
+    ),
+    (
+        "src/hjeval/oracle.py",
+        "dx = (values[:n] - values[n:]) / (2 * h)",
+        "dx = (values[n:] - values[:n]) / (2 * h)",
+        "the FD stencil's sign flipped",
+    ),
+]
+
+# why -> the reason no test can catch the mutant.
+EQUIVALENT: dict[str, str] = {}
+
+
+def _tree(tmp: Path) -> Path:
+    """A fresh copy of the checkout's tested files under ``tmp``."""
+    for name in COPIED:
+        if (ROOT / name).is_dir():
+            shutil.copytree(ROOT / name, tmp / name, ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy2(ROOT / name, tmp / name)
+    for name in LINKED:
+        (tmp / name).symlink_to(ROOT / name)
+    return tmp
+
+
+def _tier1(tree: Path):
+    """Run tier-1 in ``tree``: (returncode or None on timeout, output, seconds)."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        TIER1,
+        cwd=tree,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, _ = proc.communicate(timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        return None, "", time.perf_counter() - start
+    return proc.returncode, out, time.perf_counter() - start
+
+
+def _first_failure(output: str) -> str:
+    match = re.search(r"^(?:FAILED|ERROR) (\S+)", output, re.MULTILINE)
+    return match.group(1) if match else "tier-1 exited nonzero"
+
+
+def run_mutant(mutant) -> tuple[str, str, float]:
+    """(outcome, detail, seconds) of one mutant."""
+    path, old, new, why = mutant
+    if why in EQUIVALENT:
+        return "equivalent", EQUIVALENT[why], 0.0
+    text = (ROOT / path).read_text()
+    if text.count(old) != 1:
+        return "stale", f"the edit's old text occurs {text.count(old)} times in {path}", 0.0
+    with tempfile.TemporaryDirectory(prefix="hjeval-mutant-") as tmp:
+        tree = _tree(Path(tmp))
+        (tree / path).write_text(text.replace(old, new))
+        code, output, seconds = _tier1(tree)
+    if code is None:
+        return "timeout", f"past {TIMEOUT:g} s", seconds
+    if code == 0:
+        return "uncaught", "tier-1 passed", seconds
+    return "caught", _first_failure(output), seconds
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("-k", default="", help="only mutants whose why contains this")
+    args = parser.parse_args(argv)
+    mutants = [m for m in MUTANTS if args.k in m[3]]
+
+    with tempfile.TemporaryDirectory(prefix="hjeval-mutant-") as tmp:
+        code, output, seconds = _tier1(_tree(Path(tmp)))
+    if code != 0:
+        tail = output.strip().splitlines()[-1:] if output else [f"past {TIMEOUT:g} s"]
+        print(f"unmutated tier-1 does not pass: {tail[0]}", file=sys.stderr)
+        return 1
+    print(f"unmutated tier-1 passes in {seconds:.0f} s\n")
+    print("| # | file | mutant | outcome | detail | s |")
+    print("|---|---|---|---|---|---|")
+    outcomes = []
+    for i, mutant in enumerate(mutants, 1):
+        outcome, detail, seconds = run_mutant(mutant)
+        outcomes.append(outcome)
+        name = Path(mutant[0]).name
+        print(f"| {i} | {name} | {mutant[3]} | {outcome} | `{detail}` | {seconds:.0f} |", flush=True)
+    counts = {o: outcomes.count(o) for o in dict.fromkeys(outcomes)}
+    print("\n" + ", ".join(f"{n} {o}" for o, n in counts.items()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
