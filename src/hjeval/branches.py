@@ -1,8 +1,9 @@
 """Min-of-branches evaluation shared by both solution representations.
 
 Both nets state their m branches at time t as a :class:`Form`; this module
-owns the only exact branch formula, the screen built from the same Form and
-the winning branch's kink margin.
+owns the only exact branch formula (:func:`branch_formula`, which every path
+calls with the Form), the screen built from the same Form and the winning
+branch's kink margin.
 
 A net's value at a point is the minimum over its m branches; the winning
 branch (1-based, smallest index on ties) and the gap to the runner-up come
@@ -35,7 +36,6 @@ a smaller one takes the exact kernel directly.  Single points given to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -134,7 +134,11 @@ def check_point(x, dim: int) -> np.ndarray:
 
 
 def check_points(points, dim: int) -> np.ndarray:
-    """Row points as a C-contiguous (k, dim) array of finite floats."""
+    """Row points as a C-contiguous (k, dim) array of floats.
+
+    Finiteness is left to the activation, which checks every argument it
+    is given (see ``catalog._promote``).
+    """
     points = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
     if points.ndim != 2:
         raise ValueError(
@@ -142,8 +146,6 @@ def check_points(points, dim: int) -> np.ndarray:
         )
     if points.shape[1] != dim:
         raise ValueError(f"points have dimension {points.shape[1]}, net expects {dim}")
-    if not np.isfinite(points).all():
-        raise ValueError("points must have finite coordinates")
     return points
 
 
@@ -184,26 +186,41 @@ def _arguments(form: Form, x, cols=None, out=None):
     return diff / form.scale if out is None else np.divide(diff, form.scale, out=diff)
 
 
-def min_over_branches(points, exact, form: Form, values_only=False):
-    """Row-wise (values, argmins, gaps) of the (k, m) branch matrix, or
-    (values,) with ``values_only``.
+def branch_formula(form: Form, x, cols=None, out=None):
+    """Exact ``scale * fn((x - beta c_i) / scale) + o_i``.
 
-    ``points`` is a checked (k, n) array.  ``exact(x, cols, out)`` returns
-    the exact branch values for the points x broadcast against the branches
-    ``cols``, an index array over x's leading axes, and may write the
-    differences into ``out``.  Radial forms take the screened kernel, except
-    for values only: their row minima come from the exact kernel alone.
+    ``x`` is broadcast against the branch rows ``cols`` (all when None), an
+    index array over x's leading axes; ``out`` is free to take the
+    differences.
+    """
+    z = _arguments(form, x, cols, out)
+    vals = form.fn(z if z.ndim == 2 else z.reshape(-1, z.shape[-1]))
+    if form.scale != 1.0:
+        vals = form.scale * vals
+    if z.ndim != 2:
+        vals = vals.reshape(z.shape[:-1])
+    return vals + (form.offsets if cols is None else form.offsets[cols])
+
+
+def min_over_branches(points, form: Form, values_only=False):
+    """Row-wise (values, argmins, gaps) of the (k, m) branch matrix of
+    ``form``, or (values,) with ``values_only``.
+
+    ``points`` is a checked (k, n) array.  Both kernels take their exact
+    values from :func:`branch_formula` on ``form``.  Radial forms take the
+    screened kernel, except for values only: their row minima come from the
+    exact kernel alone.
     """
     (k, n), m = points.shape, len(form.offsets)
     if values_only or form.radial is None or m == 1 or k * m * n < SCREEN_MIN_ELEMENTS:
-        return _exact_rows(points, m, exact, values_only)
+        return _exact_rows(points, form, values_only)
     step = max(1, SCREEN_BLOCK // (m + 2 * n))
     # Blocks write their largest arrays into one workspace, so they reuse
     # memory instead of each taking (and faulting in) fresh pages.
     work = np.empty(min(k, step) * (m + 2 * n))
     cross = (-2.0 * form.beta * form.centers).T  # -2 beta c_i, one column a branch
     blocks = range(0, k, step)
-    return _join([_screened(points[lo : lo + step], exact, form, cross, work) for lo in blocks])
+    return _join([_screened(points[lo : lo + step], form, cross, work) for lo in blocks])
 
 
 def _join(blocks):
@@ -212,20 +229,21 @@ def _join(blocks):
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
-def _exact_rows(x, m, exact, values_only=False):
+def _exact_rows(x, form: Form, values_only=False):
     """The exact kernel on every branch, in row blocks: (values, argmins,
     gaps), or (values,) with ``values_only``."""
-    k, n = x.shape
+    (k, n), m = x.shape, len(form.offsets)
     step = max(1, EXACT_BLOCK // (m * n))
     work = np.empty(max(min(k, step), 1) * m * n)
     blocks = range(0, max(k, 1), step)
-    return _join([_exact(x[lo : lo + step], m, exact, work, values_only) for lo in blocks])
+    return _join([_exact(x[lo : lo + step], form, work, values_only) for lo in blocks])
 
 
-def _exact(x, m, exact, work, values_only):
+def _exact(x, form: Form, work, values_only):
     # Branch-major pairs keep each branch's points contiguous.
+    m = len(form.offsets)
     out = work[: m * x.size].reshape(m, *x.shape)
-    matrix = exact(x[None], np.arange(m)[:, None], out)
+    matrix = branch_formula(form, x[None], np.arange(m)[:, None], out)
     if values_only:
         return (matrix.min(axis=0),)
     return reduce_branch_matrix(np.ascontiguousarray(matrix.T))
@@ -267,7 +285,7 @@ def _screen_values(x, s: Form, cross, vals):
     return np.where(safe, bound, np.nan)
 
 
-def _screened(x, exact, s: Form, cross, work):
+def _screened(x, s: Form, cross, work):
     (rows, n), m = x.shape, cross.shape[1]
     vals = work[: rows * m].reshape(rows, m)
     bound = _screen_values(x, s, cross, vals)
@@ -291,7 +309,7 @@ def _screened(x, exact, s: Form, cross, work):
         # "raise", it writes straight into ``out``.
         out = work[: size * n].reshape(size, n)
         candidates = np.take(x, pair_rows[sel], axis=0, out=out, mode="clip")
-        exact_vals[sel] = exact(candidates, cols[sel], candidates)
+        exact_vals[sel] = branch_formula(s, candidates, cols[sel], candidates)
     # Segmented reduction over each row's candidates (rows are sorted).
     starts = np.searchsorted(pair_rows, r)
     low = np.minimum.reduceat(exact_vals, starts)
@@ -307,7 +325,7 @@ def _screened(x, exact, s: Form, cross, work):
     # take the full-matrix reduction on every branch.
     redo = np.isnan(low) | ((values == 0.0) & (runner == 0.0))
     if redo.any():
-        values[redo], argmins[redo], gaps[redo] = _exact_rows(x[redo], m, exact)
+        values[redo], argmins[redo], gaps[redo] = _exact_rows(x[redo], s)
     return values, argmins, gaps
 
 
@@ -341,36 +359,21 @@ class BranchNet:
     def n_branches(self) -> int:
         return self._points.shape[0]
 
-    @staticmethod
-    def _branch_formula(form: Form, x, cols=None, out=None):
-        """Exact ``scale * fn((x - beta c_i) / scale) + o_i``.
-
-        ``x`` is broadcast against the branch rows ``cols`` (all when None);
-        ``out`` is free to take the differences.
-        """
-        z = _arguments(form, x, cols, out)
-        vals = form.fn(z if z.ndim == 2 else z.reshape(-1, z.shape[-1]))
-        if form.scale != 1.0:
-            vals = form.scale * vals
-        if z.ndim != 2:
-            vals = vals.reshape(z.shape[:-1])
-        return vals + (form.offsets if cols is None else form.offsets[cols])
-
     def branch_values(self, x, t: float) -> np.ndarray:
         """All m branch values at one point."""
-        return self._branch_formula(self._form(t), check_point(x, self.dimension))
+        return branch_formula(self._form(t), check_point(x, self.dimension))
 
     def _evaluate_point(self, x, t) -> EvalResult:
         """The single-point path: one call of the branch formula, reduced."""
         # branch_values inlined: one Python call less on the hottest path.
-        return reduce_branches(self._branch_formula(self._form(t), check_point(x, self.dimension)))
+        return reduce_branches(branch_formula(self._form(t), check_point(x, self.dimension)))
 
     def _branch_matrix(self, points, t, values_only=False):
         """Row-wise (values, argmins, gaps), or (values,) with ``values_only``,
         over the branches at time t."""
         form = self._form(t)  # first: a bad time is reported before bad points
         points = check_points(points, self.dimension)
-        return min_over_branches(points, partial(self._branch_formula, form), form, values_only)
+        return min_over_branches(points, form, values_only)
 
     def kink_margin(self, x, t: float, index: int) -> float:
         """Distance of branch ``index``'s (1-based) activation argument from

@@ -9,7 +9,8 @@ caps once, then yields the rows of the uniform tensor grid on a box in
 consecutive blocks, each row bit for bit the ``np.linspace`` node it
 stands for.  :func:`box_grid` and :func:`grid_points` are its one-block
 case; :func:`grid_inf_convolution` scans blocks of ``GRID_BLOCK`` rows with
-a running minimum, so its memory does not grow with the grid.
+a running minimum, so its memory does not grow with the grid, and
+:func:`grid_conjugate` is one such scan.
 
 Point evaluators passed in (``f_eval``, ``g_eval``) must accept a (k, n)
 array of row points and return a length-k float array with values in
@@ -139,13 +140,16 @@ def grid_conjugate(f: ConvexFn, p, box_halfwidth: float, pts_per_axis: int) -> f
 
     Maximizes over the box [-box_halfwidth, box_halfwidth]^n; always a lower
     bound on the true conjugate, tight when the maximizer lies in the box.
+    It is -inf_u {f(u) + <p, 0 - u>}, term by term with exact negations:
+    :func:`grid_inf_convolution` at 0, so the grid is scanned in blocks of
+    ``GRID_BLOCK`` rows.  ``0.0 -`` negates it and makes a zero +0.0, as
+    the direct maximum's <p, u> - f(u) would.
     """
     if not f.finite_everywhere:
         raise ValueError("grid conjugate requires a finite-valued function")
     p = np.asarray(p, dtype=float).reshape(-1)
-    pts = grid_points(np.zeros_like(p), box_halfwidth, pts_per_axis)
-    vals = pts @ p - f(pts)
-    return float(vals.max())
+    lowest = grid_inf_convolution(f, lambda z: z @ p, np.zeros_like(p), box_halfwidth, pts_per_axis)
+    return 0.0 - lowest
 
 
 def grid_inf_convolution(f_eval, g_eval, x, box_halfwidth: float, pts_per_axis: int) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numeric import tensor_grid
+from .numeric import MAX_GRID_POINTS, tensor_grid
 
 __all__ = ["SliceSpec", "SliceTable", "SliceResult", "evaluate_slice"]
 
@@ -25,6 +25,7 @@ class SliceSpec:
     (min, max, steps) per free axis; ``fixed_coords`` are the values of the
     remaining coordinates in increasing index order; ``times`` must be
     finite, nonnegative and sorted ascending; every coordinate is finite.
+    The grid may hold at most ``numeric.MAX_GRID_POINTS`` points.
     """
 
     free_axes: tuple[int, ...]
@@ -47,6 +48,9 @@ class SliceSpec:
                 raise ValueError("each range needs at least 2 steps")
             if not -np.inf < lo < hi < np.inf:
                 raise ValueError("each range needs a finite min and max, max > min")
+        if np.prod(self.grid_shape(), dtype=float) > MAX_GRID_POINTS:
+            grid = " x ".join(map(str, self.grid_shape()))
+            raise ValueError(f"range: {grid} slice points exceed the {MAX_GRID_POINTS} point cap")
         if len(self.fixed_coords) != dimension - len(self.free_axes):
             raise ValueError(
                 f"expected {dimension - len(self.free_axes)} fixed coordinates, "

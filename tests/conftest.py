@@ -14,19 +14,19 @@ def _assert_same_bits(got, want):
 
 @pytest.fixture
 def count_pairs(monkeypatch):
-    """``count_pairs(net)`` wraps the net's exact kernel and returns the list
-    of (point, branch) pair counts its calls receive."""
+    """``count_pairs()`` wraps the exact branch formula and returns the list
+    of (point, branch) pair counts its calls receive, until the next call."""
+    formula = branches.branch_formula
 
-    def install(net):
+    def install():
         counts = []
-        formula = net._branch_formula
 
         def counting(*args):
             vals = formula(*args)
             counts.append(vals.size)
             return vals
 
-        monkeypatch.setattr(net, "_branch_formula", counting)
+        monkeypatch.setattr(branches, "branch_formula", counting)
         return counts
 
     return install
@@ -43,9 +43,9 @@ def check_batch(monkeypatch, count_pairs):
     blocks = []
     screened = branches._screened
 
-    def recording(x, exact, s, cross, work):
-        blocks.append((x.copy(), exact, s, cross))
-        return screened(x, exact, s, cross, work)
+    def recording(x, s, cross, work):
+        blocks.append((x.copy(), s, cross))
+        return screened(x, s, cross, work)
 
     monkeypatch.setattr(branches, "_screened", recording)
 
@@ -54,7 +54,7 @@ def check_batch(monkeypatch, count_pairs):
         m = net.n_branches
         monkeypatch.setattr(branches, "SCREEN_BLOCK", (m + 2 * n) * int(rng.integers(1, 64)))
         monkeypatch.setattr(branches, "EXACT_BLOCK", m * n * int(rng.integers(1, 8)))
-        counts = count_pairs(net)
+        counts = count_pairs()
         blocks.clear()
         with np.errstate(over="ignore", invalid="ignore"):
             got = net.solution_grid(points, t)
@@ -62,11 +62,11 @@ def check_batch(monkeypatch, count_pairs):
         _assert_same_bits(got, want)
         pairs = sum(counts)
         # The band argument needs |screen - exact| <= bound on every safe row.
-        for x, exact, s, cross in blocks:
+        for x, s, cross in blocks:
             vals = np.empty((len(x), m))
             bound = branches._screen_values(x, s, cross, vals)
             with np.errstate(all="ignore"):
-                full = exact(x[None], np.arange(m)[:, None], None).T
+                full = branches.branch_formula(s, x[None], np.arange(m)[:, None]).T
             safe = np.isfinite(bound)
             assert (np.abs(vals[safe] - full[safe]) <= bound[safe, None]).all()
         for i in rng.integers(k, size=3):

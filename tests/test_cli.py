@@ -139,6 +139,29 @@ def test_slice_refuses_non_finite_fields(tmp_path, capsys, line, message):
     assert not list(tmp_path.glob("run*"))
 
 
+def test_slice_above_the_grid_cap_exits_one(tmp_path, capsys):
+    # 100,000^2 rows would take about 75 GiB a coordinate: refused, naming
+    # range, before any grid is built.
+    spec = tmp_path / "slice.cfg"
+    spec.write_text(
+        "free_axes = 0, 1\nrange = -1, 1, 100000\nrange = -1, 1, 100000\n"
+        "fixed = 0, 0, 0, 0, 0, 0, 0, 0\ntimes = 1\n"
+    )
+    out = tmp_path / "run"
+    argv = ["slice", "--config", _cfg("ball10d.cfg"), "--slice", str(spec), "--out", str(out)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: range: 100000 x 100000 slice points exceed the 20000000 point cap" in err
+    assert peak < 1 << 20
+    assert not list(tmp_path.glob("run*"))
+
+
 def test_l1_generator_above_cap_exits_one(tmp_path, capsys):
     big = tmp_path / "l1big.cfg"
     big.write_text(

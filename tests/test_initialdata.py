@@ -322,7 +322,7 @@ def test_screen_band_is_tight(count_pairs):
     # On generic inputs the band holds the winner and the runner-up only;
     # a band grown too wide would silently give back the screen's gain.
     net = linf_hamiltonian_net(100)
-    counts = count_pairs(net)
+    counts = count_pairs()
     rng = np.random.default_rng(44)
     points = rng.uniform(-4.0, 4.0, (10_000, 100))
     net.solution_grid(points, 1.7)
@@ -338,7 +338,7 @@ def test_one_row_batch_is_screened(count_pairs):
     # 80,000 differences is screened, so only its band reaches the exact
     # kernel, with the values, argmin and gap of the single-point path.
     net = linf_hamiltonian_net(200)
-    counts = count_pairs(net)
+    counts = count_pairs()
     x = np.random.default_rng(46).uniform(-4.0, 4.0, (1, 200))
     (value,), (argmin,), (gap,) = net.solution_grid(x, 1.7)
     assert 0 < sum(counts) < net.n_branches

@@ -66,6 +66,36 @@ def test_grid_conjugate_never_exceeds_analytic():
                 assert grid == pytest.approx(exact, abs=1e-4)
 
 
+@pytest.mark.parametrize(
+    "f, p, pts",
+    [
+        (HalfSquaredNorm(), [1.0], 100001),
+        (ClippedQuadratic1D(), [1.0], 100001),
+        (PNorm(2), [0.5], 100001),  # a zero maximum: +0.0
+        (ShiftedNormPlus(), [0.3, -0.4], 201),
+        (PNorm(2), [-1.5, 2.5], 201),
+        (HalfSquaredNorm(), [0.7, -0.2, 1.1], 41),
+    ],
+)
+def test_grid_conjugate_is_the_whole_grid_maximum(f, p, pts):
+    # The blocked scan returns the bits of max <p, x> - f(x) over the grid.
+    grid = grid_points(np.zeros(len(p)), 8.0, pts)
+    want = float((grid @ np.asarray(p) - f(grid)).max())
+    assert grid_conjugate(f, p, 8.0, pts).hex() == want.hex()
+
+
+def test_grid_conjugate_scans_in_blocks():
+    # 2001^2 rows: a whole grid and its values would peak past 200 MiB.
+    tracemalloc.start()
+    try:
+        val = grid_conjugate(ShiftedNormPlus(), [0.3, -0.4], 8.0, 2001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert val == pytest.approx(0.5, abs=1e-4)
+    assert peak < 1 << 20
+
+
 def test_grid_conjugate_requires_finite_function():
     with pytest.raises(ValueError, match="finite"):
         grid_conjugate(IntervalQuadratic1D(), [1.0], 5.0, 101)
