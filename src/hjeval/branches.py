@@ -29,13 +29,15 @@ one of two kernels:
 
 The size of a batch alone picks the kernel: a batch whose (k, m, n)
 differences reach ``SCREEN_MIN_ELEMENTS`` is screened, one row included;
-a smaller one takes the exact kernel directly.  Single points given to
-``evaluate`` take their own path (:meth:`BranchNet._evaluate_point`).
+a smaller one takes the exact kernel directly.  A batch with one time per
+row takes the exact kernel on a Form whose ``beta``, ``scale`` and
+``offsets`` hold one entry per row.  Single points given to ``evaluate``
+take their own path (:meth:`BranchNet._evaluate_point`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -163,22 +165,43 @@ class Form:
     scale * rho(|x - beta c_i| / scale) + offsets_i`` with ``rho(r) = r^2 /
     2`` for "square" (scale 1) and ``max(r - s, 0)`` for "norm"; the screen
     uses that form.  ``sq`` caches ``|c_i|^2``.
+
+    A Form at one time per row of a batch of k points (:func:`_per_row`)
+    holds ``offsets`` as a (k, m) array, and ``beta`` or ``scale`` as a
+    length-k array where it varies with t (1.0 where it does not): row r's
+    entries are those of the Form at row r's time.  Only the exact kernel
+    takes it; it is never screened.
     """
 
     fn: object
     radial: tuple[str, float] | None
     sign: float
-    beta: float
-    scale: float
+    beta: float | np.ndarray
+    scale: float | np.ndarray
     centers: np.ndarray
     sq: np.ndarray
     offsets: np.ndarray
+
+
+def _per_row(form: Form) -> bool:
+    """Whether ``form`` holds one time per row of its batch."""
+    return form.offsets.ndim == 2
 
 
 def _arguments(form: Form, x, cols=None, out=None):
     """The activation arguments (x - beta c_i) / scale for the branches ``cols``
     (all when None), written into ``out`` if given."""
     centers = form.centers if cols is None else form.centers[cols]
+    if _per_row(form):
+        # Arrays hold one entry per row of x (its second-to-last axis); a row
+        # at beta or scale 1 needs no skip, as products and quotients by 1.0
+        # are exact.
+        if isinstance(form.beta, np.ndarray):
+            centers = form.beta[:, None] * centers
+        diff = np.subtract(x, centers, out=out)
+        if isinstance(form.scale, np.ndarray):
+            np.divide(diff, form.scale[:, None], out=diff)
+        return diff
     diff = np.subtract(x, centers if form.beta == 1.0 else form.beta * centers, out=out)
     if form.scale == 1.0:
         return diff
@@ -191,14 +214,19 @@ def branch_formula(form: Form, x, cols=None, out=None):
 
     ``x`` is broadcast against the branch rows ``cols`` (all when None), an
     index array over x's leading axes; ``out`` is free to take the
-    differences.
+    differences.  A :func:`_per_row` Form needs ``cols``, and its rows lie
+    on x's second-to-last axis.
     """
     z = _arguments(form, x, cols, out)
     vals = form.fn(z if z.ndim == 2 else z.reshape(-1, z.shape[-1]))
-    if form.scale != 1.0:
-        vals = form.scale * vals
     if z.ndim != 2:
         vals = vals.reshape(z.shape[:-1])
+    if _per_row(form):
+        if isinstance(form.scale, np.ndarray):
+            vals = form.scale * vals
+        return vals + form.offsets[np.arange(len(form.offsets)), cols]
+    if form.scale != 1.0:
+        vals = form.scale * vals
     return vals + (form.offsets if cols is None else form.offsets[cols])
 
 
@@ -211,7 +239,7 @@ def min_over_branches(points, form: Form, values_only=False):
     screened kernel, except for values only: their row minima come from the
     exact kernel alone.
     """
-    (k, n), m = points.shape, len(form.offsets)
+    (k, n), m = points.shape, len(form.centers)
     if values_only or form.radial is None or m == 1 or k * m * n < SCREEN_MIN_ELEMENTS:
         return _exact_rows(points, form, values_only)
     step = max(1, SCREEN_BLOCK // (m + 2 * n))
@@ -232,16 +260,26 @@ def _join(blocks):
 def _exact_rows(x, form: Form, values_only=False):
     """The exact kernel on every branch, in row blocks: (values, argmins,
     gaps), or (values,) with ``values_only``."""
-    (k, n), m = x.shape, len(form.offsets)
+    (k, n), m = x.shape, len(form.centers)
     step = max(1, EXACT_BLOCK // (m * n))
     work = np.empty(max(min(k, step), 1) * m * n)
     blocks = range(0, max(k, 1), step)
-    return _join([_exact(x[lo : lo + step], form, work, values_only) for lo in blocks])
+    return _join([_exact(x[lo : lo + step], _rows(form, lo, step), work, values_only) for lo in blocks])
+
+
+def _rows(form: Form, lo, step):
+    """``form`` on the rows lo : lo + step of its batch: a :func:`_per_row`
+    Form's fields are sliced with them, any other Form serves every row."""
+    if not _per_row(form):
+        return form
+    rows = slice(lo, lo + step)
+    beta, scale = (f[rows] if isinstance(f, np.ndarray) else f for f in (form.beta, form.scale))
+    return replace(form, beta=beta, scale=scale, offsets=form.offsets[rows])
 
 
 def _exact(x, form: Form, work, values_only):
     # Branch-major pairs keep each branch's points contiguous.
-    m = len(form.offsets)
+    m = len(form.centers)
     out = work[: m * x.size].reshape(m, *x.shape)
     matrix = branch_formula(form, x[None], np.arange(m)[:, None], out)
     if values_only:
@@ -338,10 +376,13 @@ class BranchNet:
     Holds the branch points c_i (their ``|c_i|^2`` cached) and offsets, and
     wires both paths: a single point runs every branch formula in one call
     and reduces it; a batch is checked once and reduced by
-    :func:`min_over_branches`.  Subclasses give ``_form(t)``, their
-    branches at time t as a :class:`Form` (raising ValueError for a time
-    outside the representation), built afresh on every call so that it
-    holds the activation's methods as they are at that call.
+    :func:`min_over_branches`, or by the exact kernel when it has one time
+    per row.  Subclasses give ``_form(t)``, their branches at time t as a
+    :class:`Form` (raising ValueError for a time outside the
+    representation), built afresh on every call so that it holds the
+    activation's methods as they are at that call.  Given a 1-D array of
+    positive times, ``_form`` returns the Form at each row's time
+    (:func:`_per_row`).
     """
 
     def __init__(self, activation, points, offsets, points_name, fn_name):
@@ -370,10 +411,31 @@ class BranchNet:
 
     def _branch_matrix(self, points, t, values_only=False):
         """Row-wise (values, argmins, gaps), or (values,) with ``values_only``,
-        over the branches at time t."""
+        over the branches at time t, or at one time per row (a 1-D t)."""
+        if not isinstance(t, float) and np.ndim(t):
+            return self._per_row_matrix(points, np.asarray(t, dtype=float), values_only)
         form = self._form(t)  # first: a bad time is reported before bad points
         points = check_points(points, self.dimension)
         return min_over_branches(points, form, values_only)
+
+    def _per_row_matrix(self, points, t, values_only):
+        """The exact kernel at the times t, one per row.
+
+        Each row's value, argmin and gap are those of a call at its own
+        time.  Rows at t = 0 are taken again on the Form at 0, whose
+        activation may differ (the Lagrangian's recession).
+        """
+        if (t < 0).any():
+            raise ValueError("t must be nonnegative")
+        points = check_points(points, self.dimension)
+        if t.shape != (len(points),):
+            raise ValueError(f"t: need one time per row ({len(points)}), got shape {t.shape}")
+        zero = t == 0  # held at t = 1 here, then redone
+        result = _exact_rows(points, self._form(np.where(zero, 1.0, t)), values_only)
+        if zero.any():
+            for part, again in zip(result, _exact_rows(points[zero], self._form(0.0), values_only)):
+                part[zero] = again
+        return result
 
     def kink_margin(self, x, t: float, index: int) -> float:
         """Distance of branch ``index``'s (1-based) activation argument from

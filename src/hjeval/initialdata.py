@@ -19,7 +19,7 @@ parameter sets rather than silently computing a non-solution.
 Evaluation cost is O(m · cost(J)) per point, independent of any mesh.
 The branches at time t are one :class:`hjeval.branches.Form` (``fn = J``,
 ``beta = t``, ``scale = 1``, ``o = t b``), which :mod:`hjeval.branches`
-evaluates, screens and reduces.
+evaluates, screens and reduces; batches may give one t per row.
 """
 
 from __future__ import annotations
@@ -69,18 +69,23 @@ class InitialDataNet(BranchNet):
     rows = property(lambda self: self._points)
 
     def _form(self, t) -> Form:
-        """Branches J(x - t v_i) + t b_i, radial through the negated J."""
+        """Branches J(x - t v_i) + t b_i, radial through the negated J.  A 1-D
+        array of positive t gives one beta and one row of offsets per row."""
+        J = self._activation
+        if type(t) is np.ndarray and t.ndim:
+            offsets = t[:, None] * self.offsets
+            return Form(J, J.negated.radial, -1.0, t, 1.0, self._points, self._sq, offsets)
         if t < 0:
             raise ValueError("t must be nonnegative")
-        J = self._activation
         return Form(J, J.negated.radial, -1.0, t, 1.0, self._points, self._sq, t * self.offsets)
 
     def evaluate(self, x, t: float) -> EvalResult:
         """Solution value at time t >= 0 (every branch equals J(x) at t = 0)."""
         return self._evaluate_point(x, t)
 
-    def evaluate_grid(self, points, t: float):
-        """Vectorized :meth:`evaluate` over (k, n) row points."""
+    def evaluate_grid(self, points, t):
+        """Vectorized :meth:`evaluate` over (k, n) row points, at one time or
+        one per row (a length-k array)."""
         return self._branch_matrix(points, t)
 
     solution_grid = evaluate_grid

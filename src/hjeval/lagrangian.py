@@ -16,7 +16,7 @@ Evaluation cost is O(m · cost(L)) per point, independent of any mesh.
 Its branches at any t >= 0 are one :class:`hjeval.branches.Form`
 (``fn = L``, ``beta = 1``, ``scale = t``, ``o = a``; at t = 0 ``fn = L_rec``
 and ``scale = 1``), which :mod:`hjeval.branches` evaluates, screens and
-reduces.
+reduces; batches may give one t per row.
 """
 
 from __future__ import annotations
@@ -47,8 +47,12 @@ class LagrangianNet(BranchNet):
     shifts = property(lambda self: self._points)
 
     def _form(self, t) -> Form:
-        """Branches t L((x - u_i)/t) + a_i; at t = 0, L_rec(x - u_i) + a_i."""
+        """Branches t L((x - u_i)/t) + a_i; at t = 0, L_rec(x - u_i) + a_i.
+        A 1-D array of positive t gives one scale per row."""
         L = self._activation
+        if type(t) is np.ndarray and t.ndim:
+            offsets = np.broadcast_to(self.offsets, (len(t), self.n_branches))
+            return Form(L, L.radial, 1.0, 1.0, t, self._points, self._sq, offsets)
         if t == 0:
             fn, radial, t = L.recession, L.radial_recession, 1.0
         elif t < 0:
@@ -67,9 +71,10 @@ class LagrangianNet(BranchNet):
         """The t = 0 data: min over branches of the recession of L, shifted."""
         return self._evaluate_point(x, 0.0)
 
-    def evaluate_grid(self, points, t: float):
-        """Vectorized :meth:`evaluate` over (k, n) row points."""
-        if t <= 0:
+    def evaluate_grid(self, points, t):
+        """Vectorized :meth:`evaluate` over (k, n) row points, at one time or
+        one per row (a length-k array)."""
+        if t <= 0 if isinstance(t, float) else np.less_equal(t, 0).any():
             raise ValueError("t must be positive; use initial_grid() for t = 0")
         return self._branch_matrix(points, t)
 
@@ -77,8 +82,9 @@ class LagrangianNet(BranchNet):
         """Vectorized :meth:`initial_value` over (k, n) row points."""
         return self._branch_matrix(points, 0.0)
 
-    def solution_grid(self, points, t: float):
-        """Grid evaluation at any t >= 0 (t = 0 takes the recession formula)."""
+    def solution_grid(self, points, t):
+        """Grid evaluation at any t >= 0 (t = 0 takes the recession formula),
+        one time or one per row (a length-k array)."""
         return self._branch_matrix(points, t)
 
     def initial_values(self, points) -> np.ndarray:

@@ -8,15 +8,20 @@ the exact infimum, oracle - evaluator is nonnegative up to rounding, and
 small oracle gaps certify the representation.
 
 ``hj_residual`` checks the equation ∂_t S + H(∇_x S) = 0 pointwise with
-central differences.  Viscosity solutions are nonsmooth, so residuals are
-asserted only at screened points: winning-branch gap above a threshold and
-activation arguments away from the activation's kink set.
+central differences, at one point or at many stacked points, whose
+stencil rows (each at its own time) take one batch evaluation.  Viscosity
+solutions are nonsmooth, so residuals are asserted only at screened
+points: winning-branch gap above a threshold and activation arguments
+away from the activation's kink set.
 
 ``verify_report`` draws seeded samples and keeps one row per sample in a
 structured array (:class:`VerifyReport`): the point ``x`` and time ``t``,
 the ``oracle_gap`` |oracle - net| and the ``residual`` (each NaN where it
 is not taken) and whether the sample passed ``screened``.  It chooses the
-net's oracle once, before the sample loop.
+net's oracle once, before the sample loop, screens and runs the oracle
+sample by sample, and takes the residuals of each chunk of samples in one
+:func:`hj_residual` call whose stencil holds at most
+:data:`~hjeval.numeric.GRID_BLOCK` rows.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 from .catalog import ensure_extended
 from .initialdata import InitialDataNet
 from .lagrangian import LagrangianNet
-from .numeric import MAX_GRID_POINTS, box_grid, finite_minimum, grid_inf_convolution
+from .numeric import GRID_BLOCK, MAX_GRID_POINTS, box_grid, finite_minimum, grid_inf_convolution
 
 __all__ = [
     "ORACLE_TOL",
@@ -160,39 +165,48 @@ def lax_oleinik_bruteforce_velocity(
     return value
 
 
-def gradient_fd(solution_eval, x, t: float, h: float):
+def gradient_fd(solution_eval, x, t, h: float):
     """Central-difference gradient of S(x, t): returns (dS/dt, ∇_x S).
 
-    ``solution_eval`` maps ((k, n) row points, time) to k values; requires
-    t - h > 0.  It is called three times: on the 2n spatial stencil rows
-    x + h e_1, ..., x + h e_n, x - h e_1, ..., x - h e_n at t, and on x at
-    t + h and at t - h.
+    ``x`` is one point and ``t`` one time, giving a float and a length-n
+    array; or ``x`` stacks S points as (S, n) rows and ``t`` holds their S
+    times, giving arrays of shapes (S,) and (S, n).  Requires t - h > 0.
+    ``solution_eval`` maps ((k, n) row points, k times) to k values.  It is
+    called once, on every sample's 2n + 2 stencil rows: x + h e_1, ...,
+    x + h e_n, x - h e_1, ..., x - h e_n at t, then x at t + h and at t - h.
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    if t - h <= 0:
+    times = np.asarray(t, dtype=float)
+    if (times - h <= 0).any():
         raise ValueError("need t - h > 0 for the centered time difference")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    n = x.size
+    single = times.ndim == 0
+    times = times.reshape(-1)
+    x = np.asarray(x, dtype=float).reshape(len(times), 1, -1)
+    n = x.shape[-1]
     steps = h * np.eye(n)
-    values = solution_eval(np.concatenate([x + steps, x - steps]), t)
-    dx = (values[:n] - values[n:]) / (2 * h)
-    dt = (solution_eval(x[None], t + h)[0] - solution_eval(x[None], t - h)[0]) / (2 * h)
-    return float(dt), dx
+    rows = np.concatenate([x + steps, x - steps, x, x], axis=1).reshape(-1, n)
+    row_times = np.column_stack([np.repeat(times[:, None], 2 * n, axis=1), times + h, times - h])
+    values = solution_eval(rows, row_times.reshape(-1)).reshape(len(times), 2 * n + 2)
+    dx = (values[:, :n] - values[:, n : 2 * n]) / (2 * h)
+    dt = (values[:, -2] - values[:, -1]) / (2 * h)
+    return (float(dt[0]), dx[0]) if single else (dt, dx)
 
 
-def hj_residual(solution_eval, hamiltonian_eval, x, t: float, h: float) -> float:
+def hj_residual(solution_eval, hamiltonian_eval, x, t, h: float):
     """|∂_t S + H(∇_x S)| by central differences.
 
-    ``solution_eval`` is a batch evaluator, as in :func:`gradient_fd`.
-    Returns +inf when H(∇_x S) = +inf, i.e. the numerical gradient left the
+    ``x`` and ``t`` are one point and time, giving a float, or S stacked
+    points and their times, giving a length-S array; ``solution_eval`` is
+    a batch evaluator at one time per row, as in :func:`gradient_fd`, and
+    ``hamiltonian_eval`` is called once, on every sample's gradient.
+    Returns +inf where H(∇_x S) = +inf, i.e. the numerical gradient left the
     Hamiltonian's domain; at unscreened points that flags a kink, not a bug.
     """
     dt, dx = gradient_fd(solution_eval, x, t, h)
-    h_val = float(hamiltonian_eval(dx))
-    if np.isinf(h_val):
-        return float("inf")
-    return abs(dt + h_val)
+    h_val = hamiltonian_eval(np.atleast_2d(dx))
+    residual = np.where(np.isinf(h_val), np.inf, np.abs(dt + h_val))
+    return float(residual[0]) if isinstance(dt, float) else residual
 
 
 def hstar_interpolator_1d(net: InitialDataNet):
@@ -424,9 +438,17 @@ def verify_report(
         def solution(points, t):
             return net.solution_grid(points, t)[0]
 
-        for i, (x, t) in zip(range(samples), _draws(net, seed)):
-            screened, result = screen_point(net, x, t)
-            gap = abs(oracle(x, t) - result.value)
-            residual = hj_residual(solution, ham, x, t, FD_STEP) if t > 2 * FD_STEP else np.nan
-            records[i] = x, t, gap, residual, screened
+        # Residuals are taken a chunk of samples at a time, in one stencil
+        # of at most GRID_BLOCK rows.
+        chunk = max(1, GRID_BLOCK // (2 * net.dimension + 2))
+        draws = _draws(net, seed)
+        for lo in range(0, samples, chunk):
+            for i, (x, t) in zip(range(lo, min(lo + chunk, samples)), draws):
+                screened, result = screen_point(net, x, t)
+                records[i] = x, t, abs(oracle(x, t) - result.value), np.nan, screened
+            block = records[lo : lo + chunk]
+            timed = block["t"] > 2 * FD_STEP
+            if timed.any():
+                stencil = hj_residual(solution, ham, block["x"][timed], block["t"][timed], FD_STEP)
+                block["residual"][timed] = stencil
     return VerifyReport(label, seed, not residual_only, records)

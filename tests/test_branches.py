@@ -4,6 +4,16 @@ import numpy as np
 import pytest
 
 import hjeval.branches as branches
+from hjeval.catalog import (
+    ClippedQuadratic1D,
+    ConcaveFn,
+    HalfSquaredNorm,
+    MaxAffine,
+    PNorm,
+    ShiftedNormPlus,
+)
+from hjeval.initialdata import InitialDataNet
+from hjeval.lagrangian import LagrangianNet
 from hjeval.presets import concave_quadratic_net_10d, shifted_norm_net_10d
 
 T = 0.7
@@ -50,3 +60,129 @@ def test_nonfinite_points_are_refused_on_every_path(make_net, bad, path, monkeyp
         with pytest.raises(ValueError, match="^points must have finite coordinates$"):
             call(arg)
     assert bool(screened) == (path == "screen")
+
+
+# -- one time per row ---------------------------------------------------------
+
+
+def _spy_screen(monkeypatch):
+    """Count the screened row blocks from here on."""
+    calls = []
+    kernel = branches._screened
+    monkeypatch.setattr(branches, "_screened", lambda *a: calls.append(1) or kernel(*a))
+    return calls
+
+
+def _assert_rows_equal_scalar_calls(call, points, t, reference=None):
+    """``call(points, t)`` at one time per row equals, bit for bit, one
+    scalar call per distinct time on that time's rows (``reference(rows)``
+    instead where it is given, for the rows at t = 0)."""
+    got = call(points, t)
+    assert [g.shape for g in got] == [(len(points),)] * 3
+    for time in np.unique(t):
+        rows = t == time
+        want = reference(points[rows]) if reference and time == 0 else call(points[rows], float(time))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g[rows].tobytes() == w.tobytes()
+
+
+def _lagrangian(rng, fn, m, n):
+    return LagrangianNet(fn, rng.uniform(-2.0, 2.0, (m, n)), rng.uniform(-1.0, 1.0, m))
+
+
+def _initialdata(rng, fn, m, n):
+    rows = rng.uniform(-2.0, 2.0, (m, n))
+    # Convex offsets, of both signs, keep every row on the envelope.
+    return InitialDataNet(fn, rows, 0.5 * (rows * rows).sum(axis=1) - 2.0 * n / 3.0)
+
+
+_RADIAL_NETS = {
+    "snp": lambda rng: _lagrangian(rng, ShiftedNormPlus(), 64, 20),
+    "pnorm2": lambda rng: _lagrangian(rng, PNorm(2), 40, 12),
+    "neg_half_squared": lambda rng: _initialdata(rng, ConcaveFn(HalfSquaredNorm()), 64, 20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RADIAL_NETS))
+def test_per_row_times_equal_screened_scalar_calls(name, monkeypatch):
+    # Each time's rows alone reach SCREEN_MIN_ELEMENTS, so every scalar
+    # reference call is screened; the per-row call takes the exact kernel.
+    rng = np.random.default_rng(sorted(_RADIAL_NETS).index(name))
+    net = _RADIAL_NETS[name](rng)
+    times = np.array([0.3, 1.0, 2.7] + ([0.0] if isinstance(net, InitialDataNet) else []))
+    per_time = -(-branches.SCREEN_MIN_ELEMENTS // (net.n_branches * net.dimension))
+    points = rng.uniform(-4.0, 4.0, (len(times) * per_time, net.dimension))
+    t = rng.permutation(np.repeat(times, per_time))
+    screened = _spy_screen(monkeypatch)
+    net.solution_grid(points, t)
+    assert not screened
+    _assert_rows_equal_scalar_calls(net.solution_grid, points, t)
+    assert len(screened) >= len(times)
+    _assert_rows_equal_scalar_calls(net.evaluate_grid, points, np.where(t > 0, t, 1.0))
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, None])
+def test_per_row_blocks_carry_their_rows_fields(block_rows, monkeypatch):
+    # Row blocks of the exact kernel slice beta, scale and offsets with the
+    # points; distinct times on neighbouring rows expose any misalignment.
+    rng = np.random.default_rng(5)
+    for net in (_lagrangian(rng, PNorm(1), 6, 3), _initialdata(rng, ConcaveFn(PNorm(np.inf)), 6, 3)):
+        if block_rows:
+            monkeypatch.setattr(branches, "EXACT_BLOCK", block_rows * net.n_branches * net.dimension)
+        points = rng.uniform(-4.0, 4.0, (50, 3))
+        t = rng.uniform(0.1, 3.0, 50)
+        t[::5] = 1.0  # the scalar path skips the scale (or beta) at t = 1
+        _assert_rows_equal_scalar_calls(net.solution_grid, points, t)
+
+
+def test_per_row_times_at_zero_keep_the_sign_of_zero():
+    # At t = 0 every arch2 branch is J(x) + 0 * b_i, and 0 * b_i is -0.0
+    # for b_i < 0.  At x = 0, J(x) = -0.0, so the branch values are -0.0 or
+    # +0.0 and tie: the first branch (b_1 < 0 here) wins with -0.0.
+    rng = np.random.default_rng(6)
+    pieces = MaxAffine(rng.uniform(-1.0, 1.0, (3, 4)), np.zeros(3))
+    for fn in (ConcaveFn(HalfSquaredNorm()), ConcaveFn(pieces)):
+        rows = rng.uniform(-2.0, 2.0, (12, 4))
+        rows[0] = 0.0
+        net = InitialDataNet(fn, rows, 0.5 * (rows * rows).sum(axis=1) - 2.0)
+        assert net.offsets[0] < 0 and (net.offsets > 0).any()
+        points = rng.uniform(-4.0, 4.0, (60, 4))
+        points[::2] = 0.0
+        t = rng.choice([0.0, 0.5, 1.0], 60)
+        _assert_rows_equal_scalar_calls(net.solution_grid, points, t)
+        values = net.solution_grid(points, t)[0]
+        assert np.signbit(values[(t == 0) & (points == 0).all(axis=1)]).any()
+
+
+def test_lagrangian_rows_at_time_zero_take_the_recession():
+    rng = np.random.default_rng(7)
+    clipped = LagrangianNet(ClippedQuadratic1D(), [[-1.0], [1.0]], [0.0, 0.3])
+    for net in (_lagrangian(rng, ShiftedNormPlus(), 5, 3), clipped):
+        points = rng.uniform(-4.0, 4.0, (40, net.dimension))
+        t = rng.choice([0.0, 0.4, 1.0, 2.0], 40)
+        _assert_rows_equal_scalar_calls(net.solution_grid, points, t, net.initial_grid)
+        zero = np.zeros(40)
+        _assert_rows_equal_scalar_calls(net.solution_grid, points, zero, net.initial_grid)
+
+
+@pytest.mark.parametrize("make_net", [shifted_norm_net_10d, concave_quadratic_net_10d])
+def test_per_row_times_are_refused_as_scalar_times(make_net):
+    net = make_net()
+    points = np.random.default_rng(8).uniform(-2.0, 2.0, (6, 10))
+    t = np.full(6, 0.5)
+    t[3] = -0.25
+    with pytest.raises(ValueError) as want:
+        net.solution_grid(points[3:4], -0.25)
+    with pytest.raises(ValueError) as got:
+        net.solution_grid(points, t)
+    assert str(got.value) == str(want.value)
+    if isinstance(net, LagrangianNet):
+        t[3] = 0.0
+        with pytest.raises(ValueError) as want:
+            net.evaluate_grid(points[3:4], 0.0)
+        with pytest.raises(ValueError) as got:
+            net.evaluate_grid(points, t)
+        assert str(got.value) == str(want.value)
+    for wrong in (np.full(5, 0.5), np.full(7, 0.5), np.full((6, 1), 0.5)):
+        with pytest.raises(ValueError, match="^t: "):
+            net.solution_grid(points, wrong)

@@ -298,15 +298,49 @@ def _pointwise_residual(net, x, t, h):
 def test_batched_residual_equals_pointwise_stencil(problem):
     net = load_problem(CONFIG_DIR / f"{problem}.cfg").build_net()
     rng = np.random.default_rng(4)
+    samples = []
     for _ in range(25):
         x = rng.uniform(-4.0, 4.0, net.dimension)
         t = float(rng.uniform(0.1, 3.0))
         dt, dx, residual = _pointwise_residual(net, x, t, FD_STEP)
+        samples.append((x, t, dt, dx, residual))
         got_dt, got_dx = gradient_fd(_batch(net), x, t, FD_STEP)
         assert got_dt.hex() == dt.hex()
         assert got_dx.tobytes() == dx.tobytes()
         got = hj_residual(_batch(net), net.hamiltonian(), x, t, FD_STEP)
         assert got.hex() == residual.hex()
+    # The 25 samples again, stacked: one stencil, each row its own sample's.
+    xs, ts = np.array([s[0] for s in samples]), np.array([s[1] for s in samples])
+    got_dt, got_dx = gradient_fd(_batch(net), xs, ts, FD_STEP)
+    got = hj_residual(_batch(net), net.hamiltonian(), xs, ts, FD_STEP)
+    assert got_dt.shape == got.shape == (25,) and got_dx.shape == (25, net.dimension)
+    for i, (_, _, dt, dx, residual) in enumerate(samples):
+        assert got_dt[i].hex() == dt.hex()
+        assert got_dx[i].tobytes() == dx.tobytes()
+        assert got[i].hex() == residual.hex()
+
+
+def test_stacked_stencil_is_one_call_of_each_evaluator():
+    calls = []
+
+    def solution(points, t):
+        calls.append(("S", points.shape, np.shape(t)))
+        return points @ np.array([2.0, -3.0]) + 1.25 * t
+
+    def hamiltonian(p):
+        calls.append(("H", p.shape))
+        return np.zeros(len(p))
+
+    xs, ts = np.random.default_rng(9).uniform(-1.0, 1.0, (7, 2)), np.linspace(0.5, 2.0, 7)
+    dt, dx = gradient_fd(solution, xs, ts, 1e-4)
+    np.testing.assert_allclose(dt, 1.25, atol=1e-10)
+    np.testing.assert_allclose(dx, np.tile([2.0, -3.0], (7, 1)), atol=1e-10)
+    assert calls == [("S", (7 * 6, 2), (7 * 6,))]
+    calls.clear()
+    hj_residual(solution, hamiltonian, xs, ts, 1e-4)
+    assert calls == [("S", (7 * 6, 2), (7 * 6,)), ("H", (7, 2))]
+    with pytest.raises(ValueError, match="t - h"):
+        gradient_fd(solution, xs, np.where(ts > 1.0, ts, 5e-5), 1e-4)
 
 
 def _pwa2d_net():
@@ -483,10 +517,16 @@ def _direct_record(net, x, t, cfg, residual_only):
 
 @pytest.mark.parametrize(
     "problem, pts, residual_only",
-    [("clipped1d", 40001, False), ("pwa1d", 4001, False), ("pwa10d", 3, True)],
+    [
+        ("clipped1d", 40001, False),
+        ("pwa1d", 4001, False),
+        ("pwa10d", 3, True),
+        ("ball10d", 3, True),
+        ("pwa2d", 21, False),
+    ],
 )
 def test_verify_records_equal_direct_calls(monkeypatch, problem, pts, residual_only):
-    net = load_problem(CONFIG_DIR / f"{problem}.cfg").build_net()
+    net = _pwa2d_net() if problem == "pwa2d" else load_problem(CONFIG_DIR / f"{problem}.cfg").build_net()
     if isinstance(net, InitialDataNet):  # t = 0 is in its time range
         monkeypatch.setattr(oracle, "_draws", _early_times(oracle._draws))
     cfg = OracleConfig(pts)
@@ -511,6 +551,43 @@ def test_verify_records_equal_direct_calls(monkeypatch, problem, pts, residual_o
     assert report.screened_count == len(res) > 0
     assert (report.max_residual, report.mean_residual) == (max(res), float(np.mean(res)))
     assert report.passed
+
+
+def _count_solution_grids(monkeypatch, net):
+    calls = []
+    solution_grid = net.solution_grid
+    monkeypatch.setattr(net, "solution_grid", lambda *a: calls.append(1) or solution_grid(*a))
+    return calls
+
+
+@pytest.mark.parametrize("problem", ["pwa10d", "clipped1d"])
+def test_verify_stencils_take_one_batch_call_per_chunk(monkeypatch, problem):
+    # 50 samples fit one chunk: their residual stencils are one batch call,
+    # as are those of 5 samples.
+    net = load_problem(CONFIG_DIR / f"{problem}.cfg").build_net()
+    counts = []
+    for samples in (5, 50):
+        calls = _count_solution_grids(monkeypatch, net)
+        verify_report(net, samples, 0, OracleConfig(101), residual_only=net.dimension > 3)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 1
+
+
+def test_verify_memory_grows_only_with_the_records():
+    # pwa10d takes 186 samples a chunk: 20,000 samples run 108 chunks, and
+    # beyond the records array they peak as high as 200 samples do.
+    net = load_problem(CONFIG_DIR / "pwa10d.cfg").build_net()
+    verify_report(net, 5, 1, OracleConfig(3), residual_only=True)  # one-off allocations
+    extra = []
+    for samples in (200, 20_000):
+        tracemalloc.start()
+        try:
+            report = verify_report(net, samples, 1, OracleConfig(3), residual_only=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - report.records.nbytes)
+    assert abs(extra[1] - extra[0]) <= 1 << 20
 
 
 def test_verify_report_refuses_negative_samples():

@@ -26,8 +26,9 @@ the 2-D ``pwa2d`` velocity grid at ``--pts 21`` (441 targets), the stacked
 solve of a 21 x 21 grid on a plane of 12 points in R^4, whose LPs drop
 different pairs of redundant rows, and one LP at that set's centroid,
 ``verify_report`` on the shipped ``clipped1d`` (10 samples, pts 40001),
-``pwa1d`` (10 samples, pts 4001) and ``pwa10d`` (30 samples, residual
-only) problems, one sample of the position-form oracle
+``pwa1d`` (10 samples, pts 4001), ``ball10d`` and ``pwa10d`` (30 samples
+each, residual only) problems and on the ``pwa2d`` net of that velocity
+grid (2 samples, pts 21), one sample of the position-form oracle
 (``lax_oleinik_bruteforce``) on ``clipped1d`` at pts 40001 and at
 2,000,001, and a one-row ``solution_grid`` on the linf Hamiltonian
 net at n = 1000 (m = 2000) and on a ``shifted_norm_plus`` net with m = 64
@@ -104,8 +105,11 @@ def kernels(hj):
     plane_grid = _grid21(coords) @ frame + origin
     problems = {
         name: hj.config.load_problem(ROOT / "configs" / f"{name}.cfg").build_net()
-        for name in ("clipped1d", "pwa1d", "pwa10d")
+        for name in ("clipped1d", "pwa1d", "ball10d", "pwa10d")
     }
+    problems["pwa2d"] = hj.initialdata.InitialDataNet(
+        hj.catalog.ConcaveFn(hj.catalog.HalfSquaredNorm()), pwa_rows, pwa_offsets
+    )
     verify = hj.oracle.verify_report
     clipped = problems["clipped1d"]
 
@@ -135,6 +139,10 @@ def kernels(hj):
         "verify_pwa1d_10": lambda: verify(problems["pwa1d"], 10, 0, hj.oracle.OracleConfig(4001)),
         "oracle_clipped1d_40001": position_oracle(40001),
         "oracle_clipped1d_2000001": position_oracle(2_000_001),
+        "verify_pwa2d_2": lambda: verify(problems["pwa2d"], 2, 0, hj.oracle.OracleConfig(21)),
+        "verify_ball10d_30": lambda: verify(
+            problems["ball10d"], 30, 0, hj.oracle.OracleConfig(3), residual_only=True
+        ),
         "verify_pwa10d_30": lambda: verify(
             problems["pwa10d"], 30, 0, hj.oracle.OracleConfig(3), residual_only=True
         ),

@@ -125,8 +125,8 @@ MUTANTS = [
     ),
     (
         "src/hjeval/oracle.py",
-        "dx = (values[:n] - values[n:]) / (2 * h)",
-        "dx = (values[n:] - values[:n]) / (2 * h)",
+        "dx = (values[:, :n] - values[:, n : 2 * n]) / (2 * h)",
+        "dx = (values[:, n : 2 * n] - values[:, :n]) / (2 * h)",
         "the FD stencil's sign flipped",
     ),
     (
@@ -146,6 +146,24 @@ MUTANTS = [
         "else form.offsets[cols])",
         "else form.offsets)",
         "the screen's candidates given form.offsets, not form.offsets[cols]",
+    ),
+    (
+        "src/hjeval/oracle.py",
+        "times + h, times - h])",
+        "times - h, times + h])",
+        "the t + h and t - h stencil rows swapped",
+    ),
+    (
+        "src/hjeval/lagrangian.py",
+        "Form(L, L.radial, 1.0, 1.0, t,",
+        "Form(L, L.radial, 1.0, 1.0, np.full(len(t), t[0]),",
+        "every per-row time scaled by the first row's",
+    ),
+    (
+        "src/hjeval/initialdata.py",
+        "offsets = t[:, None] * self.offsets",
+        "offsets = t[::-1, None] * self.offsets",
+        "the arch2 per-row offsets t b taken with the times reversed",
     ),
 ]
 
