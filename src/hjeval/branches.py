@@ -15,29 +15,44 @@ one of two kernels:
   arrays, one activation call per block.  It is the only kernel whose
   numbers are returned.
 * **Screen**, for radial activations (see ``ConvexFn.radial``).  Branch i
-  at point x is ``sign * rho(|x - beta c_i|) + o_i``; the squared
-  distances come from ``|x|^2 - 2 beta <x, c_i> + beta^2 |c_i|^2`` with one
-  matrix product per block.  Each row gets a forward rounding bound ``e``
-  on the distance between its screen values and the exact kernel's values
-  (through the square root where there is one).  A branch is a candidate
-  when its screen value is at most the row's second-smallest screen value
-  plus ``2 e``; that band holds the exact minimum, every branch tied with
-  it and the exact runner-up, so the exact kernel run on the candidates
-  alone returns the same values, argmins and gaps as on all m branches.
-  Rows whose magnitudes could overflow or whose bound is not finite go to
-  the exact kernel whole, and so raise the same errors.
+  at point x is ``sign * rho(|x - beta c_i|) + o_i``.  A block's screen
+  values come from one matrix product: the block's rows, lifted to
+  ``[a x, b, c |x|^2, w]``, against the net's lifted matrix, whose column
+  i is ``[c_i; |c_i|^2; 1; d_i]`` with the net's offset parameter d_i
+  (``o_i = weight d_i``; built once per net).  On "norm" forms the
+  product is the squared distance ``|x - beta c_i|^2``, taken on through
+  the square root, shift and offsets; on "square" forms it is the branch
+  value itself.  Each row gets a forward rounding bound ``e`` on the
+  distance between its screen values and the exact kernel's values.
+
+  Let a row's three least screen values be ``s1 <= s2 <= s3`` (argmin and
+  gather, three times), of branches i1, i2 and i3.  If ``s3 > s2 + 2 e``,
+  every other branch j has exact value at least ``s_j - e >= s3 - e > s2
+  + e``, which is above the exact values of both i1 and i2.  So the exact
+  minimum, every branch tied with it and the exact runner-up lie in the
+  pair (i1, i2), and the exact formula on that pair (the smaller value
+  wins, the smaller index on a tie, and the gap is the other value less
+  it) returns the value, argmin and gap of all m branches.  Every other
+  row takes the exact kernel on all m branches: a row with a third branch
+  in the band (three or more branches tied, or nearly), rows whose
+  magnitudes could overflow or whose bound is not finite (so they raise
+  the same errors), and rows whose pair gives a NaN, or a tie at zero
+  whose gap's sign the reduction order decides.
 
 The size of a batch alone picks the kernel: a batch whose (k, m, n)
 differences reach ``SCREEN_MIN_ELEMENTS`` is screened, one row included;
 a smaller one takes the exact kernel directly.  A batch with one time per
 row takes the exact kernel on a Form whose ``beta``, ``scale`` and
-``offsets`` hold one entry per row.  Single points given to ``evaluate``
-take their own path (:meth:`BranchNet._evaluate_point`).
+``offsets`` hold one entry per row.  A single point given to ``evaluate``
+takes its own path (:meth:`BranchNet._evaluate_point`) below
+``SCREEN_MIN_ELEMENTS`` (m, n) differences, and is a one-row batch from
+there on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +60,7 @@ __all__ = ["BranchNet", "EvalResult", "reduce_branches", "reduce_branch_matrix"]
 
 # Row blocks hold at most this many float64 elements: (rows, m, n) stacked
 # differences on the exact kernel (512 KiB), and (rows, m) screen values
-# plus about two (rows, n) candidate differences on the screen (1 MiB).
+# plus (rows, n + 3) lifted rows on the screen (1 MiB).
 EXACT_BLOCK = 1 << 16
 SCREEN_BLOCK = 1 << 17
 # Smallest batch worth screening, in elements of the exact kernel's
@@ -164,11 +179,14 @@ class Form:
     Where ``radial`` = (kind, s) is not None, the same branch is ``sign *
     scale * rho(|x - beta c_i| / scale) + offsets_i`` with ``rho(r) = r^2 /
     2`` for "square" (scale 1) and ``max(r - s, 0)`` for "norm"; the screen
-    uses that form.  ``sq`` caches ``|c_i|^2``.
+    uses that form.  ``lifted`` is the net's (n + 3, m) matrix whose
+    column i is ``[c_i; |c_i|^2; 1; d_i]``, d_i the net's offset parameter
+    (a_i on arch1, b_i on arch2), and ``offsets_i`` is ``weight * d_i``
+    (weight 1 on arch1, t on arch2).
 
     A Form at one time per row of a batch of k points (:func:`_per_row`)
-    holds ``offsets`` as a (k, m) array, and ``beta`` or ``scale`` as a
-    length-k array where it varies with t (1.0 where it does not): row r's
+    holds ``offsets`` as a (k, m) array, and ``beta``, ``scale`` or ``weight``
+    as a length-k array where it varies with t (1.0 where it does not): row r's
     entries are those of the Form at row r's time.  Only the exact kernel
     takes it; it is never screened.
     """
@@ -179,7 +197,8 @@ class Form:
     beta: float | np.ndarray
     scale: float | np.ndarray
     centers: np.ndarray
-    sq: np.ndarray
+    lifted: np.ndarray
+    weight: float | np.ndarray
     offsets: np.ndarray
 
 
@@ -242,13 +261,14 @@ def min_over_branches(points, form: Form, values_only=False):
     (k, n), m = points.shape, len(form.centers)
     if values_only or form.radial is None or m == 1 or k * m * n < SCREEN_MIN_ELEMENTS:
         return _exact_rows(points, form, values_only)
-    step = max(1, SCREEN_BLOCK // (m + 2 * n))
+    # A block's row holds m screen values and n + 3 lifted entries, and then,
+    # once those are spent, 2 n pair differences.
+    width = max(m + n + 3, 2 * n)
+    step = max(1, SCREEN_BLOCK // width)
     # Blocks write their largest arrays into one workspace, so they reuse
     # memory instead of each taking (and faulting in) fresh pages.
-    work = np.empty(min(k, step) * (m + 2 * n))
-    cross = (-2.0 * form.beta * form.centers).T  # -2 beta c_i, one column a branch
-    blocks = range(0, k, step)
-    return _join([_screened(points[lo : lo + step], form, cross, work) for lo in blocks])
+    work = np.empty(min(k, step) * width)
+    return _join([_screened(points[lo : lo + step], form, work) for lo in range(0, k, step)])
 
 
 def _join(blocks):
@@ -287,81 +307,81 @@ def _exact(x, form: Form, work, values_only):
     return reduce_branch_matrix(np.ascontiguousarray(matrix.T))
 
 
-def _screen_values(x, s: Form, cross, vals):
-    """Fill ``vals`` with the (rows, m) screen values; return each row's band half-width."""
-    n = x.shape[1]
+def _screen_values(x, s: Form, work):
+    """The (rows, m) screen values, written into ``work``, and each row's
+    band half-width ``e`` (NaN on the rows the screen cannot bound)."""
+    (rows, n), m = x.shape, s.lifted.shape[1]
+    vals = work[: rows * m].reshape(rows, m)
+    lift = work[rows * m : rows * (m + n + 3)].reshape(rows, n + 3)
     xx = np.einsum("ij,ij->i", x, x)
+    kind, shift = s.radial
+    beta = s.beta
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        np.matmul(x, cross, out=vals)
-        vals += xx[:, None]
-        vals += (s.beta * s.beta) * s.sq
+        # Row [-2 c beta x, c beta^2, c |x|^2, w] against column [c_i;
+        # |c_i|^2; 1; d_i] gives c |x - beta c_i|^2 + w d_i: the squared
+        # distance on "norm" forms, the branch value on "square" forms.
+        c, w = (1.0, 0.0) if kind == "norm" else (0.5 * s.sign, s.weight)
+        np.multiply(x, -2.0 * c * beta, out=lift[:, :n])
+        np.multiply(xx, c, out=lift[:, n + 1])
+        lift[:, n::2] = c * beta * beta, w
+        np.matmul(lift, s.lifted, out=vals)
         # Forward bounds: |x|, |beta c_i| <= p and every computed |.|^2
-        # within e2 of the true one (matrix product, norms, sums, underflow).
-        p = np.sqrt(xx) + abs(s.beta) * np.sqrt(s.sq.max())
-        e2 = (n + 8) * _U * (p * p) + (n + 1) * 2.0**-1000
+        # within e2 of the true one (lifted rows, matrix product, norms,
+        # and underflow of each, scaled by the |c_i| or beta it meets).
+        sq = float(s.lifted[n].max())
+        p = np.sqrt(xx) + abs(beta) * np.sqrt(sq)
+        e2 = (n + 8) * _U * (p * p) + (n + 3) * 2.0**-1000 * (1.0 + sq + beta * beta)
         omax = float(np.abs(s.offsets).max())
-        kind, shift = s.radial
         shift *= s.scale
         if kind == "norm":
-            dmin = np.sqrt(np.maximum(vals.min(axis=1), 0.0))
-            np.maximum(vals, 0.0, out=vals)
+            dmin = np.sqrt(np.maximum(vals[np.arange(rows), vals.argmin(axis=1)], 0.0))
+            # max(d - shift, 0) as fmax(d, shift) - shift: fmax also takes
+            # shift where rounding left the squared distance negative.
             np.sqrt(vals, out=vals)
-            if shift:
-                vals -= shift
-                np.maximum(vals, 0.0, out=vals)
+            np.fmax(vals, shift, out=vals)
+            if s.sign < 0:
+                np.subtract(s.offsets + shift, vals, out=vals)
+            else:
+                vals += s.offsets - shift
             spread = np.minimum(np.sqrt(e2), e2 / dmin) + (n + 10) * _U * (p + shift + omax)
         else:
-            vals *= 0.5
             spread = e2 + (n + 10) * _U * (p * p + omax)
-        if s.sign < 0:
-            np.negative(vals, out=vals)
-        vals += s.offsets
         # Both kernels' errors, with room to spare, plus underflow of the
         # exact kernel's scaled differences.
         bound = 2.0 * spread + (n + 1) * 2.0**-500 * (1.0 + s.scale)
         safe = (p < _HUGE) & (p / s.scale < _HUGE) & (omax < _HUGE * _HUGE) & np.isfinite(bound)
-    return np.where(safe, bound, np.nan)
+    return vals, np.where(safe, bound, np.nan)
 
 
-def _screened(x, s: Form, cross, work):
-    (rows, n), m = x.shape, cross.shape[1]
-    vals = work[: rows * m].reshape(rows, m)
-    bound = _screen_values(x, s, cross, vals)
-    r = np.arange(rows)
+def _screened(x, s: Form, work):
+    vals, bound = _screen_values(x, s, work)
+    r = np.arange(len(x))
+    # The row's three least screen values, by argmin and gather.
     best = vals.argmin(axis=1)
-    lowest = vals[r, best]
     vals[r, best] = np.inf
-    second = vals.min(axis=1)
-    vals[r, best] = lowest
-    mask = vals <= (second + 2.0 * bound)[:, None]
-    mask[~np.isfinite(bound)] = True  # unsafe rows: every branch, exactly
-    pair_rows, cols = np.divmod(np.flatnonzero(mask), m)
-    # The screen values are spent: the workspace takes the candidates, as
-    # many at a time as fit.
-    exact_vals = np.empty(len(cols))
-    chunk = len(work) // n
-    for lo in range(0, len(cols), chunk):
-        sel = slice(lo, lo + chunk)
-        size = len(cols[sel])
-        # The indices come from the mask, so "clip" never clips; unlike
-        # "raise", it writes straight into ``out``.
-        out = work[: size * n].reshape(size, n)
-        candidates = np.take(x, pair_rows[sel], axis=0, out=out, mode="clip")
-        exact_vals[sel] = branch_formula(s, candidates, cols[sel], candidates)
-    # Segmented reduction over each row's candidates (rows are sorted).
-    starts = np.searchsorted(pair_rows, r)
-    low = np.minimum.reduceat(exact_vals, starts)
-    index = np.arange(len(exact_vals))
-    first = np.minimum.reduceat(np.where(exact_vals == low[pair_rows], index, len(index)), starts)
-    first = np.minimum(first, len(index) - 1)  # NaN rows match nothing; redone below
-    values = exact_vals[first]
-    argmins = cols[first] + 1
-    exact_vals[first] = np.inf
-    runner = np.minimum.reduceat(exact_vals, starts)
+    second = vals.argmin(axis=1)
+    band = vals[r, second] + 2.0 * bound
+    vals[r, second] = np.inf
+    third = vals[r, vals.argmin(axis=1)]
+    # Rows whose third value clears the band (never an unsafe or NaN row)
+    # are settled by their first two branches.
+    keep = third > band
+    rows = slice(None) if keep.all() else keep
+    cols = np.stack((best, second))
+    xs = x[rows]
+    # The screen values are spent: the workspace takes the pair's
+    # differences.  The other rows hold NaN, and so take the redo below.
+    exact = np.full((2, len(x)), np.nan)
+    exact[:, rows] = branch_formula(s, xs, cols[:, rows], work[: 2 * xs.size].reshape(2, *xs.shape))
+    first, other = exact
+    swap = (other < first) | ((other == first) & (cols[1] < cols[0]))
+    values = np.where(swap, other, first)
+    runner = np.where(swap, first, other)
+    argmins = np.where(swap, cols[1], cols[0]) + 1
     gaps = runner - values
     # NaN rows and ties at zero (whose sign the reduction order decides)
     # take the full-matrix reduction on every branch.
-    redo = np.isnan(low) | ((values == 0.0) & (runner == 0.0))
+    redo = np.isnan(gaps) | ((values == 0.0) & (runner == 0.0))
     if redo.any():
         values[redo], argmins[redo], gaps[redo] = _exact_rows(x[redo], s)
     return values, argmins, gaps
@@ -373,9 +393,10 @@ def _screened(x, s: Form, cross, work):
 class BranchNet:
     """m branches, each an activation of an affine map of (x, t), min-pooled.
 
-    Holds the branch points c_i (their ``|c_i|^2`` cached) and offsets, and
-    wires both paths: a single point runs every branch formula in one call
-    and reduces it; a batch is checked once and reduced by
+    Holds the branch points c_i and offsets, lifted once for the screen
+    (``Form.lifted``), and wires both paths: a single point runs every
+    branch formula in one call and reduces it, unless it is large enough to
+    be screened as a one-row batch; a batch is checked once and reduced by
     :func:`min_over_branches`, or by the exact kernel when it has one time
     per row.  Subclasses give ``_form(t)``, their branches at time t as a
     :class:`Form` (raising ValueError for a time outside the
@@ -390,7 +411,13 @@ class BranchNet:
         self._points, self.offsets = check_branch_parameters(
             points, offsets, points_name, activation.dim, fn_name
         )
-        self._sq = np.einsum("ij,ij->i", self._points, self._points)
+
+    @cached_property
+    def _lifted(self):
+        """``Form.lifted``, built on the net's first evaluation: a net that is
+        only constructed (and certified) never pays for it."""
+        c = self._points
+        return np.vstack([c.T, np.einsum("ij,ij->i", c, c), np.ones(len(c)), self.offsets])
 
     @property
     def dimension(self) -> int:
@@ -405,9 +432,12 @@ class BranchNet:
         return branch_formula(self._form(t), check_point(x, self.dimension))
 
     def _evaluate_point(self, x, t) -> EvalResult:
-        """The single-point path: one call of the branch formula, reduced."""
-        # branch_values inlined: one Python call less on the hottest path.
-        return reduce_branches(branch_formula(self._form(t), check_point(x, self.dimension)))
+        """The single-point path: one call of the branch formula, reduced;
+        from ``SCREEN_MIN_ELEMENTS`` (m, n) differences on, a one-row batch."""
+        form, x = self._form(t), check_point(x, self.dimension)
+        if x.size * len(form.centers) < SCREEN_MIN_ELEMENTS:
+            return reduce_branches(branch_formula(form, x))
+        return EvalResult(*(part.item() for part in min_over_branches(x[None], form)))
 
     def _branch_matrix(self, points, t, values_only=False):
         """Row-wise (values, argmins, gaps), or (values,) with ``values_only``,

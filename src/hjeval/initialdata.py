@@ -74,10 +74,10 @@ class InitialDataNet(BranchNet):
         J = self._activation
         if type(t) is np.ndarray and t.ndim:
             offsets = t[:, None] * self.offsets
-            return Form(J, J.negated.radial, -1.0, t, 1.0, self._points, self._sq, offsets)
+            return Form(J, J.negated.radial, -1.0, t, 1.0, self._points, self._lifted, t, offsets)
         if t < 0:
             raise ValueError("t must be nonnegative")
-        return Form(J, J.negated.radial, -1.0, t, 1.0, self._points, self._sq, t * self.offsets)
+        return Form(J, J.negated.radial, -1.0, t, 1.0, self._points, self._lifted, t, t * self.offsets)
 
     def evaluate(self, x, t: float) -> EvalResult:
         """Solution value at time t >= 0 (every branch equals J(x) at t = 0)."""

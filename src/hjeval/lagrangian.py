@@ -52,14 +52,14 @@ class LagrangianNet(BranchNet):
         L = self._activation
         if type(t) is np.ndarray and t.ndim:
             offsets = np.broadcast_to(self.offsets, (len(t), self.n_branches))
-            return Form(L, L.radial, 1.0, 1.0, t, self._points, self._sq, offsets)
+            return Form(L, L.radial, 1.0, 1.0, t, self._points, self._lifted, 1.0, offsets)
         if t == 0:
             fn, radial, t = L.recession, L.radial_recession, 1.0
         elif t < 0:
             raise ValueError("t must be nonnegative")
         else:
             fn, radial = L, L.radial
-        return Form(fn, radial, 1.0, 1.0, t, self._points, self._sq, self.offsets)
+        return Form(fn, radial, 1.0, 1.0, t, self._points, self._lifted, 1.0, self.offsets)
 
     def evaluate(self, x, t: float) -> EvalResult:
         """Solution value at time t > 0."""

@@ -43,16 +43,17 @@ def check_batch(monkeypatch, count_pairs):
     blocks = []
     screened = branches._screened
 
-    def recording(x, s, cross, work):
-        blocks.append((x.copy(), s, cross))
-        return screened(x, s, cross, work)
+    def recording(x, s, work):
+        blocks.append((x.copy(), s))
+        return screened(x, s, work)
 
     monkeypatch.setattr(branches, "_screened", recording)
 
     def check(net, points, t, reference, rng):
         k, n = points.shape
         m = net.n_branches
-        monkeypatch.setattr(branches, "SCREEN_BLOCK", (m + 2 * n) * int(rng.integers(1, 64)))
+        width = max(m + n + 3, 2 * n)
+        monkeypatch.setattr(branches, "SCREEN_BLOCK", width * int(rng.integers(1, 64)))
         monkeypatch.setattr(branches, "EXACT_BLOCK", m * n * int(rng.integers(1, 8)))
         counts = count_pairs()
         blocks.clear()
@@ -62,9 +63,8 @@ def check_batch(monkeypatch, count_pairs):
         _assert_same_bits(got, want)
         pairs = sum(counts)
         # The band argument needs |screen - exact| <= bound on every safe row.
-        for x, s, cross in blocks:
-            vals = np.empty((len(x), m))
-            bound = branches._screen_values(x, s, cross, vals)
+        for x, s in blocks:
+            vals, bound = branches._screen_values(x, s, np.empty(len(x) * (m + n + 3)))
             with np.errstate(all="ignore"):
                 full = branches.branch_formula(s, x[None], np.arange(m)[:, None]).T
             safe = np.isfinite(bound)

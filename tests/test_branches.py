@@ -14,7 +14,12 @@ from hjeval.catalog import (
 )
 from hjeval.initialdata import InitialDataNet
 from hjeval.lagrangian import LagrangianNet
-from hjeval.presets import concave_quadratic_net_10d, shifted_norm_net_10d
+from hjeval.presets import (
+    concave_quadratic_net_10d,
+    l1_hamiltonian_net,
+    linf_hamiltonian_net,
+    shifted_norm_net_10d,
+)
 
 T = 0.7
 
@@ -186,3 +191,98 @@ def test_per_row_times_are_refused_as_scalar_times(make_net):
     for wrong in (np.full(5, 0.5), np.full(7, 0.5), np.full((6, 1), 0.5)):
         with pytest.raises(ValueError, match="^t: "):
             net.solution_grid(points, wrong)
+
+
+# -- the two-branch band -------------------------------------------------------
+
+
+def _exact_kernel(net, points, t, monkeypatch):
+    """``net.solution_grid(points, t)`` on the exact kernel, every branch."""
+    with monkeypatch.context() as patch:
+        patch.setattr(branches, "SCREEN_MIN_ELEMENTS", 1 << 62)
+        return net.solution_grid(points, t)
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["linf", "l1"])
+def test_rows_with_a_third_branch_in_the_band_fall_back(kind, count_pairs, monkeypatch):
+    # Rows tie 1, 2 or 3 ways: on linf, that many coordinates share the
+    # largest |x_j|; on l1, that many less one coordinates are zero (ties
+    # of 1, 2 and 4 sign vectors, exact ones).  A tie of two stays in the
+    # pair, smallest index first; a third tied branch falls in the band,
+    # and its row takes every branch.
+    n = 100 if kind == "linf" else 8
+    net = linf_hamiltonian_net(n) if kind == "linf" else l1_hamiltonian_net(n)
+    rng = np.random.default_rng(47)
+    points = rng.uniform(-4.0, 4.0, (90, n))
+    tied = rng.permutation(np.repeat([1, 2, 3], 30))
+    for x, ways in zip(points, tied):
+        axes = rng.choice(n, ways, replace=False)
+        if kind == "linf":
+            x[axes] = 5.0 * rng.choice([-1.0, 1.0], ways)
+        else:
+            x[axes[1:]] = 0.0
+    want = _exact_kernel(net, points, 1.7, monkeypatch)
+    counts = count_pairs()
+    got = net.solution_grid(points, 1.7)
+    _assert_same_bits(got, want)
+    band = (tied == 3).sum()
+    assert sum(counts) == 2 * (len(points) - band) + net.n_branches * band
+    if kind == "l1":
+        assert (got[2][tied > 1] == 0.0).all()
+
+
+@pytest.mark.parametrize("arch", ["arch1", "arch2"])
+def test_two_branch_nets_are_screened(arch, count_pairs, monkeypatch):
+    # With m = 2 there is no third branch: the third screen value is +inf
+    # and every row takes its pair.
+    rng = np.random.default_rng(48)
+    if arch == "arch1":
+        net = _lagrangian(rng, ShiftedNormPlus(), 2, 200)
+    else:
+        net = _initialdata(rng, ConcaveFn(HalfSquaredNorm()), 2, 200)
+    points = rng.uniform(-4.0, 4.0, (100, 200))
+    want = _exact_kernel(net, points, 0.9, monkeypatch)
+    screened = _spy_screen(monkeypatch)
+    counts = count_pairs()
+    got = net.solution_grid(points, 0.9)
+    assert screened
+    _assert_same_bits(got, want)
+    assert sum(counts) == 2 * len(points)
+
+
+def test_large_single_points_are_one_row_batches(count_pairs):
+    # From SCREEN_MIN_ELEMENTS (m, n) differences on, evaluate and
+    # initial_value screen the point as a batch of one row does.
+    rng = np.random.default_rng(49)
+    net = _lagrangian(rng, ShiftedNormPlus(), 64, 600)
+    assert net.n_branches * net.dimension >= branches.SCREEN_MIN_ELEMENTS
+    x = rng.uniform(-2.0, 2.0, 600)
+    for point, batch in (
+        (lambda: net.evaluate(x, 0.8), lambda: net.solution_grid(x[None], 0.8)),
+        (lambda: net.initial_value(x), lambda: net.initial_grid(x[None])),
+    ):
+        counts = count_pairs()
+        res = point()
+        assert 0 < sum(counts) < net.n_branches
+        (value,), (argmin,), (gap,) = batch()
+        assert (res.value, res.argmin_index, res.gap) == (value, argmin, gap)
+        assert np.signbit(res.value) == np.signbit(value) and np.signbit(res.gap) == np.signbit(gap)
+
+
+def test_screen_bound_covers_underflowed_branch_norms(monkeypatch):
+    # Rows near 1e-170 have |v_i|^2 underflow to 0, while t^2 |v_i|^2 at
+    # t = 1e150 is about 1e-38: the bound must carry that loss, scaled by
+    # beta^2, or the screen's pair misses the exact winner.
+    rng = np.random.default_rng(50)
+    rows = rng.normal(size=(40, 30)) * 1e-170
+    net = InitialDataNet(ConcaveFn(HalfSquaredNorm()), rows, np.zeros(40))
+    points = rng.normal(size=(200, 30)) * 1e-20
+    want = _exact_kernel(net, points, 1e150, monkeypatch)
+    screened = _spy_screen(monkeypatch)
+    _assert_same_bits(net.solution_grid(points, 1e150), want)
+    assert screened

@@ -327,6 +327,7 @@ def test_screen_band_is_tight(count_pairs):
     points = rng.uniform(-4.0, 4.0, (10_000, 100))
     net.solution_grid(points, 1.7)
     assert sum(counts) / len(points) <= 2.0
+    assert sum(counts) == 2 * len(points)  # each generic row sends its pair, no more
     # At t = 0 every branch equals J(x): all m tie and all are rechecked.
     counts.clear()
     net.solution_grid(points[:1000], 0.0)
@@ -336,11 +337,13 @@ def test_screen_band_is_tight(count_pairs):
 def test_one_row_batch_is_screened(count_pairs):
     # The batch size alone picks the kernel: one row of m·n = 400·200 =
     # 80,000 differences is screened, so only its band reaches the exact
-    # kernel, with the values, argmin and gap of the single-point path.
+    # kernel.  A single point of that size is such a one-row batch.
     net = linf_hamiltonian_net(200)
     counts = count_pairs()
     x = np.random.default_rng(46).uniform(-4.0, 4.0, (1, 200))
     (value,), (argmin,), (gap,) = net.solution_grid(x, 1.7)
     assert 0 < sum(counts) < net.n_branches
+    counts.clear()
     res = net.evaluate(x[0], 1.7)
+    assert 0 < sum(counts) < net.n_branches
     assert (value.hex(), argmin, gap.hex()) == (res.value.hex(), res.argmin_index, res.gap.hex())

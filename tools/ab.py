@@ -30,9 +30,16 @@ different pairs of redundant rows, and one LP at that set's centroid,
 each, residual only) problems and on the ``pwa2d`` net of that velocity
 grid (2 samples, pts 21), one sample of the position-form oracle
 (``lax_oleinik_bruteforce``) on ``clipped1d`` at pts 40001 and at
-2,000,001, and a one-row ``solution_grid`` on the linf Hamiltonian
+2,000,001, a one-row ``solution_grid`` on the linf Hamiltonian
 net at n = 1000 (m = 2000) and on a ``shifted_norm_plus`` net with m = 64
-branches in 1000-D.
+branches in 1000-D, and a single-point ``evaluate`` on that linf net.
+Then the nets of ``perfbench``'s ``eval`` workload, each on one
+10,000-point ``solution_grid`` batch at one time in [0.1, 3]:
+``clipped_quadratic`` (m = 3, 1-D), ``shifted_norm_plus`` (m = 64,
+100-D), the linf Hamiltonian at n = 100 (m = 200) and the l1 Hamiltonian
+at n = 8 (m = 256); and ``evaluate_slice`` on a plane like the ``slice``
+workload's 10-D one: 41 x 41 points at four times on a
+``shifted_norm_plus`` net with m = 8.
 """
 
 from __future__ import annotations
@@ -119,12 +126,35 @@ def kernels(hj):
             clipped.initial_values, clipped.lagrangian, np.array([0.7]), 1.3, cfg
         )
 
-    linf = importlib.import_module(f"{hj.__name__}.presets").linf_hamiltonian_net(1000)
+    presets = importlib.import_module(f"{hj.__name__}.presets")
+    linf = presets.linf_hamiltonian_net(1000)
     snp_rng = np.random.default_rng(2)
     snp = hj.lagrangian.LagrangianNet(
         hj.catalog.ShiftedNormPlus(), snp_rng.uniform(-1.0, 1.0, (64, 1000)), snp_rng.uniform(-1.0, 1.0, 64)
     )
     row = np.random.default_rng(3).uniform(-4.0, 4.0, (1, 1000))
+    # The eval workload's nets and batch sizes, and its 10-D slice plane.
+    eval_rng = np.random.default_rng(4)
+    eval_nets = {
+        "clipped1d": hj.lagrangian.LagrangianNet(
+            hj.catalog.ClippedQuadratic1D(), eval_rng.uniform(-3.0, 3.0, (3, 1)), eval_rng.uniform(-1.0, 1.0, 3)
+        ),
+        "snp100": hj.lagrangian.LagrangianNet(
+            hj.catalog.ShiftedNormPlus(), eval_rng.uniform(-1.0, 1.0, (64, 100)), eval_rng.uniform(-1.0, 1.0, 64)
+        ),
+        "linf100": presets.linf_hamiltonian_net(100),
+        "l1_8": presets.l1_hamiltonian_net(8),
+    }
+    batches = {
+        key: (eval_rng.uniform(-4.0, 4.0, (10_000, net.dimension)), float(eval_rng.uniform(0.1, 3.0)))
+        for key, net in eval_nets.items()
+    }
+    plane_net = hj.lagrangian.LagrangianNet(
+        hj.catalog.ShiftedNormPlus(), eval_rng.uniform(-3.0, 3.0, (8, 10)), eval_rng.uniform(-1.0, 1.0, 8)
+    )
+    slice_plane = hj.slicing.SliceSpec(
+        (2, 7), ((-6.0, 6.0, 41), (-6.0, 6.0, 41)), (0.37, 1.17, 2.57, 4.07), tuple(eval_rng.uniform(-1.0, 1.0, 8))
+    )
     return {
         "certificate_planted10d_m100": lambda: simplex.lower_envelope_certificate(planted, offsets),
         "lp10d_m100": lambda: simplex.minimize_over_simplex(offsets, planted, planted[-1]),
@@ -148,6 +178,12 @@ def kernels(hj):
         ),
         "grid1_linf_n1000": lambda: linf.solution_grid(row, 1.7),
         "grid1_snp_m64_n1000": lambda: snp.solution_grid(row, 1.7),
+        "point_linf_n1000": lambda: linf.evaluate(row[0], 1.7),
+        **{
+            f"grid10k_{key}": lambda net=net, batch=batches[key]: net.solution_grid(*batch)
+            for key, net in eval_nets.items()
+        },
+        "slice_plane10d_41x41": lambda: hj.slicing.evaluate_slice(plane_net, slice_plane),
     }
 
 

@@ -107,8 +107,8 @@ MUTANTS = [
     ),
     (
         "src/hjeval/branches.py",
-        "mask = vals <= (second + 2.0 * bound)[:, None]",
-        "mask = vals <= (second + bound)[:, None]",
+        "band = vals[r, second] + 2.0 * bound",
+        "band = vals[r, second] + bound",
         "the branch screen's 2e band cut to e",
     ),
     (
@@ -165,6 +165,24 @@ MUTANTS = [
         "offsets = t[::-1, None] * self.offsets",
         "the arch2 per-row offsets t b taken with the times reversed",
     ),
+    (
+        "src/hjeval/branches.py",
+        "((other == first) & (cols[1] < cols[0]))",
+        "((other == first) & (cols[1] > cols[0]))",
+        "the screen pair's tie-break given to the larger index",
+    ),
+    (
+        "src/hjeval/branches.py",
+        "keep = third > band",
+        "keep = np.full(len(x), True)",
+        "the third-value test dropped (every row takes its pair)",
+    ),
+    (
+        "src/hjeval/initialdata.py",
+        "self._lifted, t, t * self.offsets)",
+        "self._lifted, 1.0, t * self.offsets)",
+        "the lifted offset column's weight fixed at 1 on arch2",
+    ),
 ]
 
 # why -> the reason no test can catch the mutant.
@@ -176,13 +194,15 @@ EQUIVALENT: dict[str, str] = {
         "_stack_sets() x _stack_targets()), nor in any other of its 148 files"
     ),
     "the branch screen's 2e band cut to e": (
-        "the band must hold the exact minimum and runner-up, which lie within "
-        "2 max|screen - exact| of the second screen value, so one bound holds "
-        "them wherever |screen - exact| <= bound / 2; bound is twice the forward "
-        "bound spread plus underflow, and the largest |screen - exact| / bound "
-        "is 0.127 over the check_batch suites (2,335 screened blocks) and 0.177 "
-        "over 3,000 batches of points a few ulps from branch centres at scales "
-        "1e-3 to 1e9"
+        "the pair must hold the exact minimum and runner-up, and a third branch "
+        "outside the band lies above both once its screen value exceeds the "
+        "second by 2 max|screen - exact|, so one bound suffices wherever "
+        "|screen - exact| <= bound / 2; bound is twice the forward bound spread "
+        "plus underflow, and under the lifted product the largest "
+        "|screen - exact| / bound is 0.127 over the check_batch suites (2,981 "
+        "screened blocks) and 0.187 over 3,000 batches of 64 points a few ulps "
+        "from branch centres at scales 1e-3 to 1e9 (0.167 there under the "
+        "previous product)"
     ),
 }
 
