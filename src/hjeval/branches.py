@@ -19,10 +19,10 @@ one of two kernels:
   values come from one matrix product: the block's rows, lifted to
   ``[a x, b, c |x|^2, w]``, against the net's lifted matrix, whose column
   i is ``[c_i; |c_i|^2; 1; d_i]`` with the net's offset parameter d_i
-  (``o_i = weight d_i``; built once per net).  On "norm" forms the
-  product is the squared distance ``|x - beta c_i|^2``, taken on through
-  the square root, shift and offsets; on "square" forms it is the branch
-  value itself.  Each row gets a forward rounding bound ``e`` on the
+  (``o_i = w d_i``, w the Form's ``weight``; built once per net).  On
+  "norm" forms the product is the squared distance ``|x - beta c_i|^2``,
+  taken on through the square root, shift and offsets ``w d_i`` (formed
+  once per block); on "square" forms it is the branch value itself.  Each row gets a forward rounding bound ``e`` on the
   distance between its screen values and the exact kernel's values.
 
   Let a row's three least screen values be ``s1 <= s2 <= s3`` (argmin and
@@ -42,8 +42,8 @@ one of two kernels:
 The size of a batch alone picks the kernel: a batch whose (k, m, n)
 differences reach ``SCREEN_MIN_ELEMENTS`` is screened, one row included;
 a smaller one takes the exact kernel directly.  A batch with one time per
-row takes the exact kernel on a Form whose ``beta``, ``scale`` and
-``offsets`` hold one entry per row.  A single point given to ``evaluate``
+row takes the exact kernel on a Form whose ``beta``, ``scale`` or
+``weight`` hold one entry per row.  A single point given to ``evaluate``
 takes its own path (:meth:`BranchNet._evaluate_point`) below
 ``SCREEN_MIN_ELEMENTS`` (m, n) differences, and is a one-row batch from
 there on.
@@ -173,22 +173,21 @@ def check_points(points, dim: int) -> np.ndarray:
 @dataclass(slots=True)
 class Form:
     """A net's m branches at one time: activation ``fn``, branch points
-    ``centers`` (c_i) and ``offsets`` (o_i).
-
-    Branch i at x is ``scale * fn((x - beta c_i) / scale) + offsets_i``.
-    Where ``radial`` = (kind, s) is not None, the same branch is ``sign *
-    scale * rho(|x - beta c_i| / scale) + offsets_i`` with ``rho(r) = r^2 /
-    2`` for "square" (scale 1) and ``max(r - s, 0)`` for "norm"; the screen
-    uses that form.  ``lifted`` is the net's (n + 3, m) matrix whose
-    column i is ``[c_i; |c_i|^2; 1; d_i]``, d_i the net's offset parameter
-    (a_i on arch1, b_i on arch2), and ``offsets_i`` is ``weight * d_i``
+    ``centers`` (c_i) and offset parameters ``offsets`` (d_i: a_i on arch1,
+    b_i on arch2), whose branch offsets are o_i = ``weight * offsets_i``
     (weight 1 on arch1, t on arch2).
 
-    A Form at one time per row of a batch of k points (:func:`_per_row`)
-    holds ``offsets`` as a (k, m) array, and ``beta``, ``scale`` or ``weight``
-    as a length-k array where it varies with t (1.0 where it does not): row r's
-    entries are those of the Form at row r's time.  Only the exact kernel
-    takes it; it is never screened.
+    Branch i at x is ``scale * fn((x - beta c_i) / scale) + o_i``.  Where
+    ``radial`` = (kind, s) is not None, the same branch is ``sign * scale *
+    rho(|x - beta c_i| / scale) + o_i`` with ``rho(r) = r^2 / 2`` for
+    "square" (scale 1) and ``max(r - s, 0)`` for "norm"; the screen uses
+    that form.  ``lifted`` is the net's (n + 3, m) matrix whose column i is
+    ``[c_i; |c_i|^2; 1; d_i]``.
+
+    At one time per row of a batch of k points, ``beta``, ``scale`` or
+    ``weight`` is a length-k array where it varies with t (1.0 where it does
+    not): row r's entries are those of the Form at row r's time.  Only the
+    exact kernel takes such a Form; it is never screened.
     """
 
     fn: object
@@ -202,51 +201,45 @@ class Form:
     offsets: np.ndarray
 
 
-def _per_row(form: Form) -> bool:
-    """Whether ``form`` holds one time per row of its batch."""
-    return form.offsets.ndim == 2
-
-
 def _arguments(form: Form, x, cols=None, out=None):
     """The activation arguments (x - beta c_i) / scale for the branches ``cols``
-    (all when None), written into ``out`` if given."""
+    (all when None), written into ``out`` if given.
+
+    An array ``beta`` or ``scale`` holds one entry per row of x (its
+    second-to-last axis).  Products and quotients by 1.0 are exact, so the
+    scalar skips change no bit.
+    """
     centers = form.centers if cols is None else form.centers[cols]
-    if _per_row(form):
-        # Arrays hold one entry per row of x (its second-to-last axis); a row
-        # at beta or scale 1 needs no skip, as products and quotients by 1.0
-        # are exact.
-        if isinstance(form.beta, np.ndarray):
-            centers = form.beta[:, None] * centers
-        diff = np.subtract(x, centers, out=out)
-        if isinstance(form.scale, np.ndarray):
-            np.divide(diff, form.scale[:, None], out=diff)
-        return diff
-    diff = np.subtract(x, centers if form.beta == 1.0 else form.beta * centers, out=out)
-    if form.scale == 1.0:
-        return diff
-    # In place on a workspace: a block then holds one array of differences.
-    return diff / form.scale if out is None else np.divide(diff, form.scale, out=diff)
+    if type(form.beta) is np.ndarray:
+        centers = form.beta[..., None] * centers
+    elif form.beta != 1.0:
+        centers = form.beta * centers
+    # In place: the differences are ``out`` or a fresh array, and a block's
+    # workspace then holds one array of them.
+    diff = np.subtract(x, centers, out=out)
+    if type(form.scale) is np.ndarray:
+        return np.divide(diff, form.scale[..., None], out=diff)
+    return diff if form.scale == 1.0 else np.divide(diff, form.scale, out=diff)
 
 
 def branch_formula(form: Form, x, cols=None, out=None):
-    """Exact ``scale * fn((x - beta c_i) / scale) + o_i``.
+    """Exact ``scale * fn((x - beta c_i) / scale) + weight * d_i``.
 
     ``x`` is broadcast against the branch rows ``cols`` (all when None), an
     index array over x's leading axes; ``out`` is free to take the
-    differences.  A :func:`_per_row` Form needs ``cols``, and its rows lie
-    on x's second-to-last axis.
+    differences.  A Form at one time per row needs ``cols``, and its rows
+    lie on x's second-to-last axis.
     """
     z = _arguments(form, x, cols, out)
     vals = form.fn(z if z.ndim == 2 else z.reshape(-1, z.shape[-1]))
     if z.ndim != 2:
         vals = vals.reshape(z.shape[:-1])
-    if _per_row(form):
-        if isinstance(form.scale, np.ndarray):
-            vals = form.scale * vals
-        return vals + form.offsets[np.arange(len(form.offsets)), cols]
-    if form.scale != 1.0:
+    if type(form.scale) is np.ndarray or form.scale != 1.0:
         vals = form.scale * vals
-    return vals + (form.offsets if cols is None else form.offsets[cols])
+    offsets = form.offsets if cols is None else form.offsets[cols]
+    if type(form.weight) is np.ndarray or form.weight != 1.0:
+        offsets = form.weight * offsets
+    return vals + offsets
 
 
 def min_over_branches(points, form: Form, values_only=False):
@@ -283,18 +276,17 @@ def _exact_rows(x, form: Form, values_only=False):
     (k, n), m = x.shape, len(form.centers)
     step = max(1, EXACT_BLOCK // (m * n))
     work = np.empty(max(min(k, step), 1) * m * n)
-    blocks = range(0, max(k, 1), step)
-    return _join([_exact(x[lo : lo + step], _rows(form, lo, step), work, values_only) for lo in blocks])
+    if k <= step:  # one block, which every field of the Form fits as it is
+        return _exact(x, form, work, values_only)
+    blocks = [slice(lo, lo + step) for lo in range(0, k, step)]
+    return _join([_exact(x[rows], _rows(form, rows), work, values_only) for rows in blocks])
 
 
-def _rows(form: Form, lo, step):
-    """``form`` on the rows lo : lo + step of its batch: a :func:`_per_row`
-    Form's fields are sliced with them, any other Form serves every row."""
-    if not _per_row(form):
-        return form
-    rows = slice(lo, lo + step)
-    beta, scale = (f[rows] if isinstance(f, np.ndarray) else f for f in (form.beta, form.scale))
-    return replace(form, beta=beta, scale=scale, offsets=form.offsets[rows])
+def _rows(form: Form, rows: slice) -> Form:
+    """``form`` on the ``rows`` of its batch: the fields that hold one entry
+    per row are sliced with them."""
+    beta, scale, weight = (f[rows] if np.ndim(f) else f for f in (form.beta, form.scale, form.weight))
+    return replace(form, beta=beta, scale=scale, weight=weight)
 
 
 def _exact(x, form: Form, work, values_only):
@@ -316,6 +308,7 @@ def _screen_values(x, s: Form, work):
     xx = np.einsum("ij,ij->i", x, x)
     kind, shift = s.radial
     beta = s.beta
+    offsets = s.offsets if s.weight == 1.0 else s.weight * s.offsets
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # Row [-2 c beta x, c beta^2, c |x|^2, w] against column [c_i;
         # |c_i|^2; 1; d_i] gives c |x - beta c_i|^2 + w d_i: the squared
@@ -331,7 +324,7 @@ def _screen_values(x, s: Form, work):
         sq = float(s.lifted[n].max())
         p = np.sqrt(xx) + abs(beta) * np.sqrt(sq)
         e2 = (n + 8) * _U * (p * p) + (n + 3) * 2.0**-1000 * (1.0 + sq + beta * beta)
-        omax = float(np.abs(s.offsets).max())
+        omax = float(np.abs(offsets).max())
         shift *= s.scale
         if kind == "norm":
             dmin = np.sqrt(np.maximum(vals[np.arange(rows), vals.argmin(axis=1)], 0.0))
@@ -340,9 +333,9 @@ def _screen_values(x, s: Form, work):
             np.sqrt(vals, out=vals)
             np.fmax(vals, shift, out=vals)
             if s.sign < 0:
-                np.subtract(s.offsets + shift, vals, out=vals)
+                np.subtract(offsets + shift, vals, out=vals)
             else:
-                vals += s.offsets - shift
+                vals += offsets - shift
             spread = np.minimum(np.sqrt(e2), e2 / dmin) + (n + 10) * _U * (p + shift + omax)
         else:
             spread = e2 + (n + 10) * _U * (p * p + omax)
@@ -393,24 +386,26 @@ def _screened(x, s: Form, work):
 class BranchNet:
     """m branches, each an activation of an affine map of (x, t), min-pooled.
 
-    Holds the branch points c_i and offsets, lifted once for the screen
-    (``Form.lifted``), and wires both paths: a single point runs every
-    branch formula in one call and reduces it, unless it is large enough to
-    be screened as a one-row batch; a batch is checked once and reduced by
-    :func:`min_over_branches`, or by the exact kernel when it has one time
-    per row.  Subclasses give ``_form(t)``, their branches at time t as a
-    :class:`Form` (raising ValueError for a time outside the
-    representation), built afresh on every call so that it holds the
-    activation's methods as they are at that call.  Given a 1-D array of
-    positive times, ``_form`` returns the Form at each row's time
-    (:func:`_per_row`).
+    Holds read-only copies of the branch points c_i and offset parameters
+    d_i, so that later writes to the caller's arrays never reach the net,
+    lifted once for the screen (``Form.lifted``), and wires both paths: a
+    single point runs every branch formula in one call and reduces it,
+    unless it is large enough to be screened as a one-row batch; a batch is
+    checked once and reduced by :func:`min_over_branches`, or by the exact
+    kernel when it has one time per row.  Subclasses give ``_form(t)``,
+    their branches at time t as a :class:`Form` with ``offsets`` = d_i
+    (raising ValueError for a time outside the representation), built
+    afresh on every call so that it holds the activation's methods as they
+    are at that call.  Given a 1-D array of positive times, ``_form``
+    returns the Form at each row's time, its t-dependent fields one entry
+    per row.
     """
 
     def __init__(self, activation, points, offsets, points_name, fn_name):
         self._activation = activation
-        self._points, self.offsets = check_branch_parameters(
-            points, offsets, points_name, activation.dim, fn_name
-        )
+        points, offsets = check_branch_parameters(points, offsets, points_name, activation.dim, fn_name)
+        self._points, self.offsets = points.copy(), offsets.copy()
+        self._points.flags.writeable = self.offsets.flags.writeable = False
 
     @cached_property
     def _lifted(self):

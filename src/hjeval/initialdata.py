@@ -18,8 +18,9 @@ parameter sets rather than silently computing a non-solution.
 
 Evaluation cost is O(m · cost(J)) per point, independent of any mesh.
 The branches at time t are one :class:`hjeval.branches.Form` (``fn = J``,
-``beta = t``, ``scale = 1``, ``o = t b``), which :mod:`hjeval.branches`
-evaluates, screens and reduces; batches may give one t per row.
+``beta = t``, ``scale = 1``, ``weight = t``, ``offsets = b``), which
+:mod:`hjeval.branches` evaluates, screens and reduces; batches may give one
+t per row, which ``beta`` and ``weight`` hold.
 """
 
 from __future__ import annotations
@@ -70,14 +71,11 @@ class InitialDataNet(BranchNet):
 
     def _form(self, t) -> Form:
         """Branches J(x - t v_i) + t b_i, radial through the negated J.  A 1-D
-        array of positive t gives one beta and one row of offsets per row."""
-        J = self._activation
-        if type(t) is np.ndarray and t.ndim:
-            offsets = t[:, None] * self.offsets
-            return Form(J, J.negated.radial, -1.0, t, 1.0, self._points, self._lifted, t, offsets)
-        if t < 0:
+        array of nonnegative t gives one beta and one weight per row."""
+        if (t < 0).any() if type(t) is np.ndarray else t < 0:
             raise ValueError("t must be nonnegative")
-        return Form(J, J.negated.radial, -1.0, t, 1.0, self._points, self._lifted, t, t * self.offsets)
+        J = self._activation
+        return Form(J, J.negated.radial, -1.0, t, 1.0, self._points, self._lifted, t, self.offsets)
 
     def evaluate(self, x, t: float) -> EvalResult:
         """Solution value at time t >= 0 (every branch equals J(x) at t = 0)."""

@@ -14,9 +14,10 @@ convex conjugate of L (finite only on a bounded set when L is Lipschitz).
 
 Evaluation cost is O(m · cost(L)) per point, independent of any mesh.
 Its branches at any t >= 0 are one :class:`hjeval.branches.Form`
-(``fn = L``, ``beta = 1``, ``scale = t``, ``o = a``; at t = 0 ``fn = L_rec``
-and ``scale = 1``), which :mod:`hjeval.branches` evaluates, screens and
-reduces; batches may give one t per row.
+(``fn = L``, ``beta = 1``, ``scale = t``, ``weight = 1``, ``offsets = a``;
+at t = 0 ``fn = L_rec`` and ``scale = 1``), which :mod:`hjeval.branches`
+evaluates, screens and reduces; batches may give one t per row, which only
+``scale`` holds.
 """
 
 from __future__ import annotations
@@ -51,8 +52,7 @@ class LagrangianNet(BranchNet):
         A 1-D array of positive t gives one scale per row."""
         L = self._activation
         if type(t) is np.ndarray and t.ndim:
-            offsets = np.broadcast_to(self.offsets, (len(t), self.n_branches))
-            return Form(L, L.radial, 1.0, 1.0, t, self._points, self._lifted, 1.0, offsets)
+            return Form(L, L.radial, 1.0, 1.0, t, self._points, self._lifted, 1.0, self.offsets)
         if t == 0:
             fn, radial, t = L.recession, L.radial_recession, 1.0
         elif t < 0:

@@ -25,7 +25,9 @@ class SliceSpec:
     (min, max, steps) per free axis; ``fixed_coords`` are the values of the
     remaining coordinates in increasing index order; ``times`` must be
     finite, nonnegative and sorted ascending; every coordinate is finite.
-    The grid may hold at most ``numeric.MAX_GRID_POINTS`` points.
+    The grid may hold at most ``numeric.MAX_GRID_POINTS`` points, and its
+    points' coordinates with one value, argmin and gap a time at most that
+    many floats.
     """
 
     free_axes: tuple[int, ...]
@@ -48,8 +50,8 @@ class SliceSpec:
                 raise ValueError("each range needs at least 2 steps")
             if not -np.inf < lo < hi < np.inf:
                 raise ValueError("each range needs a finite min and max, max > min")
-        if np.prod(self.grid_shape(), dtype=float) > MAX_GRID_POINTS:
-            grid = " x ".join(map(str, self.grid_shape()))
+        points, grid = np.prod(self.grid_shape(), dtype=float), " x ".join(map(str, self.grid_shape()))
+        if points > MAX_GRID_POINTS:
             raise ValueError(f"range: {grid} slice points exceed the {MAX_GRID_POINTS} point cap")
         if len(self.fixed_coords) != dimension - len(self.free_axes):
             raise ValueError(
@@ -64,6 +66,13 @@ class SliceSpec:
             raise ValueError("times must be finite and nonnegative")
         if list(self.times) != sorted(self.times):
             raise ValueError("times must be sorted ascending")
+        # Each point's n coordinates, and its value, argmin and gap per time.
+        floats = points * (dimension + 3 * len(self.times))
+        if floats > MAX_GRID_POINTS:
+            raise ValueError(
+                f"range: {grid} slice points in R^{dimension} at {len(self.times)} times hold "
+                f"{floats:.0f} floats, above the {MAX_GRID_POINTS} float cap"
+            )
 
     def axis_values(self) -> list[np.ndarray]:
         return [np.linspace(lo, hi, steps) for lo, hi, steps in self.ranges]

@@ -12,7 +12,7 @@ from hjeval.catalog import (
     PNorm,
     ShiftedNormPlus,
 )
-from hjeval.initialdata import InitialDataNet
+from hjeval.initialdata import InitialDataNet, norm_hamiltonian_rows
 from hjeval.lagrangian import LagrangianNet
 from hjeval.presets import (
     concave_quadratic_net_10d,
@@ -191,6 +191,38 @@ def test_per_row_times_are_refused_as_scalar_times(make_net):
     for wrong in (np.full(5, 0.5), np.full(7, 0.5), np.full((6, 1), 0.5)):
         with pytest.raises(ValueError, match="^t: "):
             net.solution_grid(points, wrong)
+
+
+# -- the nets' own branch parameters ---------------------------------------------
+
+
+@pytest.mark.parametrize("arch", ["arch1", "arch2"])
+def test_nets_keep_their_branch_parameters_from_the_callers_writes(arch, monkeypatch):
+    # Writes to the caller's arrays, after construction and again after a
+    # screened batch has lifted the branches, reach neither the net's
+    # points and offsets nor its values: the net holds read-only copies.
+    rng = np.random.default_rng(51)
+    if arch == "arch1":
+        points, offsets = rng.uniform(-2.0, 2.0, (64, 20)), rng.uniform(-1.0, 1.0, 64)
+        net = LagrangianNet(ShiftedNormPlus(), points, offsets)
+    else:
+        points, offsets = norm_hamiltonian_rows("linf", 100)
+        net = InitialDataNet(ConcaveFn(HalfSquaredNorm()), points, offsets)
+    kept = net._points.copy(), net.offsets.copy()
+    batch = rng.uniform(-4.0, 4.0, (2000, net.dimension))
+    screened = _spy_screen(monkeypatch)
+    want = net.solution_grid(batch, T), net.evaluate(batch[0], T)
+    assert screened
+    for _ in range(2):
+        points += rng.uniform(-3.0, 3.0, points.shape)
+        offsets -= rng.uniform(0.0, 1.0, offsets.shape)
+        got = net.solution_grid(batch, T), net.evaluate(batch[0], T)
+        _assert_same_bits(got[0], want[0])
+        assert got[1] == want[1]
+        assert net._points.tobytes() == kept[0].tobytes() and net.offsets.tobytes() == kept[1].tobytes()
+    for own in (net._points, net.offsets):
+        with pytest.raises(ValueError, match="read-only"):
+            own[0] = 0.0
 
 
 # -- the two-branch band -------------------------------------------------------

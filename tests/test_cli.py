@@ -162,6 +162,31 @@ def test_slice_above_the_grid_cap_exits_one(tmp_path, capsys):
     assert not list(tmp_path.glob("run*"))
 
 
+def test_slice_above_the_float_cap_exits_one(tmp_path, capsys):
+    # 2,000^2 points are under the point cap, but their 10 coordinates and
+    # one value, argmin and gap at each of 2 times are 64,000,000 floats
+    # (about 0.5 GiB): refused, naming range, before any grid is built.
+    spec = tmp_path / "slice.cfg"
+    spec.write_text(
+        "free_axes = 0, 1\nrange = -1, 1, 2000\nrange = -1, 1, 2000\n"
+        "fixed = 0, 0, 0, 0, 0, 0, 0, 0\ntimes = 0.5, 1\n"
+    )
+    out = tmp_path / "run"
+    argv = ["slice", "--config", _cfg("ball10d.cfg"), "--slice", str(spec), "--out", str(out)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: range: 2000 x 2000 slice points in R^10 at 2 times hold 64000000 floats" in err
+    assert "above the 20000000 float cap" in err
+    assert peak < 1 << 20
+    assert not list(tmp_path.glob("run*"))
+
+
 def test_l1_generator_above_cap_exits_one(tmp_path, capsys):
     big = tmp_path / "l1big.cfg"
     big.write_text(

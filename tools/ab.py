@@ -39,7 +39,14 @@ Then the nets of ``perfbench``'s ``eval`` workload, each on one
 100-D), the linf Hamiltonian at n = 100 (m = 200) and the l1 Hamiltonian
 at n = 8 (m = 256); and ``evaluate_slice`` on a plane like the ``slice``
 workload's 10-D one: 41 x 41 points at four times on a
-``shifted_norm_plus`` net with m = 8.
+``shifted_norm_plus`` net with m = 8.  Then, on each of those four eval
+nets, a single-point ``evaluate`` at the batch's time and its first point
+(``point_*``) and the same point at t = 0, through ``initial_value`` on the
+Lagrangian nets and ``evaluate`` on the others, as the workload's stream
+calls them (``point0_*``).  Last, one ``solution_grid`` call at one time
+per row on the 660 stencil rows that ``gradient_fd`` lays out for 30
+samples in 10-D (2n + 2 rows a sample, at times in [0.5, 2]), on the
+shipped ``ball10d`` (arch1) and ``pwa10d`` (arch2) nets (``stencil660_*``).
 """
 
 from __future__ import annotations
@@ -87,6 +94,19 @@ def _grid21(rows):
     """The 21 x 21 grid over the bounding box of 2-D ``rows``, as (441, 2) rows."""
     axes = [np.linspace(lo, hi, 21) for lo, hi in zip(rows.min(axis=0), rows.max(axis=0))]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def _stencil(hj, n, samples, rng):
+    """``gradient_fd``'s stencil rows and their times, one per row, for
+    ``samples`` points in [-2, 2]^n at times in [0.5, 2]."""
+    rows = []
+    hj.oracle.gradient_fd(
+        lambda points, times: rows.append((points, times)) or np.zeros(len(points)),
+        rng.uniform(-2.0, 2.0, (samples, n)),
+        rng.uniform(0.5, 2.0, samples),
+        hj.oracle.FD_STEP,
+    )
+    return rows[0]
 
 
 def kernels(hj):
@@ -149,6 +169,9 @@ def kernels(hj):
         key: (eval_rng.uniform(-4.0, 4.0, (10_000, net.dimension)), float(eval_rng.uniform(0.1, 3.0)))
         for key, net in eval_nets.items()
     }
+    singles = {key: (batch[0], t) for key, (batch, t) in batches.items()}
+    stencil_rng = np.random.default_rng(5)
+    stencils = {key: _stencil(hj, 10, 30, stencil_rng) for key in ("ball10d", "pwa10d")}
     plane_net = hj.lagrangian.LagrangianNet(
         hj.catalog.ShiftedNormPlus(), eval_rng.uniform(-3.0, 3.0, (8, 10)), eval_rng.uniform(-1.0, 1.0, 8)
     )
@@ -184,6 +207,23 @@ def kernels(hj):
             for key, net in eval_nets.items()
         },
         "slice_plane10d_41x41": lambda: hj.slicing.evaluate_slice(plane_net, slice_plane),
+        **{
+            f"point_{key}": lambda net=net, point=singles[key]: net.evaluate(*point)
+            for key, net in eval_nets.items()
+        },
+        # At t = 0 the single-point calls of perfbench's eval workload.
+        **{
+            f"point0_{key}": (
+                lambda net=net, x=singles[key][0]: net.initial_value(x)
+                if hasattr(net, "initial_value")
+                else net.evaluate(x, 0.0)
+            )
+            for key, net in eval_nets.items()
+        },
+        **{
+            f"stencil660_{key}": lambda net=problems[key], rows=stencils[key]: net.solution_grid(*rows)
+            for key in stencils
+        },
     }
 
 

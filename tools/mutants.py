@@ -143,9 +143,9 @@ MUTANTS = [
     ),
     (
         "src/hjeval/branches.py",
-        "else form.offsets[cols])",
-        "else form.offsets)",
-        "the screen's candidates given form.offsets, not form.offsets[cols]",
+        "offsets = form.offsets if cols is None else form.offsets[cols]",
+        "offsets = form.offsets",
+        "the branch formula's offsets given form.offsets, not form.offsets[cols]",
     ),
     (
         "src/hjeval/oracle.py",
@@ -161,9 +161,9 @@ MUTANTS = [
     ),
     (
         "src/hjeval/initialdata.py",
-        "offsets = t[:, None] * self.offsets",
-        "offsets = t[::-1, None] * self.offsets",
-        "the arch2 per-row offsets t b taken with the times reversed",
+        "self._lifted, t, self.offsets)",
+        "self._lifted, np.flip(t), self.offsets)",
+        "the arch2 per-row weight t taken with the times reversed",
     ),
     (
         "src/hjeval/branches.py",
@@ -178,10 +178,16 @@ MUTANTS = [
         "the third-value test dropped (every row takes its pair)",
     ),
     (
-        "src/hjeval/initialdata.py",
-        "self._lifted, t, t * self.offsets)",
-        "self._lifted, 1.0, t * self.offsets)",
-        "the lifted offset column's weight fixed at 1 on arch2",
+        "src/hjeval/branches.py",
+        "(0.5 * s.sign, s.weight)",
+        "(0.5 * s.sign, 1.0)",
+        "the screen's lifted offset weight fixed at 1 (arch2's square forms)",
+    ),
+    (
+        "src/hjeval/branches.py",
+        "if type(form.weight) is np.ndarray or form.weight != 1.0:",
+        "if type(form.weight) is not np.ndarray and form.weight != 1.0:",
+        "the per-row weight dropped in branch_formula",
     ),
 ]
 
