@@ -39,11 +39,13 @@ one of two kernels:
   the same errors), and rows whose pair gives a NaN, or a tie at zero
   whose gap's sign the reduction order decides.
 
-The size of a batch alone picks the kernel: a batch whose (k, m, n)
+The size of a batch picks the kernel: a batch whose (k, m, n)
 differences reach ``SCREEN_MIN_ELEMENTS`` is screened, one row included;
-a smaller one takes the exact kernel directly.  A batch with one time per
-row takes the exact kernel on a Form whose ``beta``, ``scale`` or
-``weight`` hold one entry per row.  A single point given to ``evaluate``
+a smaller one takes the exact kernel directly, and so does a Form with
+``beta == 0`` (arch2 at t = 0, where all m branches tie and the screen
+would hand every row on).  A batch with one time per row takes the exact
+kernel on a Form whose ``beta``, ``scale`` or ``weight`` hold one entry
+per row.  A single point given to ``evaluate``
 takes its own path (:meth:`BranchNet._evaluate_point`) below
 ``SCREEN_MIN_ELEMENTS`` (m, n) differences, and is a one-row batch from
 there on.
@@ -187,7 +189,8 @@ class Form:
     At one time per row of a batch of k points, ``beta``, ``scale`` or
     ``weight`` is a length-k array where it varies with t (1.0 where it does
     not): row r's entries are those of the Form at row r's time.  Only the
-    exact kernel takes such a Form; it is never screened.
+    exact kernel takes such a Form; it is never screened.  Its time is one
+    that ``BranchNet._form`` accepted, so no kernel checks it again.
     """
 
     fn: object
@@ -246,13 +249,15 @@ def min_over_branches(points, form: Form, values_only=False):
     """Row-wise (values, argmins, gaps) of the (k, m) branch matrix of
     ``form``, or (values,) with ``values_only``.
 
-    ``points`` is a checked (k, n) array.  Both kernels take their exact
-    values from :func:`branch_formula` on ``form``.  Radial forms take the
-    screened kernel, except for values only: their row minima come from the
-    exact kernel alone.
+    ``points`` is a checked (k, n) array and ``form`` has one time.  Both
+    kernels take their exact values from :func:`branch_formula` on ``form``.
+    Radial forms take the screened kernel, except for values only, whose
+    row minima come from the exact kernel alone, and a Form with ``beta ==
+    0`` (arch2 at t = 0), whose m branches all tie and would send every row
+    of the screen to the exact kernel anyway.
     """
     (k, n), m = points.shape, len(form.centers)
-    if values_only or form.radial is None or m == 1 or k * m * n < SCREEN_MIN_ELEMENTS:
+    if values_only or form.radial is None or m == 1 or form.beta == 0 or k * m * n < SCREEN_MIN_ELEMENTS:
         return _exact_rows(points, form, values_only)
     # A block's row holds m screen values and n + 3 lifted entries, and then,
     # once those are spent, 2 n pair differences.
@@ -392,13 +397,16 @@ class BranchNet:
     single point runs every branch formula in one call and reduces it,
     unless it is large enough to be screened as a one-row batch; a batch is
     checked once and reduced by :func:`min_over_branches`, or by the exact
-    kernel when it has one time per row.  Subclasses give ``_form(t)``,
-    their branches at time t as a :class:`Form` with ``offsets`` = d_i
-    (raising ValueError for a time outside the representation), built
-    afresh on every call so that it holds the activation's methods as they
-    are at that call.  Given a 1-D array of positive times, ``_form``
-    returns the Form at each row's time, its t-dependent fields one entry
-    per row.
+    kernel when it has one time per row.
+
+    ``_form(t)`` is the one check of a time: it refuses a negative or NaN
+    t, one time or one per row, before any point is looked at (t = inf
+    passes).  Subclasses give ``_branches(t)``, which checks nothing: their
+    branches at an accepted time t as a :class:`Form` with ``offsets`` =
+    d_i, built afresh on every call so that it holds the activation's
+    methods as they are at that call.  Given a 1-D array of times (none of
+    them 0), ``_branches`` returns the Form at each row's time, its
+    t-dependent fields one entry per row; a 0-d array is one time.
     """
 
     def __init__(self, activation, points, offsets, points_name, fn_name):
@@ -434,29 +442,33 @@ class BranchNet:
             return reduce_branches(branch_formula(form, x))
         return EvalResult(*(part.item() for part in min_over_branches(x[None], form)))
 
+    def _form(self, t) -> Form:
+        """The branches at time t, or at one time per row (a 1-D array t):
+        the one check of a time, then ``_branches(t)``.  A negative or NaN
+        time is refused, at any row."""
+        if not (t >= 0).all() if type(t) is np.ndarray and t.ndim else not t >= 0:
+            raise ValueError("t must be nonnegative" if np.any(t < 0) else "t must be a number, got nan")
+        return self._branches(t)
+
     def _branch_matrix(self, points, t, values_only=False):
         """Row-wise (values, argmins, gaps), or (values,) with ``values_only``,
-        over the branches at time t, or at one time per row (a 1-D t)."""
-        if not isinstance(t, float) and np.ndim(t):
-            return self._per_row_matrix(points, np.asarray(t, dtype=float), values_only)
-        form = self._form(t)  # first: a bad time is reported before bad points
-        points = check_points(points, self.dimension)
-        return min_over_branches(points, form, values_only)
+        over the branches at time t, or at one time per row (a 1-D t).
 
-    def _per_row_matrix(self, points, t, values_only):
-        """The exact kernel at the times t, one per row.
-
-        Each row's value, argmin and gap are those of a call at its own
-        time.  Rows at t = 0 are taken again on the Form at 0, whose
+        One time per row takes the exact kernel, and each row's value,
+        argmin and gap are those of a call at its own time.  Rows at t = 0
+        are held at t = 1, then taken again on the Form at 0, whose
         activation may differ (the Lagrangian's recession).
         """
-        if (t < 0).any():
-            raise ValueError("t must be nonnegative")
+        if isinstance(t, float) or not np.ndim(t):
+            form = self._form(t)  # first: a bad time is reported before bad points
+            return min_over_branches(check_points(points, self.dimension), form, values_only)
+        t = np.asarray(t, dtype=float)
+        zero = t == 0
+        form = self._form(np.where(zero, 1.0, t))
         points = check_points(points, self.dimension)
         if t.shape != (len(points),):
             raise ValueError(f"t: need one time per row ({len(points)}), got shape {t.shape}")
-        zero = t == 0  # held at t = 1 here, then redone
-        result = _exact_rows(points, self._form(np.where(zero, 1.0, t)), values_only)
+        result = _exact_rows(points, form, values_only)
         if zero.any():
             for part, again in zip(result, _exact_rows(points[zero], self._form(0.0), values_only)):
                 part[zero] = again

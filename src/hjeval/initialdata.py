@@ -69,11 +69,9 @@ class InitialDataNet(BranchNet):
     initial_data = property(lambda self: self._activation)
     rows = property(lambda self: self._points)
 
-    def _form(self, t) -> Form:
+    def _branches(self, t) -> Form:
         """Branches J(x - t v_i) + t b_i, radial through the negated J.  A 1-D
-        array of nonnegative t gives one beta and one weight per row."""
-        if (t < 0).any() if type(t) is np.ndarray else t < 0:
-            raise ValueError("t must be nonnegative")
+        array t gives one beta and one weight per row."""
         J = self._activation
         return Form(J, J.negated.radial, -1.0, t, 1.0, self._points, self._lifted, t, self.offsets)
 

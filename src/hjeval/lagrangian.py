@@ -47,19 +47,13 @@ class LagrangianNet(BranchNet):
     lagrangian = property(lambda self: self._activation)
     shifts = property(lambda self: self._points)
 
-    def _form(self, t) -> Form:
-        """Branches t L((x - u_i)/t) + a_i; at t = 0, L_rec(x - u_i) + a_i.
-        A 1-D array of positive t gives one scale per row."""
+    def _branches(self, t) -> Form:
+        """Branches t L((x - u_i)/t) + a_i; at a scalar t = 0, L_rec(x - u_i)
+        + a_i.  A 1-D array t (none of it 0) gives one scale per row."""
         L = self._activation
-        if type(t) is np.ndarray and t.ndim:
+        if type(t) is np.ndarray and t.ndim or t != 0:
             return Form(L, L.radial, 1.0, 1.0, t, self._points, self._lifted, 1.0, self.offsets)
-        if t == 0:
-            fn, radial, t = L.recession, L.radial_recession, 1.0
-        elif t < 0:
-            raise ValueError("t must be nonnegative")
-        else:
-            fn, radial = L, L.radial
-        return Form(fn, radial, 1.0, 1.0, t, self._points, self._lifted, 1.0, self.offsets)
+        return Form(L.recession, L.radial_recession, 1.0, 1.0, 1.0, self._points, self._lifted, 1.0, self.offsets)
 
     def evaluate(self, x, t: float) -> EvalResult:
         """Solution value at time t > 0."""

@@ -15,6 +15,7 @@ from hjeval.catalog import (
 from hjeval.initialdata import InitialDataNet, norm_hamiltonian_rows
 from hjeval.lagrangian import LagrangianNet
 from hjeval.presets import (
+    clipped_quadratic_net_1d,
     concave_quadratic_net_10d,
     l1_hamiltonian_net,
     linf_hamiltonian_net,
@@ -111,7 +112,8 @@ _RADIAL_NETS = {
 @pytest.mark.parametrize("name", sorted(_RADIAL_NETS))
 def test_per_row_times_equal_screened_scalar_calls(name, monkeypatch):
     # Each time's rows alone reach SCREEN_MIN_ELEMENTS, so every scalar
-    # reference call is screened; the per-row call takes the exact kernel.
+    # reference call at t > 0 is screened (arch2 at t = 0 takes the exact
+    # kernel); the per-row call takes the exact kernel.
     rng = np.random.default_rng(sorted(_RADIAL_NETS).index(name))
     net = _RADIAL_NETS[name](rng)
     times = np.array([0.3, 1.0, 2.7] + ([0.0] if isinstance(net, InitialDataNet) else []))
@@ -122,7 +124,7 @@ def test_per_row_times_equal_screened_scalar_calls(name, monkeypatch):
     net.solution_grid(points, t)
     assert not screened
     _assert_rows_equal_scalar_calls(net.solution_grid, points, t)
-    assert len(screened) >= len(times)
+    assert len(screened) >= np.count_nonzero(times)
     _assert_rows_equal_scalar_calls(net.evaluate_grid, points, np.where(t > 0, t, 1.0))
 
 
@@ -191,6 +193,71 @@ def test_per_row_times_are_refused_as_scalar_times(make_net):
     for wrong in (np.full(5, 0.5), np.full(7, 0.5), np.full((6, 1), 0.5)):
         with pytest.raises(ValueError, match="^t: "):
             net.solution_grid(points, wrong)
+
+
+# -- the one check of a time ---------------------------------------------------
+
+
+@pytest.mark.parametrize("make_net", [shifted_norm_net_10d, concave_quadratic_net_10d])
+def test_nan_time_is_refused_naming_t(make_net):
+    # A NaN time is refused before the points are looked at, one time or one
+    # per row, on every entry point; it never reaches the activation.
+    net = make_net()
+    points = np.random.default_rng(9).uniform(-2.0, 2.0, (6, 10))
+    points[2, 5] = np.nan
+    per_row = np.array([0.5, 0.0, np.nan, 1.0, 2.0, 0.5])
+    calls = [
+        lambda: net.evaluate(points[0], np.nan),
+        lambda: net.evaluate(points[0], np.float64("nan")),
+        lambda: net.branch_values(points[0], np.nan),
+        lambda: net.evaluate_grid(points, np.nan),
+        lambda: net.solution_grid(np.ones((5, 10)), np.nan),
+        lambda: net.solution_grid(points, np.array(np.nan)),
+        lambda: net.solution_grid(points, per_row),
+        lambda: net.evaluate_grid(points, np.where(per_row == 0, 1.0, per_row)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^t must be a number, got nan$"):
+            call()
+
+
+@pytest.mark.parametrize("make_net", [shifted_norm_net_10d, concave_quadratic_net_10d])
+def test_kink_margin_keeps_its_positive_time(make_net):
+    net = make_net()
+    for t in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="^t must be positive$"):
+            net.kink_margin(np.zeros(10), t, 1)
+
+
+def test_zero_d_time_zero_takes_the_recession():
+    # A 0-d array is one time, not one per row: at 0 it takes L's recession.
+    net = shifted_norm_net_10d()
+    points = np.random.default_rng(10).uniform(-2.0, 2.0, (40, 10))
+    for zero in (np.array(0.0), np.float64(0.0)):
+        _assert_same_bits(net.solution_grid(points, zero), net.initial_grid(points))
+        assert net.branch_values(points[0], zero).tobytes() == net.branch_values(points[0], 0.0).tobytes()
+
+
+def test_infinite_time_is_accepted():
+    # t = inf is a number: the branch formula gives what IEEE arithmetic
+    # gives, here inf * L(0) = inf * 0 = NaN.
+    with np.errstate(invalid="ignore"):
+        values = clipped_quadratic_net_1d().evaluate_grid([[0.5]], np.inf)[0]
+    assert np.isnan(values).all()
+
+
+def test_arch2_at_time_zero_skips_the_screen(monkeypatch):
+    # At t = 0 every arch2 branch is J(x) + 0 * b_i, so the screen would tie
+    # every row: a batch above SCREEN_MIN_ELEMENTS takes the exact kernel.
+    net = linf_hamiltonian_net(100)
+    points = np.random.default_rng(11).uniform(-4.0, 4.0, (40, 100))
+    assert points.size * net.n_branches >= branches.SCREEN_MIN_ELEMENTS
+    screened = _spy_screen(monkeypatch)
+    for zero in (0.0, np.array(0.0)):
+        _assert_same_bits(net.solution_grid(points, zero), branches._exact_rows(points, net._form(0.0)))
+    assert not screened
+    net.solution_grid(points, 0.5)
+    assert screened
 
 
 # -- the nets' own branch parameters ---------------------------------------------

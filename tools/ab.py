@@ -39,14 +39,18 @@ Then the nets of ``perfbench``'s ``eval`` workload, each on one
 100-D), the linf Hamiltonian at n = 100 (m = 200) and the l1 Hamiltonian
 at n = 8 (m = 256); and ``evaluate_slice`` on a plane like the ``slice``
 workload's 10-D one: 41 x 41 points at four times on a
-``shifted_norm_plus`` net with m = 8.  Then, on each of those four eval
+``shifted_norm_plus`` net with m = 8, and on the ``slice`` workload's 5-D
+plane at t = 0: 41 x 41 points on the linf Hamiltonian net at n = 5
+(``slice_linf5_t0``).  Then, on each of those four eval
 nets, a single-point ``evaluate`` at the batch's time and its first point
 (``point_*``) and the same point at t = 0, through ``initial_value`` on the
 Lagrangian nets and ``evaluate`` on the others, as the workload's stream
 calls them (``point0_*``).  Last, one ``solution_grid`` call at one time
 per row on the 660 stencil rows that ``gradient_fd`` lays out for 30
 samples in 10-D (2n + 2 rows a sample, at times in [0.5, 2]), on the
-shipped ``ball10d`` (arch1) and ``pwa10d`` (arch2) nets (``stencil660_*``).
+shipped ``ball10d`` (arch1) and ``pwa10d`` (arch2) nets (``stencil660_*``),
+and the ``ball10d`` rows again with every tenth time set to 0, whose rows
+at t = 0 are taken again on the recession (``stencil660_ball10d_t0``).
 """
 
 from __future__ import annotations
@@ -172,11 +176,17 @@ def kernels(hj):
     singles = {key: (batch[0], t) for key, (batch, t) in batches.items()}
     stencil_rng = np.random.default_rng(5)
     stencils = {key: _stencil(hj, 10, 30, stencil_rng) for key in ("ball10d", "pwa10d")}
+    points, times = stencils["ball10d"]
+    stencils["ball10d_t0"] = points, np.where(np.arange(len(times)) % 10 == 0, 0.0, times)
     plane_net = hj.lagrangian.LagrangianNet(
         hj.catalog.ShiftedNormPlus(), eval_rng.uniform(-3.0, 3.0, (8, 10)), eval_rng.uniform(-1.0, 1.0, 8)
     )
     slice_plane = hj.slicing.SliceSpec(
         (2, 7), ((-6.0, 6.0, 41), (-6.0, 6.0, 41)), (0.37, 1.17, 2.57, 4.07), tuple(eval_rng.uniform(-1.0, 1.0, 8))
+    )
+    linf5 = presets.linf_hamiltonian_net(5)
+    slice_linf5 = hj.slicing.SliceSpec(
+        (1, 3), ((-6.0, 6.0, 41), (-6.0, 6.0, 41)), (0.0,), tuple(eval_rng.uniform(-1.0, 1.0, 3))
     )
     return {
         "certificate_planted10d_m100": lambda: simplex.lower_envelope_certificate(planted, offsets),
@@ -207,6 +217,7 @@ def kernels(hj):
             for key, net in eval_nets.items()
         },
         "slice_plane10d_41x41": lambda: hj.slicing.evaluate_slice(plane_net, slice_plane),
+        "slice_linf5_t0": lambda: hj.slicing.evaluate_slice(linf5, slice_linf5),
         **{
             f"point_{key}": lambda net=net, point=singles[key]: net.evaluate(*point)
             for key, net in eval_nets.items()
@@ -221,7 +232,7 @@ def kernels(hj):
             for key, net in eval_nets.items()
         },
         **{
-            f"stencil660_{key}": lambda net=problems[key], rows=stencils[key]: net.solution_grid(*rows)
+            f"stencil660_{key}": lambda net=problems[key.removesuffix("_t0")], rows=stencils[key]: net.solution_grid(*rows)
             for key in stencils
         },
     }

@@ -156,13 +156,13 @@ MUTANTS = [
     (
         "src/hjeval/lagrangian.py",
         "Form(L, L.radial, 1.0, 1.0, t,",
-        "Form(L, L.radial, 1.0, 1.0, np.full(len(t), t[0]),",
+        "Form(L, L.radial, 1.0, 1.0, t if not np.ndim(t) else np.full(len(t), t[0]),",
         "every per-row time scaled by the first row's",
     ),
     (
         "src/hjeval/initialdata.py",
         "self._lifted, t, self.offsets)",
-        "self._lifted, np.flip(t), self.offsets)",
+        "self._lifted, t if not np.ndim(t) else np.flip(t), self.offsets)",
         "the arch2 per-row weight t taken with the times reversed",
     ),
     (
@@ -188,6 +188,24 @@ MUTANTS = [
         "if type(form.weight) is np.ndarray or form.weight != 1.0:",
         "if type(form.weight) is not np.ndarray and form.weight != 1.0:",
         "the per-row weight dropped in branch_formula",
+    ),
+    (
+        "src/hjeval/branches.py",
+        "else not t >= 0:",
+        "else t < 0:",
+        "the NaN refusal of one time dropped",
+    ),
+    (
+        "src/hjeval/branches.py",
+        "if not (t >= 0).all() if",
+        "if np.isnan(t).any() if",
+        "the per-row negative check dropped",
+    ),
+    (
+        "src/hjeval/branches.py",
+        " or form.beta == 0 or",
+        " or",
+        "the beta == 0 clause dropped (arch2 at t = 0 screened)",
     ),
 ]
 
