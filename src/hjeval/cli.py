@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .bench import bench_csv, run_bench
-from .config import ConfigError, load_problem, load_slice, parse_floats
+from .config import ConfigError, load_problem, load_slice, parse_floats, parse_ints
 from .oracle import OracleConfig, verify_report
 from .output import format_17g, write_slice_csv, write_slice_pgm
 from .simplex import EnvelopeViolationError
@@ -125,10 +125,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        dims = [int(tok) for tok in args.dims.split(",")]
-    except ValueError:
-        raise ConfigError("dims", f"not integers: {args.dims!r}") from None
+    dims = parse_ints("dims", args.dims)
     rows = run_bench(args.architecture, dims, args.m, args.reps, args.seed)
     text = bench_csv(rows)
     if args.out is None:

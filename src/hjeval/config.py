@@ -28,6 +28,12 @@ Slice files::
     range = -6, 6, 101             # min, max, steps; one per free axis
     fixed = 0, 0, 0, 0, 0, 0, 0, 0 # remaining coordinates, index order
     times = 1e-06, 1, 3, 5
+
+Each format has one key table, ``_PROBLEM_KEYS`` and ``_SLICE_KEYS``: key ->
+(value parser, whether the key repeats).  Both formats go through one reader,
+``_read``, which refuses an unknown or a missing required key, naming it;
+a repeated single-valued key keeps its last value.  ``serialize`` writes a
+problem's keys in its table's order.
 """
 
 from __future__ import annotations
@@ -74,12 +80,76 @@ def _parse_float(field_name: str, token: str) -> float:
         raise ConfigError(field_name, f"not a number: {token!r}") from None
 
 
-def parse_floats(field_name: str, value: str) -> list[float]:
-    return [_parse_float(field_name, tok) for tok in value.split(",")]
+def parse_floats(field_name: str, value: str) -> tuple[float, ...]:
+    """Comma-separated floats; a bad one is refused, naming ``field_name``."""
+    return tuple([_parse_float(field_name, tok) for tok in value.split(",")])
 
 
-def _scan(text: str):
-    """Yield (key, value) pairs from a config body."""
+def parse_ints(field_name: str, value: str) -> tuple[int, ...]:
+    """Comma-separated integers; any bad one refuses the whole ``value``."""
+    try:
+        return tuple([int(tok) for tok in value.split(",")])
+    except ValueError:
+        raise ConfigError(field_name, f"not integers: {value!r}") from None
+
+
+def _choice(*options: str):
+    """A value parser that accepts exactly one of ``options``."""
+
+    def parse(field_name: str, value: str) -> str:
+        if value not in options:
+            raise ConfigError(field_name, f"expected {' or '.join(options)}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _dimension(field_name: str, value: str) -> int:
+    try:
+        dimension = int(value)
+    except ValueError:
+        raise ConfigError(field_name, f"not an integer: {value!r}") from None
+    if dimension < 1:
+        raise ConfigError(field_name, "must be at least 1")
+    return dimension
+
+
+def _range(field_name: str, value: str) -> tuple[float, float, int]:
+    vals = parse_floats(field_name, value)
+    if len(vals) != 3:
+        raise ConfigError(field_name, "expected min, max, steps")
+    if not (math.isfinite(vals[2]) and vals[2] == int(vals[2])):
+        raise ConfigError(field_name, "steps must be an integer")
+    return vals[0], vals[1], int(vals[2])
+
+
+# key -> (value parser, whether the key repeats), in serialization order.
+_PROBLEM_KEYS = {
+    "architecture": (_choice("arch1", "arch2"), False),
+    "dimension": (_dimension, False),
+    "function": (lambda _, value: value, False),
+    "p": (_parse_float, False),
+    "affine": (parse_floats, True),
+    "param": (parse_floats, True),
+    "norm_hamiltonian": (_choice("l1", "linf"), False),
+}
+_SLICE_KEYS = {
+    "free_axes": (parse_ints, False),
+    "range": (_range, True),
+    "fixed": (parse_floats, False),
+    "times": (parse_floats, False),
+}
+
+
+def _read(text: str, keys: dict, required: tuple[str, ...]) -> dict:
+    """The keys given in a config body, each mapped to its parsed value.
+
+    A repeating key maps to the tuple of its lines' values, in line order; a
+    single-valued key given twice keeps its last value.  Refuses, naming
+    what is wrong, the first line without ``=``, with an unknown key or with a
+    bad value, and then the first key of ``required`` that is not given.
+    """
+    values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -87,11 +157,25 @@ def _scan(text: str):
         if "=" not in line:
             raise ConfigError(f"line {lineno}", f"expected 'key = value', got {line!r}")
         key, value = line.split("=", 1)
-        yield key.strip(), value.strip()
+        key, value = key.strip(), value.strip()
+        if key not in keys:
+            raise ConfigError(key, "unknown key")
+        parse, repeats = keys[key]
+        if repeats:
+            values.setdefault(key, []).append(parse(key, value))
+        else:
+            values[key] = parse(key, value)
+    for key in required:
+        if key not in values:
+            raise ConfigError(key, "missing")
+    return {key: tuple(value) if keys[key][1] else value for key, value in values.items()}
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _fmt(value) -> str:
+    """Config text of a value: floats and rows lossless via ``repr``."""
+    if isinstance(value, tuple):
+        return ", ".join(map(repr, map(float, value)))
+    return value if isinstance(value, str) else repr(value)
 
 
 @dataclass(frozen=True)
@@ -156,123 +240,40 @@ class ProblemConfig:
         return InitialDataNet(activation, points, scalars)
 
     def serialize(self) -> str:
-        lines = [
-            f"architecture = {self.architecture}",
-            f"dimension = {self.dimension}",
-            f"function = {self.function}",
-        ]
-        if self.p is not None:
-            lines.append(f"p = {_fmt(self.p)}")
-        for row in self.affine:
-            lines.append("affine = " + ", ".join(_fmt(v) for v in row))
-        for row in self.params:
-            lines.append("param = " + ", ".join(_fmt(v) for v in row))
-        if self.norm_hamiltonian is not None:
-            lines.append(f"norm_hamiltonian = {self.norm_hamiltonian}")
+        """One line per set key, in ``_PROBLEM_KEYS`` order."""
+        lines = []
+        for key, (_, repeats) in _PROBLEM_KEYS.items():
+            value = getattr(self, "params" if key == "param" else key)
+            for item in value if repeats else () if value is None else (value,):
+                lines.append(f"{key} = {_fmt(item)}")
         return "\n".join(lines) + "\n"
 
 
 def parse_problem(text: str) -> ProblemConfig:
-    architecture = None
-    dimension = None
-    function = None
-    p = None
-    affine: list[tuple[float, ...]] = []
-    params: list[tuple[float, ...]] = []
-    norm_hamiltonian = None
-
-    for key, value in _scan(text):
-        if key == "architecture":
-            if value not in ("arch1", "arch2"):
-                raise ConfigError("architecture", f"expected arch1 or arch2, got {value!r}")
-            architecture = value
-        elif key == "dimension":
-            try:
-                dimension = int(value)
-            except ValueError:
-                raise ConfigError("dimension", f"not an integer: {value!r}") from None
-            if dimension < 1:
-                raise ConfigError("dimension", "must be at least 1")
-        elif key == "function":
-            function = value
-        elif key == "p":
-            p = _parse_float("p", value)
-        elif key == "affine":
-            affine.append(tuple(parse_floats("affine", value)))
-        elif key == "param":
-            params.append(tuple(parse_floats("param", value)))
-        elif key == "norm_hamiltonian":
-            if value not in ("l1", "linf"):
-                raise ConfigError("norm_hamiltonian", f"expected l1 or linf, got {value!r}")
-            norm_hamiltonian = value
-        else:
-            raise ConfigError(key, "unknown key")
-
-    if architecture is None:
-        raise ConfigError("architecture", "missing")
-    if dimension is None:
-        raise ConfigError("dimension", "missing")
-    if function is None:
-        raise ConfigError("function", "missing")
-    if norm_hamiltonian is not None:
-        if architecture != "arch2":
+    values = _read(text, _PROBLEM_KEYS, ("architecture", "dimension", "function"))
+    params = values.pop("param", ())
+    if "norm_hamiltonian" in values:
+        if values["architecture"] != "arch2":
             raise ConfigError("norm_hamiltonian", "only arch2 supports generated Hamiltonians")
         if params:
             raise ConfigError("param", "give either param lines or norm_hamiltonian, not both")
     elif not params:
         raise ConfigError("param", "missing: need at least one branch")
+    dimension = values["dimension"]
     for row in params:
         if len(row) != dimension + 1:
             raise ConfigError(
                 "param", f"each line needs {dimension} coords plus a scalar, got {len(row)} values"
             )
-
-    config = ProblemConfig(
-        architecture=architecture,
-        dimension=dimension,
-        function=function,
-        p=p,
-        affine=tuple(affine),
-        params=tuple(params),
-        norm_hamiltonian=norm_hamiltonian,
-    )
+    config = ProblemConfig(params=params, **values)
     config.make_activation()  # validate eagerly so parse errors name the field
     return config
 
 
 def parse_slice(text: str) -> SliceSpec:
-    free_axes = None
-    ranges: list[tuple[float, float, int]] = []
-    fixed: tuple[float, ...] = ()
-    times = None
-
-    for key, value in _scan(text):
-        if key == "free_axes":
-            try:
-                free_axes = tuple(int(tok) for tok in value.split(","))
-            except ValueError:
-                raise ConfigError("free_axes", f"not integers: {value!r}") from None
-        elif key == "range":
-            vals = parse_floats("range", value)
-            if len(vals) != 3:
-                raise ConfigError("range", "expected min, max, steps")
-            if not (math.isfinite(vals[2]) and vals[2] == int(vals[2])):
-                raise ConfigError("range", "steps must be an integer")
-            ranges.append((vals[0], vals[1], int(vals[2])))
-        elif key == "fixed":
-            fixed = tuple(parse_floats("fixed", value))
-        elif key == "times":
-            times = tuple(parse_floats("times", value))
-        else:
-            raise ConfigError(key, "unknown key")
-
-    if free_axes is None:
-        raise ConfigError("free_axes", "missing")
-    if not ranges:
-        raise ConfigError("range", "missing")
-    if times is None:
-        raise ConfigError("times", "missing")
-    return SliceSpec(free_axes=free_axes, ranges=tuple(ranges), times=times, fixed_coords=fixed)
+    values = _read(text, _SLICE_KEYS, ("free_axes", "range", "times"))
+    fixed = values.get("fixed", ())
+    return SliceSpec(values["free_axes"], values["range"], values["times"], fixed)
 
 
 def load_problem(path) -> ProblemConfig:

@@ -6,7 +6,9 @@ digits so files round-trip losslessly and regenerate byte-identically.
 Every float goes through CPython's ``.17g`` (``"%.17g" % x`` and
 ``format(x, ".17g")`` share one routine), but each distinct grid coordinate
 (told apart by bit pattern, so ``-0`` and ``0`` stay distinct) and each time
-is formatted once, and each row is one ``%`` operation.
+is formatted once, and each row is one ``%`` operation.  A table is
+formatted and written in blocks of ``numeric.GRID_BLOCK`` rows, so a write
+never holds a whole table's values beside all its row strings.
 ``tools/byte_identity.py`` is the check that files stay byte-identical.
 
 Images are binary 8-bit grayscale portable pixmaps (magic ``P5``): width,
@@ -20,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .numeric import GRID_BLOCK
 from .slicing import SliceResult
 
 __all__ = ["write_slice_csv", "write_slice_pgm", "render_pgm"]
@@ -50,10 +53,14 @@ def write_slice_csv(result: SliceResult, out_prefix) -> list[Path]:
     paths = []
     for table in result.tables:
         path = prefix.parent / f"{prefix.name}_t{_time_tag(table.t)}.csv"
-        row = "%s," * len(coords) + format_17g(table.t) + ",%.17g,%d,%.17g"
-        columns = (table.values.tolist(), table.argmin_indices.tolist(), table.gaps.tolist())
-        lines = [header] + [row % cells for cells in zip(*coords, *columns)]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        row = "%s," * len(coords) + format_17g(table.t) + ",%.17g,%d,%.17g\n"
+        with path.open("w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            for start in range(0, len(table.values), GRID_BLOCK):
+                block = slice(start, start + GRID_BLOCK)
+                cells = [c[block] for c in coords]
+                cells += [a[block].tolist() for a in (table.values, table.argmin_indices, table.gaps)]
+                fh.write("".join([row % line for line in zip(*cells)]))
         paths.append(path)
     return paths
 

@@ -442,6 +442,12 @@ def test_bench_refuses_dimensions_below_one(monkeypatch, capsys, architecture, d
     assert built == []
 
 
+def test_bench_refuses_dimensions_that_are_not_integers(monkeypatch, capsys):
+    monkeypatch.setattr("hjeval.bench.synthetic_net", None)
+    assert main(["bench", "--architecture", "arch1", "--dims", "2,x", "--reps", "1"]) == 1
+    assert capsys.readouterr().err == "error: dims: not integers: '2,x'\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -1,12 +1,18 @@
 """Byte-level checks of the slice CSV writer against a per-cell reference."""
 
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hjeval.config import load_problem, load_slice
+from hjeval.numeric import GRID_BLOCK
 from hjeval.output import write_slice_csv
-from hjeval.slicing import SliceResult, SliceSpec, SliceTable
+from hjeval.slicing import SliceResult, SliceSpec, SliceTable, evaluate_slice
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 TINY = 5e-324  # smallest subnormal
 T17 = 0.12345678901234568  # needs all 17 significant digits
@@ -83,4 +89,24 @@ def test_slice_csv_big_grid_matches_reference(tmp_path):
     result = _result((0, 1), columns, (0.0, 0.25, T17), values, np.abs(values))
     want = _reference(result)
     for path in write_slice_csv(result, tmp_path / "run"):
+        assert path.read_bytes() == want[path.name], path.name
+
+
+def test_slice_csv_is_written_in_row_blocks(tmp_path):
+    # The 10-D plane's 10,201 rows span three GRID_BLOCK blocks.  Writing a
+    # block at a time never holds a whole table's values beside all its row
+    # strings: about 4.3 MiB of tracemalloc peak when a table went at once.
+    net = load_problem(CONFIG_DIR / "ball10d.cfg").build_net()
+    result = evaluate_slice(net, load_slice(CONFIG_DIR / "slice_plane10d.cfg"))
+    assert len(result.grid) > 2 * GRID_BLOCK
+    tracemalloc.start()
+    try:
+        paths = write_slice_csv(result, tmp_path / "run")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
+    want = _reference(result)
+    assert [p.name for p in paths] == list(want)
+    for path in paths:
         assert path.read_bytes() == want[path.name], path.name

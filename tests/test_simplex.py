@@ -496,6 +496,28 @@ def test_single_solves_are_optimal_by_duality():
     assert solves > 1000
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=RuntimeError,
+    reason="Bland's rule cycles in floating point on flat, large-magnitude data "
+    "(ROADMAP item 1, one scale for every LP: its fix flips this marker)",
+)
+@pytest.mark.parametrize("stacked", [False, True])
+def test_flat_large_magnitude_plane_solves(stacked):
+    # Nine points on a plane in R^4 at scale 4e4: [V^T; 1] has rank 3, and
+    # the drive-out pivots on a redundant row whose residue exceeds the
+    # absolute PIVOT_TOL, so phase 2 cycles past its basis count on target 35.
+    rng = np.random.default_rng(73)
+    points = 4e4 * (rng.normal(size=(9, 2)) @ rng.normal(size=(2, 4)) + rng.normal(size=4))
+    costs = rng.uniform(-1e3, 1e3, 9)
+    targets = _stack_targets(points, 10)
+    if stacked:
+        values = minimize_over_simplex(costs, points, targets)
+        assert np.isfinite(values[35])
+    else:
+        assert minimize_over_simplex(costs, points, targets[35]).feasible
+
+
 def test_stacked_targets_edge_cases():
     empty = minimize_over_simplex(COSTS, POINTS, np.zeros((0, 1)))
     assert empty.dtype == np.float64 and empty.shape == (0,)

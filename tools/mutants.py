@@ -207,6 +207,24 @@ MUTANTS = [
         " or",
         "the beta == 0 clause dropped (arch2 at t = 0 screened)",
     ),
+    (
+        "src/hjeval/config.py",
+        '"param": (parse_floats, True),',
+        '"param": (parse_floats, False),',
+        "the param table entry marked as not repeated",
+    ),
+    (
+        "src/hjeval/config.py",
+        '_read(text, _PROBLEM_KEYS, ("architecture", "dimension", "function"))',
+        '_read(text, _PROBLEM_KEYS, ("architecture", "dimension"))',
+        "function dropped from the problem table's required keys",
+    ),
+    (
+        "src/hjeval/output.py",
+        "block = slice(start, start + GRID_BLOCK)",
+        "block = slice(start, start + GRID_BLOCK - 1)",
+        "the CSV chunk loop skipping each chunk's last row",
+    ),
 ]
 
 # why -> the reason no test can catch the mutant.
