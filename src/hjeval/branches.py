@@ -41,14 +41,15 @@ one of two kernels:
 
 The size of a batch picks the kernel: a batch whose (k, m, n)
 differences reach ``SCREEN_MIN_ELEMENTS`` is screened, one row included;
-a smaller one takes the exact kernel directly, and so does a Form with
-``beta == 0`` (arch2 at t = 0, where all m branches tie and the screen
-would hand every row on).  A batch with one time per row takes the exact
-kernel on a Form whose ``beta``, ``scale`` or ``weight`` hold one entry
-per row.  A single point given to ``evaluate``
-takes its own path (:meth:`BranchNet._evaluate_point`) below
-``SCREEN_MIN_ELEMENTS`` (m, n) differences, and is a one-row batch from
-there on.
+a smaller one takes the exact kernel directly.  A Form with ``beta == 0``
+(arch2 at t = 0) takes neither: its branches are J(x) up to signs of zero,
+so one activation call on the rows settles every row whose J(x) is finite
+and nonzero, and the others take the exact kernel (:func:`_at_time_zero`).
+A batch with one time per row takes the exact kernel on a Form whose
+``beta``, ``scale`` or ``weight`` hold one entry per row, and its rows at
+t = 0 again as one batch.  A single point given to ``evaluate`` takes its
+own path (:meth:`BranchNet._evaluate_point`) below ``SCREEN_MIN_ELEMENTS``
+(m, n) differences, and is a one-row batch from there on.
 """
 
 from __future__ import annotations
@@ -249,15 +250,17 @@ def min_over_branches(points, form: Form, values_only=False):
     """Row-wise (values, argmins, gaps) of the (k, m) branch matrix of
     ``form``, or (values,) with ``values_only``.
 
-    ``points`` is a checked (k, n) array and ``form`` has one time.  Both
+    ``points`` is a checked (k, n) array and ``form`` has one time.  A Form
+    with ``beta == 0`` (arch2 at t = 0) calls the activation once per row
+    (:func:`_at_time_zero`); its other rows take the exact kernel.  Both
     kernels take their exact values from :func:`branch_formula` on ``form``.
     Radial forms take the screened kernel, except for values only, whose
-    row minima come from the exact kernel alone, and a Form with ``beta ==
-    0`` (arch2 at t = 0), whose m branches all tie and would send every row
-    of the screen to the exact kernel anyway.
+    row minima come from the exact kernel alone.
     """
     (k, n), m = points.shape, len(form.centers)
-    if values_only or form.radial is None or m == 1 or form.beta == 0 or k * m * n < SCREEN_MIN_ELEMENTS:
+    if form.beta == 0:
+        return _retake(*_at_time_zero(points, form, values_only), _exact_rows, points, form, values_only)
+    if values_only or form.radial is None or m == 1 or k * m * n < SCREEN_MIN_ELEMENTS:
         return _exact_rows(points, form, values_only)
     # A block's row holds m screen values and n + 3 lifted entries, and then,
     # once those are spent, 2 n pair differences.
@@ -267,6 +270,31 @@ def min_over_branches(points, form: Form, values_only=False):
     # memory instead of each taking (and faulting in) fresh pages.
     work = np.empty(min(k, step) * width)
     return _join([_screened(points[lo : lo + step], form, work) for lo in range(0, k, step)])
+
+
+def _at_time_zero(x, form: Form, values_only=False):
+    """Row-wise results on a Form with ``beta == 0`` from one activation call
+    j = J(x), and the mask of the rows the exact kernel must take instead.
+
+    Branch i is J(x - 0 c_i) + 0 d_i.  Its argument differs from x only in
+    the sign of zero coordinates, which moves J at most in the sign of a
+    zero value, and j + ±0 = j for j nonzero.  So where j is finite and
+    nonzero every branch is j bit for bit: the first wins, with gap +0.0
+    (+inf for one branch).  The masked rows, where j is zero or not finite,
+    keep the exact kernel's signs of zero and NaN gaps.
+    """
+    j = form.fn(x)
+    result = (j, np.ones(len(x), dtype=np.intp), np.full(len(x), np.inf if len(form.centers) == 1 else 0.0))
+    return result[: 1 if values_only else 3], ~np.isfinite(j) | (j == 0.0)
+
+
+def _retake(result, rows, kernel, x, *args):
+    """``result`` with its parts on the boolean ``rows`` of x taken again
+    from ``kernel(x[rows], *args)``, which gives the same parts."""
+    if rows.any():
+        for part, again in zip(result, kernel(x[rows], *args)):
+            part[rows] = again
+    return result
 
 
 def _join(blocks):
@@ -380,9 +408,7 @@ def _screened(x, s: Form, work):
     # NaN rows and ties at zero (whose sign the reduction order decides)
     # take the full-matrix reduction on every branch.
     redo = np.isnan(gaps) | ((values == 0.0) & (runner == 0.0))
-    if redo.any():
-        values[redo], argmins[redo], gaps[redo] = _exact_rows(x[redo], s)
-    return values, argmins, gaps
+    return _retake((values, argmins, gaps), redo, _exact_rows, x, s)
 
 
 # -- nets -------------------------------------------------------------------
@@ -436,8 +462,14 @@ class BranchNet:
 
     def _evaluate_point(self, x, t) -> EvalResult:
         """The single-point path: one call of the branch formula, reduced;
-        from ``SCREEN_MIN_ELEMENTS`` (m, n) differences on, a one-row batch."""
+        from ``SCREEN_MIN_ELEMENTS`` (m, n) differences on, a one-row batch.
+        At ``beta == 0`` one activation call settles the point unless J(x)
+        is zero or not finite (:func:`_at_time_zero`)."""
         form, x = self._form(t), check_point(x, self.dimension)
+        if form.beta == 0:
+            result, redo = _at_time_zero(x[None], form)
+            if not redo[0]:
+                return EvalResult(*(part.item() for part in result))
         if x.size * len(form.centers) < SCREEN_MIN_ELEMENTS:
             return reduce_branches(branch_formula(form, x))
         return EvalResult(*(part.item() for part in min_over_branches(x[None], form)))
@@ -456,8 +488,9 @@ class BranchNet:
 
         One time per row takes the exact kernel, and each row's value,
         argmin and gap are those of a call at its own time.  Rows at t = 0
-        are held at t = 1, then taken again on the Form at 0, whose
-        activation may differ (the Lagrangian's recession).
+        are held at t = 1, then taken again as one batch on the Form at 0,
+        whose activation may differ (the Lagrangian's recession) and whose
+        arch2 rows take one activation call each (:func:`_at_time_zero`).
         """
         if isinstance(t, float) or not np.ndim(t):
             form = self._form(t)  # first: a bad time is reported before bad points
@@ -469,10 +502,7 @@ class BranchNet:
         if t.shape != (len(points),):
             raise ValueError(f"t: need one time per row ({len(points)}), got shape {t.shape}")
         result = _exact_rows(points, form, values_only)
-        if zero.any():
-            for part, again in zip(result, _exact_rows(points[zero], self._form(0.0), values_only)):
-                part[zero] = again
-        return result
+        return _retake(result, zero, min_over_branches, points, self._form(0.0), values_only)
 
     def kink_margin(self, x, t: float, index: int) -> float:
         """Distance of branch ``index``'s (1-based) activation argument from

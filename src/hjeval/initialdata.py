@@ -16,7 +16,8 @@ the convex hull of the v_i.  The representation is valid only when every
 envelope of the pair set; construction verifies this and rejects violating
 parameter sets rather than silently computing a non-solution.
 
-Evaluation cost is O(m · cost(J)) per point, independent of any mesh.
+Evaluation cost is O(m · cost(J)) per point, independent of any mesh, and
+one call of J at t = 0 wherever J(x) is finite and nonzero.
 The branches at time t are one :class:`hjeval.branches.Form` (``fn = J``,
 ``beta = t``, ``scale = 1``, ``weight = t``, ``offsets = b``), which
 :mod:`hjeval.branches` evaluates, screens and reduces; batches may give one
@@ -76,7 +77,8 @@ class InitialDataNet(BranchNet):
         return Form(J, J.negated.radial, -1.0, t, 1.0, self._points, self._lifted, t, self.offsets)
 
     def evaluate(self, x, t: float) -> EvalResult:
-        """Solution value at time t >= 0 (every branch equals J(x) at t = 0)."""
+        """Solution value at time t >= 0.  At t = 0 every branch equals J(x),
+        up to signs of zero, and one call of J settles the point."""
         return self._evaluate_point(x, t)
 
     def evaluate_grid(self, points, t):

@@ -112,8 +112,8 @@ _RADIAL_NETS = {
 @pytest.mark.parametrize("name", sorted(_RADIAL_NETS))
 def test_per_row_times_equal_screened_scalar_calls(name, monkeypatch):
     # Each time's rows alone reach SCREEN_MIN_ELEMENTS, so every scalar
-    # reference call at t > 0 is screened (arch2 at t = 0 takes the exact
-    # kernel); the per-row call takes the exact kernel.
+    # reference call at t > 0 is screened (arch2 at t = 0 calls J once per
+    # row); the per-row call takes the exact kernel.
     rng = np.random.default_rng(sorted(_RADIAL_NETS).index(name))
     net = _RADIAL_NETS[name](rng)
     times = np.array([0.3, 1.0, 2.7] + ([0.0] if isinstance(net, InitialDataNet) else []))
@@ -170,6 +170,22 @@ def test_lagrangian_rows_at_time_zero_take_the_recession():
         _assert_rows_equal_scalar_calls(net.solution_grid, points, t, net.initial_grid)
         zero = np.zeros(40)
         _assert_rows_equal_scalar_calls(net.solution_grid, points, zero, net.initial_grid)
+
+
+def test_per_row_zero_rows_are_one_screened_batch(monkeypatch):
+    # The rows at t = 0 are taken again as one batch at one time: 40 arch1
+    # rows of 64 branches in 20-D are screened on the recession, and equal
+    # the exact kernel on all m branches.
+    rng = np.random.default_rng(14)
+    net = _lagrangian(rng, ShiftedNormPlus(), 64, 20)
+    points = rng.uniform(-4.0, 4.0, (60, 20))
+    t = np.where(np.arange(60) % 3 == 0, 1.3, 0.0)
+    screened = _spy_screen(monkeypatch)
+    got = net.solution_grid(points, t)
+    assert screened
+    want = branches._exact_rows(points[t == 0], net._form(0.0))
+    for g, w in zip(got, want):
+        assert g[t == 0].tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("make_net", [shifted_norm_net_10d, concave_quadratic_net_10d])
@@ -258,6 +274,108 @@ def test_arch2_at_time_zero_skips_the_screen(monkeypatch):
     assert not screened
     net.solution_grid(points, 0.5)
     assert screened
+
+
+# -- arch2 at t = 0: one activation call per row ---------------------------------
+
+
+_ZERO_TIME_DATA = {
+    "half_squared": lambda rng, n: HalfSquaredNorm(),
+    "pnorm1": lambda rng, n: PNorm(1),
+    "pnorm2": lambda rng, n: PNorm(2),
+    "pnorm_inf": lambda rng, n: PNorm(np.inf),
+    "shifted_norm_plus": lambda rng, n: ShiftedNormPlus(),
+    "max_affine1": lambda rng, n: MaxAffine(rng.uniform(-2.0, 2.0, (1, n)), [0.0]),
+    "max_affine5": lambda rng, n: MaxAffine(rng.uniform(-2.0, 2.0, (5, n)), rng.uniform(-1.0, 1.0, 5)),
+    "clipped1d": lambda rng, n: ClippedQuadratic1D(),
+}
+
+
+def _full_matrix(net, points, t):
+    """Row-wise (values, argmins, gaps) at time t from the branch formula on
+    all m branches, reduced as one matrix: the kernel before the t = 0 rule."""
+    m = net.n_branches
+    matrix = branches.branch_formula(net._form(t), points[None], np.arange(m)[:, None])
+    return branches.reduce_branch_matrix(np.ascontiguousarray(matrix.T))
+
+
+def _zero_time_rows(rng, n):
+    """Generic rows, rows of zeros of both signs, rows with -0 coordinates,
+    rows at 1e-200 (where |x|^2 underflows) and rows whose J overflows."""
+    points = rng.uniform(-4.0, 4.0, (48, n))
+    points[:4] = 0.0
+    points[2:4] = -0.0
+    mixed = points[4:12]
+    mixed[rng.random(mixed.shape) < 0.5] = -0.0
+    points[12:20] *= 1e-200
+    points[20:28] = np.copysign(1.7e308, points[20:28])
+    points[28:32] *= 1e200
+    return points
+
+
+@pytest.mark.parametrize("m", [1, 9])
+@pytest.mark.parametrize("data", sorted(_ZERO_TIME_DATA))
+def test_arch2_at_time_zero_equals_the_full_branch_matrix(data, m):
+    # Every call at t = 0 gives, bit for bit (signs of zero and NaN gaps
+    # included), what the branch formula on all m branches gives.
+    rng = np.random.default_rng(sorted(_ZERO_TIME_DATA).index(data) + 60 + m)
+    n = 1 if data == "clipped1d" else 6
+    rows = rng.uniform(-2.0, 2.0, (m, n))
+    # Convex offsets of both signs, so that 0 * b_i is +0.0 or -0.0.
+    net = InitialDataNet(ConcaveFn(_ZERO_TIME_DATA[data](rng, n)), rows, 0.5 * (rows * rows).sum(axis=1) - 1.0)
+    points = _zero_time_rows(rng, n)
+    t = np.where(np.arange(len(points)) % 3 == 0, 0.0, 0.5)
+    with np.errstate(all="ignore"):
+        want = _full_matrix(net, points, 0.0)
+        for zero in (0.0, np.array(0.0)):
+            _assert_same_bits(net.solution_grid(points, zero), want)
+        got = net.solution_grid(points, t)
+        later = _full_matrix(net, points, 0.5)
+        for g, w, w_later in zip(got, want, later):
+            assert g.tobytes() == np.where(t == 0, w, w_later).tobytes()
+        for x in points:
+            single = branches.reduce_branches(branches.branch_formula(net._form(0.0), x))
+            res = net.evaluate(x, 0.0)
+            got_single = np.array([res.value, res.gap]).tobytes(), res.argmin_index
+            assert got_single == (np.array([single.value, single.gap]).tobytes(), single.argmin_index)
+    bad = points.copy()
+    bad[5, 0] = np.nan
+    bad[7, -1] = np.inf
+    with pytest.raises(ValueError) as want_error:
+        _full_matrix(net, bad, 0.0)
+    calls = [lambda: net.solution_grid(bad, 0.0), lambda: net.solution_grid(bad, t), lambda: net.evaluate(bad[7], 0.0)]
+    for call in calls:
+        with pytest.raises(ValueError) as got_error:
+            call()
+        assert str(got_error.value) == str(want_error.value) == "points must have finite coordinates"
+
+
+class _CountingData(ConcaveFn):
+    """Concave initial data that records the number of rows of each call."""
+
+    def __init__(self, negated):
+        super().__init__(negated)
+        self.rows = []
+
+    def __call__(self, x):
+        self.rows.append(len(np.atleast_2d(x)))
+        return super().__call__(x)
+
+
+def test_arch2_at_time_zero_calls_the_data_once_per_row():
+    # One activation call on the rows, not one per (row, branch) pair.
+    data = _CountingData(HalfSquaredNorm())
+    net = InitialDataNet(data, *norm_hamiltonian_rows("linf", 100))
+    points = np.random.default_rng(12).uniform(-4.0, 4.0, (40, 100))
+    net.solution_grid(points, 0.0)
+    assert data.rows == [40]
+    data.rows.clear()
+    net.evaluate(points[0], 0.0)
+    assert data.rows == [1]
+    data.rows.clear()
+    net.solution_grid(points, np.where(np.arange(40) % 4 == 0, 0.0, 1.3))
+    # Every row on all m branches at t = 1, then the ten at t = 0 once each.
+    assert data.rows[-1] == 10 and sum(data.rows) == 40 * 200 + 10
 
 
 # -- the nets' own branch parameters ---------------------------------------------

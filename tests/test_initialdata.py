@@ -328,10 +328,11 @@ def test_screen_band_is_tight(count_pairs):
     net.solution_grid(points, 1.7)
     assert sum(counts) / len(points) <= 2.0
     assert sum(counts) == 2 * len(points)  # each generic row sends its pair, no more
-    # At t = 0 every branch equals J(x): all m tie and all are rechecked.
+    # At t = 0 every branch equals J(x): one activation call settles each
+    # generic row, and no pair reaches the branch formula.
     counts.clear()
     net.solution_grid(points[:1000], 0.0)
-    assert sum(counts) == 1000 * net.n_branches
+    assert sum(counts) == 0
 
 
 def test_one_row_batch_is_screened(count_pairs):

@@ -37,7 +37,9 @@ Then the nets of ``perfbench``'s ``eval`` workload, each on one
 10,000-point ``solution_grid`` batch at one time in [0.1, 3]:
 ``clipped_quadratic`` (m = 3, 1-D), ``shifted_norm_plus`` (m = 64,
 100-D), the linf Hamiltonian at n = 100 (m = 200) and the l1 Hamiltonian
-at n = 8 (m = 256); and ``evaluate_slice`` on a plane like the ``slice``
+at n = 8 (m = 256), and the last two nets' batches again at t = 0
+(``grid10k_linf100_t0``, ``grid10k_l1_8_t0``), where every branch is
+J(x); and ``evaluate_slice`` on a plane like the ``slice``
 workload's 10-D one: 41 x 41 points at four times on a
 ``shifted_norm_plus`` net with m = 8, and on the ``slice`` workload's 5-D
 plane at t = 0: 41 x 41 points on the linf Hamiltonian net at n = 5
@@ -215,6 +217,10 @@ def kernels(hj):
         **{
             f"grid10k_{key}": lambda net=net, batch=batches[key]: net.solution_grid(*batch)
             for key, net in eval_nets.items()
+        },
+        **{
+            f"grid10k_{key}_t0": lambda net=eval_nets[key], points=batches[key][0]: net.solution_grid(points, 0.0)
+            for key in ("linf100", "l1_8")
         },
         "slice_plane10d_41x41": lambda: hj.slicing.evaluate_slice(plane_net, slice_plane),
         "slice_linf5_t0": lambda: hj.slicing.evaluate_slice(linf5, slice_linf5),

@@ -203,9 +203,15 @@ MUTANTS = [
     ),
     (
         "src/hjeval/branches.py",
-        " or form.beta == 0 or",
-        " or",
-        "the beta == 0 clause dropped (arch2 at t = 0 screened)",
+        ", ~np.isfinite(j) | (j == 0.0)",
+        ", ~np.isfinite(j)",
+        "the J(x) = 0 rows not redone (arch2 at t = 0)",
+    ),
+    (
+        "src/hjeval/branches.py",
+        "np.inf if len(form.centers) == 1 else 0.0",
+        "0.0",
+        "m = 1 gap not +inf (arch2 at t = 0)",
     ),
     (
         "src/hjeval/config.py",
@@ -284,7 +290,9 @@ def _tier1(tree: Path):
 
 
 def _first_failure(output: str) -> str:
-    match = re.search(r"^(?:FAILED|ERROR) (\S+)", output, re.MULTILINE)
+    # The whole node id: a parametrized id may hold spaces, and pytest ends
+    # the id with " - " and the message, or with the line.
+    match = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", output, re.MULTILINE)
     return match.group(1) if match else "tier-1 exited nonzero"
 
 
