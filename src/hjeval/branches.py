@@ -6,10 +6,11 @@ calls with the Form), the screen built from the same Form and the winning
 branch's kink margin.
 
 A net's value at a point is the minimum over its m branches; the winning
-branch (1-based, smallest index on ties) and the gap to the runner-up come
-with it.  Batches of k points are reduced in row blocks whose largest
-temporaries stay at a few MiB (``EXACT_BLOCK``, ``SCREEN_BLOCK``), through
-one of two kernels:
+branch (1-based, smallest index on ties) and the gap come with it.  The
+gap is the runner-up's value less the winner's own, in every reduction.
+Batches of k points are reduced in row blocks whose largest temporaries
+stay at a few MiB (``EXACT_BLOCK``, ``SCREEN_BLOCK``), through one of two
+kernels:
 
 * **Exact.**  The branch formula on stacked (point, branch) difference
   arrays, one activation call per block.  It is the only kernel whose
@@ -49,7 +50,10 @@ A batch with one time per row takes the exact kernel on a Form whose
 ``beta``, ``scale`` or ``weight`` hold one entry per row, and its rows at
 t = 0 again as one batch.  A single point given to ``evaluate`` takes its
 own path (:meth:`BranchNet._evaluate_point`) below ``SCREEN_MIN_ELEMENTS``
-(m, n) differences, and is a one-row batch from there on.
+(m, n) differences, and is a one-row batch from there on.  Either way it
+returns the bits of its one-row batch: :func:`reduce_branches` and
+:func:`reduce_branch_matrix` take the same gap, so a tie at zero keeps
+its sign and a row holding NaN gives a NaN gap in both.
 """
 
 from __future__ import annotations
@@ -90,7 +94,8 @@ class EvalResult:
 
 
 def reduce_branches(values: np.ndarray) -> EvalResult:
-    """Collapse a vector of branch values into an :class:`EvalResult`."""
+    """Collapse a vector of branch values into an :class:`EvalResult`: row 0
+    of :func:`reduce_branch_matrix` on ``values[None]``, bit for bit."""
     values = np.asarray(values, dtype=float)
     best = int(values.argmin())
     lowest = float(values[best])
@@ -106,7 +111,10 @@ def reduce_branch_matrix(matrix: np.ndarray):
     """Row-wise reduction of a (k, m) branch matrix.
 
     Returns (values, argmin indices, gaps) as length-k arrays; indices are
-    1-based with the smallest index winning ties.
+    1-based with the smallest index winning ties.  A gap is the runner-up
+    (the partition's second entry) less the winner's own value, as in
+    :func:`reduce_branches`: the partition's first entry may be a zero of
+    the other sign, or a number where the winner is NaN.
     """
     matrix = np.asarray(matrix, dtype=float)
     best = matrix.argmin(axis=1)
@@ -114,8 +122,7 @@ def reduce_branch_matrix(matrix: np.ndarray):
     if matrix.shape[1] == 1:
         gaps = np.full(matrix.shape[0], np.inf)
     else:
-        two = np.partition(matrix, 1, axis=1)[:, :2]
-        gaps = two[:, 1] - two[:, 0]
+        gaps = np.partition(matrix, 1, axis=1)[:, 1] - values
     return values, best + 1, gaps
 
 
@@ -419,11 +426,16 @@ class BranchNet:
 
     Holds read-only copies of the branch points c_i and offset parameters
     d_i, so that later writes to the caller's arrays never reach the net,
-    lifted once for the screen (``Form.lifted``), and wires both paths: a
-    single point runs every branch formula in one call and reduces it,
-    unless it is large enough to be screened as a one-row batch; a batch is
-    checked once and reduced by :func:`min_over_branches`, or by the exact
-    kernel when it has one time per row.
+    lifted once for the screen (``Form.lifted``).  It is both nets'
+    evaluation surface: :meth:`evaluate` (the single-point path, which runs
+    every branch formula in one call and reduces it, unless the point is
+    large enough to be screened as a one-row batch) and
+    :meth:`solution_grid`, alias ``evaluate_grid`` (a batch, checked once
+    and reduced by :func:`min_over_branches`, or by the exact kernel when it
+    has one time per row).  A point's result is its one-row batch's row,
+    bit for bit.  A subclass adds only names and refusals; one that refuses
+    some times calls ``_evaluate_point`` or ``_branch_matrix``, the bodies
+    behind those names.
 
     ``_form(t)`` is the one check of a time: it refuses a negative or NaN
     t, one time or one per row, before any point is looked at (t = inf
@@ -461,10 +473,13 @@ class BranchNet:
         return branch_formula(self._form(t), check_point(x, self.dimension))
 
     def _evaluate_point(self, x, t) -> EvalResult:
-        """The single-point path: one call of the branch formula, reduced;
-        from ``SCREEN_MIN_ELEMENTS`` (m, n) differences on, a one-row batch.
-        At ``beta == 0`` one activation call settles the point unless J(x)
-        is zero or not finite (:func:`_at_time_zero`)."""
+        """Solution value at one point at time t >= 0, with its winning
+        branch and gap: bit for bit the row of a one-row :meth:`solution_grid`.
+
+        One call of the branch formula, reduced; from ``SCREEN_MIN_ELEMENTS``
+        (m, n) differences on, a one-row batch.  At ``beta == 0`` one
+        activation call settles the point unless J(x) is zero or not finite
+        (:func:`_at_time_zero`)."""
         form, x = self._form(t), check_point(x, self.dimension)
         if form.beta == 0:
             result, redo = _at_time_zero(x[None], form)
@@ -473,6 +488,15 @@ class BranchNet:
         if x.size * len(form.centers) < SCREEN_MIN_ELEMENTS:
             return reduce_branches(branch_formula(form, x))
         return EvalResult(*(part.item() for part in min_over_branches(x[None], form)))
+
+    evaluate = _evaluate_point
+
+    def solution_grid(self, points, t):
+        """Vectorized :meth:`evaluate` over (k, n) row points, at one time or
+        one per row (a length-k array): (values, argmins, gaps)."""
+        return self._branch_matrix(points, t)
+
+    evaluate_grid = solution_grid
 
     def _form(self, t) -> Form:
         """The branches at time t, or at one time per row (a 1-D array t):

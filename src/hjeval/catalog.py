@@ -174,8 +174,10 @@ class ClippedQuadratic1D(ConvexFn):
         return IntervalQuadratic1D()
 
     def smoothness_margin(self, z):
-        # Transition points between the quadratic and the linear tails; a
-        # gradient there sits on the boundary of the conjugate's domain.
+        # Distance to -1 and 2: the transition points between the quadratic
+        # and the linear tails, where a gradient sits on the boundary of the
+        # conjugate's domain, and the ends of that domain on the conjugate,
+        # which shares this margin.
         x = float(np.asarray(z).reshape(-1)[0])
         return min(abs(x + 1.0), abs(x - 2.0))
 
@@ -195,9 +197,7 @@ class IntervalQuadratic1D(ConvexFn):
     def conjugate(self):
         return ClippedQuadratic1D()
 
-    def smoothness_margin(self, z):
-        p = float(np.asarray(z).reshape(-1)[0])
-        return min(abs(p + 1.0), abs(p - 2.0))
+    smoothness_margin = ClippedQuadratic1D.smoothness_margin
 
 
 def _dual_exponent(p: float) -> float:
@@ -226,8 +226,7 @@ class PNorm(ConvexFn):
     def _values(self, pts):
         return np.linalg.norm(pts, ord=self.p, axis=1)
 
-    def _recession(self, pts):
-        return self._values(pts)
+    _recession = _values  # positively homogeneous
 
     def conjugate(self):
         return UnitBallIndicator(ball=_dual_exponent(self.p))

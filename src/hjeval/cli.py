@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .bench import bench_csv, run_bench
 from .config import ConfigError, load_problem, load_slice, parse_floats, parse_ints
+from .numeric import MAX_GRID_DIM
 from .oracle import OracleConfig, verify_report
 from .output import format_17g, write_slice_csv, write_slice_pgm
 from .simplex import EnvelopeViolationError
@@ -64,7 +65,7 @@ def _build_parser() -> _Parser:
     p_verify.add_argument(
         "--residual-only",
         action="store_true",
-        help="skip the oracle comparison (required above 3 dimensions)",
+        help=f"skip the oracle comparison (required above {MAX_GRID_DIM} dimensions)",
     )
     p_verify.add_argument("--pts", type=int, default=40001, help="oracle grid points per axis")
 
@@ -105,10 +106,10 @@ def _cmd_slice(args) -> int:
 
 def _cmd_verify(args) -> int:
     net = load_problem(args.config).build_net()
-    if net.dimension > 3 and not args.residual_only:
+    if net.dimension > MAX_GRID_DIM and not args.residual_only:
         raise ConfigError(
             "residual-only",
-            f"oracle comparison is refused for dimension {net.dimension} > 3; "
+            f"oracle comparison is refused for dimension {net.dimension} > {MAX_GRID_DIM}; "
             "pass --residual-only to check the PDE residual instead",
         )
     cfg = OracleConfig(pts_per_axis=args.pts)

@@ -21,7 +21,10 @@ one call of J at t = 0 wherever J(x) is finite and nonzero.
 The branches at time t are one :class:`hjeval.branches.Form` (``fn = J``,
 ``beta = t``, ``scale = 1``, ``weight = t``, ``offsets = b``), which
 :mod:`hjeval.branches` evaluates, screens and reduces; batches may give one
-t per row, which ``beta`` and ``weight`` hold.
+t per row, which ``beta`` and ``weight`` hold.  ``evaluate``,
+``evaluate_grid`` and ``solution_grid`` are :class:`~hjeval.branches.BranchNet`'s
+as they are, at every t >= 0: this class adds the envelope certificate, the
+Hamiltonian and its conjugate, and the initial data's own values.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import itertools
 
 import numpy as np
 
-from .branches import BranchNet, EvalResult, Form, check_point, check_points
+from .branches import BranchNet, Form, check_point, check_points
 from .catalog import ConcaveFn, MaxAffine
 from .simplex import (
     EnvelopeViolationError,
@@ -75,18 +78,6 @@ class InitialDataNet(BranchNet):
         array t gives one beta and one weight per row."""
         J = self._activation
         return Form(J, J.negated.radial, -1.0, t, 1.0, self._points, self._lifted, t, self.offsets)
-
-    def evaluate(self, x, t: float) -> EvalResult:
-        """Solution value at time t >= 0.  At t = 0 every branch equals J(x),
-        up to signs of zero, and one call of J settles the point."""
-        return self._evaluate_point(x, t)
-
-    def evaluate_grid(self, points, t):
-        """Vectorized :meth:`evaluate` over (k, n) row points, at one time or
-        one per row (a length-k array)."""
-        return self._branch_matrix(points, t)
-
-    solution_grid = evaluate_grid
 
     def initial_values(self, points) -> np.ndarray:
         """Initial-data values J on (k, n) row points, for oracle use."""

@@ -17,7 +17,10 @@ Its branches at any t >= 0 are one :class:`hjeval.branches.Form`
 (``fn = L``, ``beta = 1``, ``scale = t``, ``weight = 1``, ``offsets = a``;
 at t = 0 ``fn = L_rec`` and ``scale = 1``), which :mod:`hjeval.branches`
 evaluates, screens and reduces; batches may give one t per row, which only
-``scale`` holds.
+``scale`` holds.  ``solution_grid`` is :class:`~hjeval.branches.BranchNet`'s
+at every t >= 0 (t = 0 takes the recession formula); ``evaluate`` and
+``evaluate_grid`` refuse t = 0, which ``initial_value``, ``initial_grid``
+and the values-only ``initial_values`` take.
 """
 
 from __future__ import annotations
@@ -75,11 +78,6 @@ class LagrangianNet(BranchNet):
     def initial_grid(self, points):
         """Vectorized :meth:`initial_value` over (k, n) row points."""
         return self._branch_matrix(points, 0.0)
-
-    def solution_grid(self, points, t):
-        """Grid evaluation at any t >= 0 (t = 0 takes the recession formula),
-        one time or one per row (a length-k array)."""
-        return self._branch_matrix(points, t)
 
     def initial_values(self, points) -> np.ndarray:
         """Initial-data values only, for use as an oracle integrand."""

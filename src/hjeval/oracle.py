@@ -33,7 +33,7 @@ import numpy as np
 from .catalog import ensure_extended
 from .initialdata import InitialDataNet
 from .lagrangian import LagrangianNet
-from .numeric import GRID_BLOCK, MAX_GRID_POINTS, box_grid, finite_minimum, grid_inf_convolution
+from .numeric import GRID_BLOCK, MAX_GRID_DIM, MAX_GRID_POINTS, box_grid, finite_minimum, grid_inf_convolution
 
 __all__ = [
     "ORACLE_TOL",
@@ -88,7 +88,7 @@ class OracleConfig:
     """Grid settings for the oracle.
 
     ``pts_per_axis`` must be odd so the grid contains its center; grids are
-    refused above three dimensions at the call sites.
+    refused above ``MAX_GRID_DIM`` (3) dimensions at the call sites.
     """
 
     pts_per_axis: int
@@ -411,7 +411,8 @@ def verify_report(
     Draws ``samples`` points x ~ U[-4, 4]^n with t uniform over the net's
     time range, and records per sample the brute-force oracle gap and the
     centered-difference residual (asserted into pass/fail only where the
-    sample passes screening).  Oracle comparison needs n <= 3; pass
+    sample passes screening).  Oracle comparison needs n <= ``MAX_GRID_DIM``
+    (3), the largest grid that ``box_grid_blocks`` builds; pass
     ``residual_only=True`` to skip it in higher dimension.  Negative
     ``samples`` or ``seed`` is refused; zero samples give an empty report
     that passes, and build no oracle.
@@ -420,9 +421,9 @@ def verify_report(
         raise ValueError(f"samples: must be nonnegative, got {samples}")
     if seed < 0:
         raise ValueError(f"seed: must be nonnegative, got {seed}")
-    if not residual_only and net.dimension > 3:
+    if not residual_only and net.dimension > MAX_GRID_DIM:
         raise ValueError(
-            "oracle comparison is refused above 3 dimensions; "
+            f"oracle comparison is refused above {MAX_GRID_DIM} dimensions; "
             "use residual_only=True for high-dimensional nets"
         )
     if label is None:

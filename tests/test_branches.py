@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hjeval.branches as branches
+from hjeval.branches import BranchNet
 from hjeval.catalog import (
     ClippedQuadratic1D,
     ConcaveFn,
@@ -410,6 +411,113 @@ def test_nets_keep_their_branch_parameters_from_the_callers_writes(arch, monkeyp
             own[0] = 0.0
 
 
+# -- a single point is a batch of one ------------------------------------------
+
+
+_REDUCE_ENTRIES = np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.nan, np.inf, -np.inf])
+
+
+def _outcome(call):
+    """The bits of ``call()``'s value, argmin and gap, as arrays (an
+    :class:`EvalResult` is one row), or its error's message."""
+    try:
+        with np.errstate(all="ignore"):
+            out = call()
+    except ValueError as err:
+        return str(err)
+    if isinstance(out, branches.EvalResult):
+        out = [out.value], [out.argmin_index], [out.gap]
+    value, argmin, gap = (np.asarray(part) for part in out)
+    return value.tobytes(), argmin.astype(np.intp).tobytes(), gap.tobytes()
+
+
+def test_both_nets_evaluate_through_the_branch_net():
+    # One evaluation surface: the nets add only refusals and t = 0 names.
+    assert BranchNet.evaluate is BranchNet._evaluate_point
+    assert BranchNet.evaluate_grid is BranchNet.solution_grid
+    for name in ("evaluate", "evaluate_grid", "solution_grid"):
+        assert getattr(InitialDataNet, name) is getattr(BranchNet, name)
+    assert LagrangianNet.solution_grid is BranchNet.solution_grid
+
+
+def test_reduce_branches_is_row_zero_of_the_batch_reduction():
+    # Both reducers take the gap as the runner-up less the winner's own
+    # value, so ties at zero keep one sign of their gap and a row holding
+    # NaN gives a NaN gap in both.
+    rng = np.random.default_rng(52)
+    for m in range(1, 12):
+        rows = rng.choice(_REDUCE_ENTRIES, (2000, m))
+        rows[:600] = rng.choice(_REDUCE_ENTRIES[:2], (600, m))  # ties at zero
+        for v in rows:
+            assert _outcome(lambda: branches.reduce_branches(v)) == _outcome(
+                lambda: branches.reduce_branch_matrix(v[None])
+            ), v
+    res = branches.reduce_branches([np.nan, 1.0, 2.0])
+    (gap,) = branches.reduce_branch_matrix([[np.nan, 1.0, 2.0]])[2]
+    assert np.isnan(res.value) and res.argmin_index == 1 and np.isnan(res.gap) and np.isnan(gap)
+
+
+def test_arch2_points_at_zero_are_their_one_row_batches():
+    # At x = 0 and t = 0 every branch is J(0) + 0 * b_i = -0.0 + (+-0.0):
+    # ties at zero of both signs, which the exact kernel reduces.
+    rng = np.random.default_rng(53)
+    x = np.zeros(4)
+    for _ in range(400):
+        rows = rng.uniform(-2.0, 2.0, (12, 4))
+        offsets = 0.5 * (rows * rows).sum(axis=1) - rng.uniform(0.5, 4.0)
+        net = InitialDataNet(ConcaveFn(HalfSquaredNorm()), rows, offsets)
+        assert _outcome(lambda: net.evaluate(x, 0.0)) == _outcome(lambda: net.solution_grid(x[None], 0.0))
+
+
+def _point_rows(rng, n):
+    """Generic rows, zeros of both signs, rows with -0 coordinates, rows at
+    1e-200 (where |x|^2 underflows) and at 1e155 (where it overflows)."""
+    points = rng.uniform(-2.0, 2.0, (20, n))
+    points[:4] = 0.0
+    points[2:4] = -0.0
+    mixed = points[4:10]
+    mixed[rng.random(mixed.shape) < 0.5] = -0.0
+    points[10:14] *= 1e-200
+    points[14:18] *= 1e155
+    return points
+
+
+def _one_row_pairs(net, x):
+    """(single-point call, its one-row batch call) pairs of ``net`` at x."""
+    pairs = [
+        (lambda t=t: net.evaluate(x, t), lambda t=t: net.solution_grid(x[None], t)) for t in (1.3, np.inf)
+    ]
+    pairs.append((lambda: net.evaluate(x, 1.3), lambda: net.evaluate_grid(x[None], 1.3)))
+    at_zero = net.initial_value if isinstance(net, LagrangianNet) else lambda x: net.evaluate(x, 0.0)
+    pairs.append((lambda: at_zero(x), lambda: net.solution_grid(x[None], 0.0)))
+    if isinstance(net, LagrangianNet):
+        pairs.append((lambda: at_zero(x), lambda: net.initial_grid(x[None])))
+    return pairs
+
+
+def test_points_are_their_one_row_batches():
+    # evaluate and initial_value give the bits of their one-row batch:
+    # values, argmins and gaps, signs of zero and NaN gaps included, or the
+    # same error.  Zero rows and zero shifts give ties at zero; arch2 at
+    # t = inf takes J at infinite arguments, and arch1 multiplies L(0) by it.
+    rng = np.random.default_rng(54)
+    nets = []
+    for m in (1, 2, 9, 12):
+        rows = rng.uniform(-2.0, 2.0, (m, 3))
+        rows[: m // 2] = 0.0
+        nets.append(LagrangianNet(ShiftedNormPlus(), rows, rng.choice([0.0, -0.0, 1.0], m)))
+        # Convex offsets, about half of them negative, so that 0 * b_i is
+        # +0.0 or -0.0.
+        rows = rng.uniform(-2.0, 2.0, (m, 3))
+        half_squares = 0.5 * (rows * rows).sum(axis=1)
+        for fn in (HalfSquaredNorm(), PNorm(1)):
+            nets.append(InitialDataNet(ConcaveFn(fn), rows, half_squares - np.median(half_squares) - 0.1))
+    for net in nets:
+        for x in _point_rows(rng, 3):
+            for point, batch in _one_row_pairs(net, x):
+                assert _outcome(point) == _outcome(batch), (net, x)
+
+
 # -- the two-branch band -------------------------------------------------------
 
 
@@ -474,21 +582,23 @@ def test_two_branch_nets_are_screened(arch, count_pairs, monkeypatch):
 
 def test_large_single_points_are_one_row_batches(count_pairs):
     # From SCREEN_MIN_ELEMENTS (m, n) differences on, evaluate and
-    # initial_value screen the point as a batch of one row does.
+    # initial_value screen the point as a batch of one row does, on both
+    # nets, with -0 coordinates too.
     rng = np.random.default_rng(49)
-    net = _lagrangian(rng, ShiftedNormPlus(), 64, 600)
-    assert net.n_branches * net.dimension >= branches.SCREEN_MIN_ELEMENTS
+    arch1 = _lagrangian(rng, ShiftedNormPlus(), 64, 600)
+    arch2 = _initialdata(rng, ConcaveFn(HalfSquaredNorm()), 64, 600)
+    assert arch1.n_branches * arch1.dimension >= branches.SCREEN_MIN_ELEMENTS
     x = rng.uniform(-2.0, 2.0, 600)
+    x[::3] = -0.0
     for point, batch in (
-        (lambda: net.evaluate(x, 0.8), lambda: net.solution_grid(x[None], 0.8)),
-        (lambda: net.initial_value(x), lambda: net.initial_grid(x[None])),
+        (lambda: arch1.evaluate(x, 0.8), lambda: arch1.solution_grid(x[None], 0.8)),
+        (lambda: arch1.initial_value(x), lambda: arch1.initial_grid(x[None])),
+        (lambda: arch2.evaluate(x, 0.8), lambda: arch2.solution_grid(x[None], 0.8)),
     ):
         counts = count_pairs()
         res = point()
-        assert 0 < sum(counts) < net.n_branches
-        (value,), (argmin,), (gap,) = batch()
-        assert (res.value, res.argmin_index, res.gap) == (value, argmin, gap)
-        assert np.signbit(res.value) == np.signbit(value) and np.signbit(res.gap) == np.signbit(gap)
+        assert 0 < sum(counts) < arch1.n_branches
+        assert _outcome(lambda: res) == _outcome(batch)
 
 
 def test_screen_bound_covers_underflowed_branch_norms(monkeypatch):

@@ -341,7 +341,10 @@ def test_verify_high_dimension_requires_residual_only(tmp_path, capsys):
         "--out", str(tmp_path / "r"),
     ])
     assert code == 1
-    assert "residual" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: residual-only: oracle comparison is refused for dimension 10 > 3; "
+        "pass --residual-only to check the PDE residual instead\n"
+    )
 
     code = main([
         "verify",

@@ -624,8 +624,11 @@ def test_verify_passes_on_pnorm_nets(n, pts, p):
 
 def test_verify_report_high_dimension_needs_residual_only():
     net = shifted_norm_net_10d()
-    with pytest.raises(ValueError, match="residual_only"):
+    with pytest.raises(ValueError) as err:
         verify_report(net, 5, 0, CFG)
+    assert str(err.value) == (
+        "oracle comparison is refused above 3 dimensions; use residual_only=True for high-dimensional nets"
+    )
     report = verify_report(net, 25, 0, CFG, residual_only=True)
     assert not report.oracle_checked
     assert report.passed

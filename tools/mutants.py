@@ -214,6 +214,18 @@ MUTANTS = [
         "m = 1 gap not +inf (arch2 at t = 0)",
     ),
     (
+        "src/hjeval/branches.py",
+        "gaps = np.partition(matrix, 1, axis=1)[:, 1] - values",
+        "gaps = np.diff(np.partition(matrix, 1, axis=1)[:, :2], axis=1)[:, 0]",
+        "batch gap taken from the partition's first entry again",
+    ),
+    (
+        "src/hjeval/catalog.py",
+        "return min(abs(x + 1.0), abs(x - 2.0))",
+        "return min(abs(x + 1.0), abs(x - 2.5))",
+        "the shared kink distance's upper kink moved from 2 to 2.5",
+    ),
+    (
         "src/hjeval/config.py",
         '"param": (parse_floats, True),',
         '"param": (parse_floats, False),',
