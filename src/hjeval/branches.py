@@ -14,7 +14,9 @@ kernels:
 
 * **Exact.**  The branch formula on stacked (point, branch) difference
   arrays, one activation call per block.  It is the only kernel whose
-  numbers are returned.
+  numbers are returned, and the only one with a values-only mode (the row
+  minima alone, for ``LagrangianNet.initial_values``, which calls it
+  directly).
 * **Screen**, for radial activations (see ``ConvexFn.radial``).  Branch i
   at point x is ``sign * rho(|x - beta c_i|) + o_i``.  A block's screen
   values come from one matrix product: the block's rows, lifted to
@@ -253,22 +255,22 @@ def branch_formula(form: Form, x, cols=None, out=None):
     return vals + offsets
 
 
-def min_over_branches(points, form: Form, values_only=False):
+def min_over_branches(points, form: Form):
     """Row-wise (values, argmins, gaps) of the (k, m) branch matrix of
-    ``form``, or (values,) with ``values_only``.
+    ``form``.
 
     ``points`` is a checked (k, n) array and ``form`` has one time.  A Form
     with ``beta == 0`` (arch2 at t = 0) calls the activation once per row
     (:func:`_at_time_zero`); its other rows take the exact kernel.  Both
     kernels take their exact values from :func:`branch_formula` on ``form``.
-    Radial forms take the screened kernel, except for values only, whose
-    row minima come from the exact kernel alone.
+    Radial forms from ``SCREEN_MIN_ELEMENTS`` differences on take the
+    screened kernel.
     """
     (k, n), m = points.shape, len(form.centers)
     if form.beta == 0:
-        return _retake(*_at_time_zero(points, form, values_only), _exact_rows, points, form, values_only)
-    if values_only or form.radial is None or m == 1 or k * m * n < SCREEN_MIN_ELEMENTS:
-        return _exact_rows(points, form, values_only)
+        return _retake(*_at_time_zero(points, form), _exact_rows, points, form)
+    if form.radial is None or m == 1 or k * m * n < SCREEN_MIN_ELEMENTS:
+        return _exact_rows(points, form)
     # A block's row holds m screen values and n + 3 lifted entries, and then,
     # once those are spent, 2 n pair differences.
     width = max(m + n + 3, 2 * n)
@@ -279,7 +281,7 @@ def min_over_branches(points, form: Form, values_only=False):
     return _join([_screened(points[lo : lo + step], form, work) for lo in range(0, k, step)])
 
 
-def _at_time_zero(x, form: Form, values_only=False):
+def _at_time_zero(x, form: Form):
     """Row-wise results on a Form with ``beta == 0`` from one activation call
     j = J(x), and the mask of the rows the exact kernel must take instead.
 
@@ -292,7 +294,7 @@ def _at_time_zero(x, form: Form, values_only=False):
     """
     j = form.fn(x)
     result = (j, np.ones(len(x), dtype=np.intp), np.full(len(x), np.inf if len(form.centers) == 1 else 0.0))
-    return result[: 1 if values_only else 3], ~np.isfinite(j) | (j == 0.0)
+    return result, ~np.isfinite(j) | (j == 0.0)
 
 
 def _retake(result, rows, kernel, x, *args):
@@ -312,7 +314,8 @@ def _join(blocks):
 
 def _exact_rows(x, form: Form, values_only=False):
     """The exact kernel on every branch, in row blocks: (values, argmins,
-    gaps), or (values,) with ``values_only``."""
+    gaps), or (values,) with ``values_only`` (the Lagrangian's oracle
+    integrand, ``LagrangianNet.initial_values``)."""
     (k, n), m = x.shape, len(form.centers)
     step = max(1, EXACT_BLOCK // (m * n))
     work = np.empty(max(min(k, step), 1) * m * n)
@@ -429,13 +432,13 @@ class BranchNet:
     lifted once for the screen (``Form.lifted``).  It is both nets'
     evaluation surface: :meth:`evaluate` (the single-point path, which runs
     every branch formula in one call and reduces it, unless the point is
-    large enough to be screened as a one-row batch) and
-    :meth:`solution_grid`, alias ``evaluate_grid`` (a batch, checked once
-    and reduced by :func:`min_over_branches`, or by the exact kernel when it
-    has one time per row).  A point's result is its one-row batch's row,
-    bit for bit.  A subclass adds only names and refusals; one that refuses
-    some times calls ``_evaluate_point`` or ``_branch_matrix``, the bodies
-    behind those names.
+    large enough to be screened as a one-row batch) and ``solution_grid``
+    and ``evaluate_grid``, both names of :meth:`_branch_matrix` (a batch,
+    checked once and reduced by :func:`min_over_branches`, or by the exact
+    kernel when it has one time per row).  A point's result is its one-row
+    batch's row, bit for bit.  A subclass adds only names and refusals; one
+    that refuses some times calls ``_evaluate_point`` or ``_branch_matrix``,
+    the bodies behind those names.
 
     ``_form(t)`` is the one check of a time: it refuses a negative or NaN
     t, one time or one per row, before any point is looked at (t = inf
@@ -491,13 +494,6 @@ class BranchNet:
 
     evaluate = _evaluate_point
 
-    def solution_grid(self, points, t):
-        """Vectorized :meth:`evaluate` over (k, n) row points, at one time or
-        one per row (a length-k array): (values, argmins, gaps)."""
-        return self._branch_matrix(points, t)
-
-    evaluate_grid = solution_grid
-
     def _form(self, t) -> Form:
         """The branches at time t, or at one time per row (a 1-D array t):
         the one check of a time, then ``_branches(t)``.  A negative or NaN
@@ -506,9 +502,9 @@ class BranchNet:
             raise ValueError("t must be nonnegative" if np.any(t < 0) else "t must be a number, got nan")
         return self._branches(t)
 
-    def _branch_matrix(self, points, t, values_only=False):
-        """Row-wise (values, argmins, gaps), or (values,) with ``values_only``,
-        over the branches at time t, or at one time per row (a 1-D t).
+    def _branch_matrix(self, points, t):
+        """Vectorized :meth:`evaluate` over (k, n) row points, at one time or
+        one per row (a length-k array): (values, argmins, gaps).
 
         One time per row takes the exact kernel, and each row's value,
         argmin and gap are those of a call at its own time.  Rows at t = 0
@@ -518,21 +514,24 @@ class BranchNet:
         """
         if isinstance(t, float) or not np.ndim(t):
             form = self._form(t)  # first: a bad time is reported before bad points
-            return min_over_branches(check_points(points, self.dimension), form, values_only)
+            return min_over_branches(check_points(points, self.dimension), form)
         t = np.asarray(t, dtype=float)
         zero = t == 0
         form = self._form(np.where(zero, 1.0, t))
         points = check_points(points, self.dimension)
         if t.shape != (len(points),):
             raise ValueError(f"t: need one time per row ({len(points)}), got shape {t.shape}")
-        result = _exact_rows(points, form, values_only)
-        return _retake(result, zero, min_over_branches, points, self._form(0.0), values_only)
+        return _retake(_exact_rows(points, form), zero, min_over_branches, points, self._form(0.0))
+
+    solution_grid = evaluate_grid = _branch_matrix
 
     def kink_margin(self, x, t: float, index: int) -> float:
-        """Distance of branch ``index``'s (1-based) activation argument from
-        the activation's kink set, at time t > 0."""
+        """Distance of branch ``index``'s (1-based, 1..m) activation argument
+        from the activation's kink set, at time t > 0."""
         if not t > 0:
             raise ValueError("t must be positive")
+        if not 1 <= index <= self.n_branches:
+            raise ValueError(f"index must be a branch in 1..{self.n_branches}, got {index}")
         form = self._form(t)
         z = _arguments(form, check_point(x, self.dimension), index - 1)
         return form.fn.smoothness_margin(z)

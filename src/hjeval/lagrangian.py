@@ -20,14 +20,16 @@ evaluates, screens and reduces; batches may give one t per row, which only
 ``scale`` holds.  ``solution_grid`` is :class:`~hjeval.branches.BranchNet`'s
 at every t >= 0 (t = 0 takes the recession formula); ``evaluate`` and
 ``evaluate_grid`` refuse t = 0, which ``initial_value``, ``initial_grid``
-and the values-only ``initial_values`` take.
+and ``initial_values`` take.  ``initial_values``, the oracle's integrand,
+calls the exact kernel for the row minima alone: its t = 0 Form has
+``beta = 1``, so no screen or t = 0 rule applies to it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .branches import BranchNet, EvalResult, Form
+from .branches import BranchNet, EvalResult, Form, _exact_rows, check_points
 from .catalog import ConvexFn
 
 __all__ = ["LagrangianNet"]
@@ -80,8 +82,9 @@ class LagrangianNet(BranchNet):
         return self._branch_matrix(points, 0.0)
 
     def initial_values(self, points) -> np.ndarray:
-        """Initial-data values only, for use as an oracle integrand."""
-        return self._branch_matrix(points, 0.0, values_only=True)[0]
+        """Initial-data values only, for use as an oracle integrand: the
+        exact kernel's row minima at t = 0, without argmins or gaps."""
+        return _exact_rows(check_points(points, self.dimension), self._form(0.0), values_only=True)[0]
 
     def hamiltonian(self) -> ConvexFn:
         """The Hamiltonian of the solved equation: the conjugate of L."""

@@ -1,8 +1,12 @@
 """CSV and grayscale-pixmap emission for slice results.
 
 CSV schema: header ``x<axis>[,x<axis>],t,value,argmin,gap`` with one file
-per time, named ``<prefix>_t<time>.csv``.  Floats print with 17 significant
-digits so files round-trip losslessly and regenerate byte-identically.
+per time, named ``<prefix>_t<time>.csv`` with the time in ``format(t, "g")``
+(six significant digits).  Both writers name their files through
+:func:`_table_paths`, which refuses two times with one name (say 1.0000001
+and 1.0000002, both ``t1``) before any file is written.  Floats print with
+17 significant digits so files round-trip losslessly and regenerate
+byte-identically.
 Every float goes through CPython's ``.17g`` (``"%.17g" % x`` and
 ``format(x, ".17g")`` share one routine), but each distinct grid coordinate
 (told apart by bit pattern, so ``-0`` and ``0`` stay distinct) and each time
@@ -33,8 +37,18 @@ def format_17g(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _time_tag(t: float) -> str:
-    return format(float(t), "g")
+def _table_paths(result: SliceResult, out_prefix, ext: str) -> list[Path]:
+    """Every table's ``<prefix>_t<time>.<ext>``; times that would share a
+    file (equal times included) are refused, so no table overwrites another."""
+    prefix, paths = Path(out_prefix), {}
+    for table in result.tables:
+        path = prefix.parent / f"{prefix.name}_t{format(table.t, 'g')}.{ext}"
+        if path in paths:
+            raise ValueError(
+                f"times {paths[path]!r} and {table.t!r} would both write {path}: file names keep t to 6 digits"
+            )
+        paths[path] = table.t
+    return list(paths)
 
 
 def _column_strings(column: np.ndarray) -> list[str]:
@@ -46,13 +60,11 @@ def _column_strings(column: np.ndarray) -> list[str]:
 
 def write_slice_csv(result: SliceResult, out_prefix) -> list[Path]:
     """Write one CSV per time; returns the paths written."""
-    prefix = Path(out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
+    paths = _table_paths(result, out_prefix, "csv")
+    Path(out_prefix).parent.mkdir(parents=True, exist_ok=True)
     header = ",".join(f"x{axis}" for axis in result.spec.free_axes) + ",t,value,argmin,gap"
     coords = [_column_strings(column) for column in result.grid.T]
-    paths = []
-    for table in result.tables:
-        path = prefix.parent / f"{prefix.name}_t{_time_tag(table.t)}.csv"
+    for table, path in zip(result.tables, paths):
         row = "%s," * len(coords) + format_17g(table.t) + ",%.17g,%d,%.17g\n"
         with path.open("w", encoding="utf-8") as fh:
             fh.write(header + "\n")
@@ -61,7 +73,6 @@ def write_slice_csv(result: SliceResult, out_prefix) -> list[Path]:
                 cells = [c[block] for c in coords]
                 cells += [a[block].tolist() for a in (table.values, table.argmin_indices, table.gaps)]
                 fh.write("".join([row % line for line in zip(*cells)]))
-        paths.append(path)
     return paths
 
 
@@ -81,12 +92,9 @@ def render_pgm(values: np.ndarray, width: int, height: int) -> bytes:
 
 def write_slice_pgm(result: SliceResult, out_prefix) -> list[Path]:
     """Write one grayscale image per time; returns the paths written."""
-    prefix = Path(out_prefix)
+    paths = _table_paths(result, out_prefix, "pgm")
     shape = result.spec.grid_shape()
     height, width = (1, shape[0]) if len(shape) == 1 else (shape[0], shape[1])
-    paths = []
-    for table in result.tables:
-        path = prefix.parent / f"{prefix.name}_t{_time_tag(table.t)}.pgm"
+    for table, path in zip(result.tables, paths):
         path.write_bytes(render_pgm(table.values, width, height))
-        paths.append(path)
     return paths

@@ -106,21 +106,6 @@ class SliceResult:
     grid: np.ndarray  # (k, len(free_axes)) free-axis coordinates per row
     tables: tuple[SliceTable, ...]  # ascending t
 
-    def rows(self):
-        """Yield (free coords..., t, value, argmin, gap) rows.
-
-        Ordered by grid point first (lexicographic), then time.
-        """
-        for i in range(self.grid.shape[0]):
-            for table in self.tables:
-                yield (
-                    *self.grid[i],
-                    table.t,
-                    table.values[i],
-                    int(table.argmin_indices[i]),
-                    table.gaps[i],
-                )
-
 
 def evaluate_slice(net, spec: SliceSpec) -> SliceResult:
     """Evaluate a net over a slice; one table per requested time."""

@@ -238,12 +238,19 @@ def test_nan_time_is_refused_naming_t(make_net):
             call()
 
 
-@pytest.mark.parametrize("make_net", [shifted_norm_net_10d, concave_quadratic_net_10d])
+@pytest.mark.parametrize("make_net", [shifted_norm_net_10d, concave_quadratic_net_10d, clipped_quadratic_net_1d])
 def test_kink_margin_keeps_its_positive_time(make_net):
     net = make_net()
+    x = np.full(net.dimension, 0.3)
     for t in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="^t must be positive$"):
-            net.kink_margin(np.zeros(10), t, 1)
+            net.kink_margin(x, t, 1)
+    # Branch indices are 1-based: 0 would read branch m through index -1.
+    m = net.n_branches
+    for index in (0, m + 1):
+        with pytest.raises(ValueError, match=f"^index must be a branch in 1..{m}, got {index}$"):
+            net.kink_margin(x, 1.0, index)
+    assert net.kink_margin(x, 1.0, m) >= 0.0
 
 
 def test_zero_d_time_zero_takes_the_recession():
@@ -434,7 +441,7 @@ def _outcome(call):
 def test_both_nets_evaluate_through_the_branch_net():
     # One evaluation surface: the nets add only refusals and t = 0 names.
     assert BranchNet.evaluate is BranchNet._evaluate_point
-    assert BranchNet.evaluate_grid is BranchNet.solution_grid
+    assert BranchNet.evaluate_grid is BranchNet.solution_grid is BranchNet._branch_matrix
     for name in ("evaluate", "evaluate_grid", "solution_grid"):
         assert getattr(InitialDataNet, name) is getattr(BranchNet, name)
     assert LagrangianNet.solution_grid is BranchNet.solution_grid

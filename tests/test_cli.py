@@ -139,6 +139,19 @@ def test_slice_refuses_non_finite_fields(tmp_path, capsys, line, message):
     assert not list(tmp_path.glob("run*"))
 
 
+@pytest.mark.parametrize("times", ["1.0000001, 1.0000002", "1, 1"])
+def test_slice_times_sharing_a_file_exit_one(tmp_path, capsys, times):
+    # Both times name <out>_t1.csv: the second table would overwrite the first.
+    spec = tmp_path / "slice.cfg"
+    spec.write_text(f"free_axes = 0\nrange = -4, 4, 5\ntimes = {times}\n")
+    out = tmp_path / "run"
+    argv = ["slice", "--config", _cfg("clipped1d.cfg"), "--slice", str(spec), "--out", str(out), "--render"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: times " in err and "run_t1.csv" in err
+    assert not list(tmp_path.glob("run*"))
+
+
 def test_slice_above_the_grid_cap_exits_one(tmp_path, capsys):
     # 100,000^2 rows would take about 75 GiB a coordinate: refused, naming
     # range, before any grid is built.

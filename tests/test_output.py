@@ -9,7 +9,7 @@ import pytest
 
 from hjeval.config import load_problem, load_slice
 from hjeval.numeric import GRID_BLOCK
-from hjeval.output import write_slice_csv
+from hjeval.output import write_slice_csv, write_slice_pgm
 from hjeval.slicing import SliceResult, SliceSpec, SliceTable, evaluate_slice
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -110,3 +110,12 @@ def test_slice_csv_is_written_in_row_blocks(tmp_path):
     assert [p.name for p in paths] == list(want)
     for path in paths:
         assert path.read_bytes() == want[path.name], path.name
+
+
+@pytest.mark.parametrize("write", [write_slice_csv, write_slice_pgm])
+@pytest.mark.parametrize("times", [(0.5, 1.0000001, 1.0000002), (0.5, 0.5)])
+def test_tables_sharing_a_file_are_refused_before_any_write(tmp_path, write, times):
+    result = _result((0,), [[0.0, 1.0]], times, [1.0, 2.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match=r"^times "):
+        write(result, tmp_path / "out" / "run")
+    assert not list(tmp_path.rglob("*"))

@@ -56,19 +56,6 @@ def test_spec_validation_errors(kwargs, message):
         SliceSpec(**kwargs).validate(10)
 
 
-def test_slice_rows_are_grid_major_then_time():
-    net = concave_quadratic_net_10d()
-    spec = SliceSpec(
-        free_axes=(0,),
-        ranges=((-1.0, 1.0, 3),),
-        times=(0.0, 2.0),
-        fixed_coords=(0.0,) * 9,
-    )
-    rows = list(evaluate_slice(net, spec).rows())
-    coords = [(r[0], r[1]) for r in rows]
-    assert coords == [(-1.0, 0.0), (-1.0, 2.0), (0.0, 0.0), (0.0, 2.0), (1.0, 0.0), (1.0, 2.0)]
-
-
 def test_slice_matches_direct_evaluation():
     net = concave_quadratic_net_10d()
     result = evaluate_slice(net, PLANE)

@@ -30,7 +30,9 @@ different pairs of redundant rows, and one LP at that set's centroid,
 each, residual only) problems and on the ``pwa2d`` net of that velocity
 grid (2 samples, pts 21), one sample of the position-form oracle
 (``lax_oleinik_bruteforce``) on ``clipped1d`` at pts 40001 and at
-2,000,001, a one-row ``solution_grid`` on the linf Hamiltonian
+2,000,001, one ``initial_values`` call (that oracle's integrand) on one
+``numeric.GRID_BLOCK`` block of 4,096 ``clipped1d`` rows
+(``oracle_block_clipped1d``), a one-row ``solution_grid`` on the linf Hamiltonian
 net at n = 1000 (m = 2000) and on a ``shifted_norm_plus`` net with m = 64
 branches in 1000-D, and a single-point ``evaluate`` on that linf net.
 Then the nets of ``perfbench``'s ``eval`` workload, each on one
@@ -145,6 +147,7 @@ def kernels(hj):
     )
     verify = hj.oracle.verify_report
     clipped = problems["clipped1d"]
+    block = np.linspace(-4.0, 4.0, 4096)[:, None]
 
     def position_oracle(pts):
         cfg = hj.oracle.OracleConfig(pts)
@@ -204,6 +207,7 @@ def kernels(hj):
         "verify_pwa1d_10": lambda: verify(problems["pwa1d"], 10, 0, hj.oracle.OracleConfig(4001)),
         "oracle_clipped1d_40001": position_oracle(40001),
         "oracle_clipped1d_2000001": position_oracle(2_000_001),
+        "oracle_block_clipped1d": lambda: clipped.initial_values(block),
         "verify_pwa2d_2": lambda: verify(problems["pwa2d"], 2, 0, hj.oracle.OracleConfig(21)),
         "verify_ball10d_30": lambda: verify(
             problems["ball10d"], 30, 0, hj.oracle.OracleConfig(3), residual_only=True

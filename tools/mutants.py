@@ -243,6 +243,18 @@ MUTANTS = [
         "block = slice(start, start + GRID_BLOCK - 1)",
         "the CSV chunk loop skipping each chunk's last row",
     ),
+    (
+        "src/hjeval/output.py",
+        "        if path in paths:\n",
+        "        if False:\n",
+        "the repeated-path refusal dropped",
+    ),
+    (
+        "src/hjeval/branches.py",
+        "if not 1 <= index <= self.n_branches:",
+        "if False:",
+        "the index check dropped",
+    ),
 ]
 
 # why -> the reason no test can catch the mutant.
