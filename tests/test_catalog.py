@@ -172,6 +172,23 @@ def test_recession_values():
     assert h.recession([0.0, 0.0]) == 0.0
 
 
+def test_clipped_quadratic_recession_is_the_two_slope_formula_bit_for_bit():
+    # -d for d < 0, else 2d: the signed zeros keep their sign, the smallest
+    # subnormal doubles, and 2e308 overflows to +inf as 2.0 * d does.
+    L = ClippedQuadratic1D()
+    rng = np.random.default_rng(11)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308])
+    scaled = rng.normal(size=997) * 10.0 ** rng.integers(-320, 308, 997)
+    scaled[::50] = 0.0
+    scaled[1::50] = -0.0
+    for d in (special, np.sort(scaled), scaled, scaled[:1], scaled[:3], scaled[:17]):
+        want = np.where(d < 0, -d, 2 * d)
+        assert L.recession(d[:, None]).tobytes() == want.tobytes()
+        for point, value in zip(d, want):
+            assert np.float64(L.recession(point)).tobytes() == value.tobytes()
+            assert L.recession([[point]]).tobytes() == value.tobytes()
+
+
 def test_recession_vanishes_at_origin():
     for f in FINITE_FNS:
         n = f.dim or 4

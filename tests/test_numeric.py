@@ -277,3 +277,50 @@ def test_blocked_inf_convolution_equals_the_unblocked_formula(monkeypatch, block
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
     # Every term +inf, in every block.
     assert grid_inf_convolution(interval, interval, [50.0], 1.0, 101) == float("inf")
+
+
+@pytest.mark.parametrize("block", [7, 4096])
+def test_inf_convolution_names_neginf_against_a_plus_inf_term(monkeypatch, block):
+    # f = -inf exactly where g = +inf: those terms are NaN, yet the error
+    # names f's -inf, as f is checked before the sum.
+    monkeypatch.setattr(numeric, "GRID_BLOCK", block)
+    f = lambda u: np.where(u[:, 0] > 1.0, -np.inf, 0.0)
+    g = lambda z: np.where(z[:, 0] < -1.0, np.inf, 0.0)
+    with pytest.raises(ValueError, match="produced -inf"):
+        grid_inf_convolution(f, g, [0.0], 2.0, 41)
+
+
+def _raises(message):
+    def evaluator(points):
+        raise RuntimeError(message)
+
+    return evaluator
+
+
+@pytest.mark.parametrize("bad, message", [(np.nan, "produced NaN"), (-np.inf, "produced -inf")])
+def test_inf_convolution_names_f_before_g_runs(monkeypatch, bad, message):
+    f = lambda u: np.full(len(u), bad)
+    with pytest.raises(ValueError, match=message):
+        grid_inf_convolution(f, _raises("g_eval ran"), [0.0], 1.0, 21)
+    # Blocks of 7 rows on u = -1, -0.9, ..., 1 (z = x - u = -u): each block
+    # is checked before the next is evaluated.
+    monkeypatch.setattr(numeric, "GRID_BLOCK", 7)
+    f_early = lambda u: np.where(u[:, 0] < -0.5, bad, 0.0)  # first block
+    f_late = lambda u: np.where(u[:, 0] > 0.5, bad, 0.0)  # last block
+
+    def g_early(z):  # raises on the first block
+        if (z[:, 0] > 0.5).any():
+            raise RuntimeError("g_eval ran on the first block")
+        return np.zeros(len(z))
+
+    def g_late(z):  # raises on the last block
+        if (z[:, 0] < -0.5).any():
+            raise RuntimeError("g_eval ran on the last block")
+        return np.zeros(len(z))
+
+    with pytest.raises(ValueError, match=message):
+        grid_inf_convolution(f_early, g_late, [0.0], 1.0, 21)
+    with pytest.raises(RuntimeError, match="first block"):
+        grid_inf_convolution(f_late, g_early, [0.0], 1.0, 21)
+    with pytest.raises(ValueError, match=message):
+        grid_inf_convolution(f_late, g_late, [0.0], 1.0, 21)

@@ -13,6 +13,7 @@ from hjeval.catalog import ConcaveFn, HalfSquaredNorm, PNorm, ensure_extended
 from hjeval.config import load_problem
 from hjeval.initialdata import InitialDataNet
 from hjeval.lagrangian import LagrangianNet
+from hjeval.numeric import finite_minimum
 from hjeval.oracle import (
     FD_STEP,
     MAX_ORACLE_LPS,
@@ -163,6 +164,22 @@ def test_bruteforce_refuses_nan_and_neginf_conjugate_values(bad, message):
         lax_oleinik_bruteforce(net.initial_values, hstar, [0.0], 0.5, OracleConfig(101))
 
 
+@pytest.mark.parametrize("block", [7, 4096])
+@pytest.mark.parametrize("bad, message", [(np.nan, "produced NaN"), (-np.inf, "produced -inf")])
+def test_bruteforce_refuses_nan_and_neginf_initial_values(monkeypatch, block, bad, message):
+    # The bad values sit at u >= 15 alone: with 7-row blocks of the 101-node
+    # u-grid on [-20, 20], from the 13th of 15 blocks on.  J is checked
+    # before H*, so a NaN H* at the same nodes (v = -u / t <= -30) never shows.
+    monkeypatch.setattr(numeric, "GRID_BLOCK", block)
+    net = clipped_quadratic_net_1d()
+    initial = lambda u: np.where(u[:, 0] >= 15.0, bad, net.initial_values(u))
+    with pytest.raises(ValueError, match=message):
+        lax_oleinik_bruteforce(initial, net.lagrangian, [0.0], 0.5, OracleConfig(101))
+    hstar = lambda v: np.where(v[:, 0] <= -30.0, np.nan, net.lagrangian(v))
+    with pytest.raises(ValueError, match=message):
+        lax_oleinik_bruteforce(initial, hstar, [0.0], 0.5, OracleConfig(101))
+
+
 def test_bruteforce_memory_does_not_grow_with_the_grid():
     # 2,000,001 u-points: one block at a time keeps the peak far below the
     # 16 MB of the grid alone (the whole-grid scan peaked at 126 MiB).
@@ -185,6 +202,44 @@ def test_velocity_form_allows_time_zero():
         net.initial_values, hstar, [1.5], 0.0, -2.0, 2.0, 4001
     )
     assert val == pytest.approx(net.initial_data([1.5]), abs=1e-12)
+
+
+@pytest.mark.parametrize("bad, message", [(np.nan, "produced NaN"), (-np.inf, "produced -inf")])
+def test_velocity_oracle_refuses_nan_and_neginf_initial_values(bad, message):
+    net = concave_quadratic_net_1d()
+    hstar = hstar_interpolator_1d(net)
+    initial = lambda y: np.where(y[:, 0] > 1.0, bad, net.initial_values(y))
+    # At t = 1, y = -v is above 1 on v < -1; at t = 0 every y is x.  The box
+    # [-3, 3] is wider than the hull [-2, 2], so t = 0 adds 0 * inf = NaN.
+    for x, t, lo, hi in [(0.0, 1.0, -2.0, 2.0), (0.0, 1.0, -3.0, 3.0), (1.5, 0.0, -2.0, 2.0), (1.5, 0.0, -3.0, 3.0)]:
+        with pytest.raises(ValueError, match=message):
+            lax_oleinik_bruteforce_velocity(initial, hstar, [x], t, lo, hi, 401)
+
+
+def test_velocity_oracle_at_time_zero_returns_the_data_bit_for_bit():
+    # On a box wider than the hull, H* is +inf off the hull and 0 * inf is
+    # NaN there; the oracle skips those nodes and returns J(x) + 0 * H* = J(x).
+    net = concave_quadratic_net_1d()
+    hstar = hstar_interpolator_1d(net)
+    for x in np.random.default_rng(7).uniform(-4.0, 4.0, 20):
+        got = lax_oleinik_bruteforce_velocity(net.initial_values, hstar, [x], 0.0, -3.0, 3.0, 601)
+        assert np.float64(got).tobytes() == np.float64(net.initial_data([x])).tobytes()
+
+
+@pytest.mark.parametrize("problem, pts", [("pwa1d", 4001), ("pwa2d", 21)])
+def test_velocity_oracle_equals_the_plain_finite_minimum(problem, pts):
+    net = _pwa2d_net() if problem == "pwa2d" else load_problem(CONFIG_DIR / f"{problem}.cfg").build_net()
+    hstar = _hstar_eval(net)
+    lo, hi = net.rows.min(axis=0), net.rows.max(axis=0)
+    rng = np.random.default_rng(8)
+    for box_lo, box_hi in [(lo, hi), (lo - 1.0, hi + 0.5)]:
+        grid = velocity_grid(hstar, box_lo, box_hi, pts)
+        v, hstar_v = grid
+        for i in range(20):
+            x, t = rng.uniform(-4.0, 4.0, net.dimension), (0.0 if i % 4 == 0 else float(rng.uniform(0.0, 3.0)))
+            want = finite_minimum(ensure_extended(net.initial_values(x - t * v)) + t * hstar_v)
+            got = lax_oleinik_bruteforce_velocity(net.initial_values, hstar, x, t, box_lo, box_hi, pts, grid=grid)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_grid_refinement_never_increases_minimum():
