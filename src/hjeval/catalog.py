@@ -4,7 +4,11 @@ Every function here maps R^n into R ∪ {+inf}.  Plain IEEE floats carry the
 extended reals: ``math.inf`` is +inf, and the usual float arithmetic already
 saturates the right way (inf + finite = inf, min(inf, x) = x).  NaN and -inf
 are never produced; :func:`ensure_extended` rejects them wherever
-user-supplied evaluators feed values back into the library.
+user-supplied evaluators feed values back into the library.  The grid
+oracles' scans run it only where a minimum they take anyway is NaN or
+-inf (in the velocity form, not finite), which covers every case in which
+it refuses, so they raise its errors without paying for its checks on
+valid values.
 
 Functions with a bounded domain (``finite_everywhere = False``) test
 membership with a small absolute slack ``DOMAIN_ATOL``.  Downstream PDE
@@ -167,8 +171,10 @@ class ClippedQuadratic1D(ConvexFn):
         return c * (pts[:, 0] - 0.5 * c) + 0.0
 
     def _recession(self, pts):
+        # -d where d < 0, else 2d; np.maximum's sign of zero on a tie is
+        # implementation-defined.
         d = pts[:, 0]
-        return np.where(d < 0.0, -d, 2.0 * d)
+        return np.negative(d, out=2.0 * d, where=d < 0.0)
 
     def conjugate(self):
         return IntervalQuadratic1D()

@@ -10,7 +10,11 @@ consecutive blocks, each row bit for bit the ``np.linspace`` node it
 stands for.  :func:`box_grid` and :func:`grid_points` are its one-block
 case; :func:`grid_inf_convolution` scans blocks of ``GRID_BLOCK`` rows with
 a running minimum, so its memory does not grow with the grid, and
-:func:`grid_conjugate` is one such scan.
+:func:`grid_conjugate` is one such scan.  The scan checks its terms with
+:func:`~hjeval.catalog.ensure_extended` only where a block minimum it takes
+anyway is NaN or -inf, the one case in which that check refuses, so a
+valid block costs one addition and two minima and an invalid one raises
+the error, in the order, of checking every term.
 
 Point evaluators passed in (``f_eval``, ``g_eval``) must accept a (k, n)
 array of row points and return a length-k float array with values in
@@ -93,12 +97,13 @@ def box_grid_blocks(lo, hi, pts_per_axis: int, block_rows: int):
             # each s times, and repeat them cyclically over the block.
             s = pts_per_axis ** (n - 1 - j)
             node, offset = start // s % pts_per_axis, start % s
-            q = np.arange(node, node + min((k - 1) // s + 2, pts_per_axis), dtype=float)
-            q[pts_per_axis - node :] -= pts_per_axis
+            col = np.arange(node, node + min((k - 1) // s + 2, pts_per_axis), dtype=float)
+            col[pts_per_axis - node :] -= pts_per_axis
             step = (b - a) / div
-            col = q / div * (b - a) if step == 0 else q * step
+            # Node i is i * step, or (i / div) * (b - a) where the step is 0.
+            np.multiply(col if step else col / div, step if step else b - a, out=col)
             col += a
-            col[q == div] = b
+            col[div - node :: pts_per_axis] = b  # node div, at most once a period
             if s > 1:
                 col = np.repeat(col, s)
             if offset + k > col.size:
@@ -157,13 +162,31 @@ def grid_inf_convolution(f_eval, g_eval, x, box_halfwidth: float, pts_per_axis: 
 
     Minimizes over u in the box x ± box_halfwidth, scanned in blocks of
     ``GRID_BLOCK`` rows; always an upper bound on the true inf-convolution.
-    Returns +inf when every grid term is +inf.
+    Returns +inf when every grid term is +inf.  A block's f values are
+    checked only when their minimum is NaN or -inf, before ``g_eval`` runs
+    on the block, and its g values only when the least sum is: the errors
+    of checking every term, in the same order (f before g, block by block).
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     blocks = box_grid_blocks(*_centered_box(x, box_halfwidth), pts_per_axis, GRID_BLOCK)
-    terms = (ensure_extended(f_eval(u)) + ensure_extended(g_eval(x - u)) for u in blocks)
-    # With no NaN or -inf term, the least term is finite unless all are +inf.
-    return min(float(v.min()) for v in terms)
+    return min(_least_term(np.asarray(f_eval(u), dtype=float), g_eval, x - u) for u in blocks)
+
+
+def _least_term(f_u, g_eval, z) -> float:
+    """Least entry of f_u + g_eval(z), for a float array f_u.
+
+    A minimum is NaN or -inf exactly when :func:`ensure_extended` would
+    refuse one of its terms, so it runs only then: on ``f_u`` before
+    ``g_eval`` is called, so that f's error comes first, and on g's terms
+    when the least sum is.
+    """
+    if not f_u.min() > -np.inf:
+        ensure_extended(f_u)
+    g_z = g_eval(z)
+    low = float((f_u + g_z).min())
+    if not low > -np.inf:
+        ensure_extended(g_z)
+    return low
 
 
 def recession_quotient(f_eval, d) -> float:

@@ -148,18 +148,27 @@ def lax_oleinik_bruteforce_velocity(
     reduces every term to J(x).  Complements :func:`lax_oleinik_bruteforce`
     for nets whose conjugate Hamiltonian has a small bounded domain.
     ``grid`` is the :func:`velocity_grid` of the same box and ``hstar_eval``,
-    built here when not given.
+    built here when not given.  The least term is taken over the whole
+    grid; only when it is not finite are the J values checked with
+    :func:`~hjeval.catalog.ensure_extended` and the finite minimum taken
+    instead, which skips the NaN terms 0 · inf that t = 0 leaves where H*
+    is +inf.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     x = np.asarray(x, dtype=float).reshape(-1)
     if grid is None:
-        lo = np.broadcast_to(np.asarray(box_lo, dtype=float), x.shape)
-        hi = np.broadcast_to(np.asarray(box_hi, dtype=float), x.shape)
+        lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), x.shape) for b in (box_lo, box_hi))
         grid = velocity_grid(hstar_eval, lo, hi, pts_per_axis)
     v, hstar_v = grid
-    vals = ensure_extended(initial_eval(x - t * v)) + t * hstar_v
-    value = finite_minimum(vals)
+    j = initial_eval(x - t * v)
+    vals = j + t * hstar_v
+    value = float(vals.min())
+    # Not finite: a NaN or -inf J, every term +inf, or NaN terms at t = 0
+    # where H* is +inf (0 * inf), which the finite minimum skips.
+    if not np.isfinite(value):
+        ensure_extended(j)
+        value = finite_minimum(vals)
     if value == np.inf:
         raise OracleDomainError("all grid terms are +inf: the box misses dom H*")
     return value

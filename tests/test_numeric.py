@@ -324,3 +324,16 @@ def test_inf_convolution_names_f_before_g_runs(monkeypatch, bad, message):
         grid_inf_convolution(f_late, g_early, [0.0], 1.0, 21)
     with pytest.raises(ValueError, match=message):
         grid_inf_convolution(f_late, g_late, [0.0], 1.0, 21)
+
+
+def test_inf_convolution_takes_evaluator_values_as_float64():
+    # float32 values and lists are summed as the float64 arrays that
+    # ensure_extended makes of them, not in float32.
+    f32 = lambda u: HalfSquaredNorm()(u).astype(np.float32)
+    g32 = lambda z: PNorm(2)(z).astype(np.float32)
+    as_list = lambda u: list(HalfSquaredNorm()(u))
+    for f, g in [(f32, g32), (as_list, g32), (f32, PNorm(2))]:
+        for x in ([0.3], [-1.7]):
+            want = _unblocked_inf_convolution(f, g, x, 2.0, 101)
+            got = grid_inf_convolution(f, g, x, 2.0, 101)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()

@@ -211,9 +211,10 @@ def test_velocity_oracle_refuses_nan_and_neginf_initial_values(bad, message):
     initial = lambda y: np.where(y[:, 0] > 1.0, bad, net.initial_values(y))
     # At t = 1, y = -v is above 1 on v < -1; at t = 0 every y is x.  The box
     # [-3, 3] is wider than the hull [-2, 2], so t = 0 adds 0 * inf = NaN.
-    for x, t, lo, hi in [(0.0, 1.0, -2.0, 2.0), (0.0, 1.0, -3.0, 3.0), (1.5, 0.0, -2.0, 2.0), (1.5, 0.0, -3.0, 3.0)]:
-        with pytest.raises(ValueError, match=message):
-            lax_oleinik_bruteforce_velocity(initial, hstar, [x], t, lo, hi, 401)
+    for x, t in [(0.0, 1.0), (1.5, 0.0)]:
+        for half in (2.0, 3.0):
+            with pytest.raises(ValueError, match=message):
+                lax_oleinik_bruteforce_velocity(initial, hstar, [x], t, -half, half, 401)
 
 
 def test_velocity_oracle_at_time_zero_returns_the_data_bit_for_bit():
@@ -236,9 +237,12 @@ def test_velocity_oracle_equals_the_plain_finite_minimum(problem, pts):
         grid = velocity_grid(hstar, box_lo, box_hi, pts)
         v, hstar_v = grid
         for i in range(20):
-            x, t = rng.uniform(-4.0, 4.0, net.dimension), (0.0 if i % 4 == 0 else float(rng.uniform(0.0, 3.0)))
+            x = rng.uniform(-4.0, 4.0, net.dimension)
+            t = 0.0 if i % 4 == 0 else float(rng.uniform(0.0, 3.0))
             want = finite_minimum(ensure_extended(net.initial_values(x - t * v)) + t * hstar_v)
-            got = lax_oleinik_bruteforce_velocity(net.initial_values, hstar, x, t, box_lo, box_hi, pts, grid=grid)
+            got = lax_oleinik_bruteforce_velocity(
+                net.initial_values, hstar, x, t, box_lo, box_hi, pts, grid=grid
+            )
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 

@@ -26,12 +26,17 @@ the 2-D ``pwa2d`` velocity grid at ``--pts 21`` (441 targets), the stacked
 solve of a 21 x 21 grid on a plane of 12 points in R^4, whose LPs drop
 different pairs of redundant rows, and one LP at that set's centroid,
 ``verify_report`` on the shipped ``clipped1d`` (10 samples, pts 40001),
-``pwa1d`` (10 samples, pts 4001), ``ball10d`` and ``pwa10d`` (30 samples
-each, residual only) problems and on the ``pwa2d`` net of that velocity
-grid (2 samples, pts 21), one sample of the position-form oracle
+``pwa1d`` (10 samples, pts 4001, and at the benchmark's pts 40001:
+``verify_pwa1d_40001``), ``ball10d`` and ``pwa10d`` (30 samples each,
+residual only) problems and on the ``pwa2d`` net of that velocity grid (2
+samples, pts 21), one sample of the position-form oracle
 (``lax_oleinik_bruteforce``) on ``clipped1d`` at pts 40001 and at
-2,000,001, one ``initial_values`` call (that oracle's integrand) on one
-``numeric.GRID_BLOCK`` block of 4,096 ``clipped1d`` rows
+2,000,001, one sample of the velocity-form oracle
+(``lax_oleinik_bruteforce_velocity``) on ``pwa1d``'s prebuilt 40,001-node
+grid (``velocity_pwa1d_40001``), one 100,001-point ``grid_conjugate`` of
+the clipped quadratic (``grid_conjugate_1d``, the unit of the slowest
+tier-1 test), one ``initial_values`` call (the position oracle's
+integrand) on one ``numeric.GRID_BLOCK`` block of 4,096 ``clipped1d`` rows
 (``oracle_block_clipped1d``), a one-row ``solution_grid`` on the linf Hamiltonian
 net at n = 1000 (m = 2000) and on a ``shifted_norm_plus`` net with m = 64
 branches in 1000-D, and a single-point ``evaluate`` on that linf net.
@@ -147,6 +152,10 @@ def kernels(hj):
     )
     verify = hj.oracle.verify_report
     clipped = problems["clipped1d"]
+    pwa1d = problems["pwa1d"]
+    pwa1d_box = pwa1d.rows.min(axis=0), pwa1d.rows.max(axis=0)
+    pwa1d_hstar = hj.oracle._hstar_eval(pwa1d)
+    pwa1d_grid = hj.oracle.velocity_grid(pwa1d_hstar, *pwa1d_box, 40001)
     block = np.linspace(-4.0, 4.0, 4096)[:, None]
 
     def position_oracle(pts):
@@ -205,8 +214,13 @@ def kernels(hj):
         "lp_plane4d_m12": lambda: simplex.minimize_over_simplex(plane_costs, plane, plane.mean(axis=0)),
         "verify_clipped1d_10": lambda: verify(problems["clipped1d"], 10, 0, hj.oracle.OracleConfig(40001)),
         "verify_pwa1d_10": lambda: verify(problems["pwa1d"], 10, 0, hj.oracle.OracleConfig(4001)),
+        "verify_pwa1d_40001": lambda: verify(pwa1d, 10, 0, hj.oracle.OracleConfig(40001)),
         "oracle_clipped1d_40001": position_oracle(40001),
         "oracle_clipped1d_2000001": position_oracle(2_000_001),
+        "velocity_pwa1d_40001": lambda: hj.oracle.lax_oleinik_bruteforce_velocity(
+            pwa1d.initial_values, pwa1d_hstar, np.array([0.7]), 1.3, *pwa1d_box, 40001, grid=pwa1d_grid
+        ),
+        "grid_conjugate_1d": lambda: hj.numeric.grid_conjugate(hj.catalog.ClippedQuadratic1D(), [1.0], 8.0, 100_001),
         "oracle_block_clipped1d": lambda: clipped.initial_values(block),
         "verify_pwa2d_2": lambda: verify(problems["pwa2d"], 2, 0, hj.oracle.OracleConfig(21)),
         "verify_ball10d_30": lambda: verify(

@@ -255,6 +255,42 @@ MUTANTS = [
         "if False:",
         "the index check dropped",
     ),
+    (
+        "src/hjeval/numeric.py",
+        "    if not f_u.min() > -np.inf:\n        ensure_extended(f_u)\n",
+        "",
+        "the position oracle's slow-path check of f dropped",
+    ),
+    (
+        "src/hjeval/numeric.py",
+        "    if not low > -np.inf:\n        ensure_extended(g_z)\n",
+        "",
+        "the position oracle's slow-path check of g dropped",
+    ),
+    (
+        "src/hjeval/oracle.py",
+        "        value = finite_minimum(vals)\n",
+        "",
+        "the velocity oracle's fallback to finite_minimum dropped",
+    ),
+    (
+        "src/hjeval/oracle.py",
+        "        ensure_extended(j)\n",
+        "",
+        "the velocity oracle's slow-path check of J dropped",
+    ),
+    (
+        "src/hjeval/numeric.py",
+        "            col[div - node :: pts_per_axis] = b",
+        "            pass",
+        "the grid's last-node write dropped",
+    ),
+    (
+        "src/hjeval/catalog.py",
+        "np.negative(d, out=2.0 * d, where=d < 0.0)",
+        "np.negative(d, out=2.0 * d, where=d <= 0.0)",
+        "the clipped recession's zeros negated (d <= 0)",
+    ),
 ]
 
 # why -> the reason no test can catch the mutant.
