@@ -162,7 +162,9 @@ def lax_oleinik_bruteforce_velocity(
         grid = velocity_grid(hstar_eval, lo, hi, pts_per_axis)
     v, hstar_v = grid
     j = initial_eval(x - t * v)
-    vals = j + t * hstar_v
+    with np.errstate(invalid="ignore"):  # t = 0 makes 0 * inf = NaN off dom H*
+        vals = t * hstar_v
+        vals += j
     value = float(vals.min())
     # Not finite: a NaN or -inf J, every term +inf, or NaN terms at t = 0
     # where H* is +inf (0 * inf), which the finite minimum skips.

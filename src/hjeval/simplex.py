@@ -13,14 +13,17 @@ redundant constraint row, so no phase-2 pivot touches it, and each LP's
 basis row is its own optimal basis.  A single target is a stack of one and
 gets its weights and optimal basis; a stacked solve returns only the k
 optimal values.  The stack's size alone picks the pivot kernel: a lone LP
-pivots on its one tableau, a larger stack runs every pivot, ratio test and
-tie-break on all LPs still pivoting at once.  Both kernels make the same
-pivots with the same floats, so each stacked value is bit for bit the value
-of solving its target alone.  Neither phase can be unbounded, so a kernel
-that finds an entering column with no positive entry raises RuntimeError.
+pivots on its one tableau, with its ratio test and tie-break on Python
+floats and its rank-1 update in one buffer; a larger stack runs every
+pivot, ratio test and tie-break on all LPs still pivoting at once.  Both
+kernels make the same pivots with the same floats, so each stacked value is
+bit for bit the value of solving its target alone.  Neither phase can be
+unbounded, so a kernel that finds an entering column with no positive entry
+raises RuntimeError.
 
 The lower-envelope certificate screens all rows at once with witness
-gradients checked by one blocked Gram product and solves the LP only for
+gradients checked by one blocked Gram product (scale 1 straight from each
+block, later scales only on the rows still left) and solves the LP only for
 the rows the screen leaves, whose witnesses are least-squares duals of their
 optimal bases; :func:`check_witnesses` re-checks its evidence.
 """
@@ -79,15 +82,6 @@ class SimplexSolution:
         return self.weights is not None
 
 
-def _pivot(tableau, basis, row, col):
-    pivot_row = tableau[row]
-    pivot_row /= pivot_row[col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= factors[:, None] * pivot_row
-    basis[row] = col
-
-
 def _pivot_limit(tableau, n_cols: int) -> int:
     """The number of bases of a tableau, or of each tableau of a stack: the
     ways to choose one of ``n_cols`` columns per constraint row.  Bland's
@@ -100,30 +94,43 @@ def _bland_iterate(tableau, basis, n_cols):
     ``n_cols`` columns enter.
 
     ``tableau`` rows are the constraints plus a final reduced-cost row; the
-    last column is the right-hand side.  Returns at the optimum; raises
-    RuntimeError on an entering column with no positive entry (unbounded),
-    and past :func:`_pivot_limit` pivots, the bases over all columns but the
+    last column is the right-hand side.  ``basis`` (a list, or a row of the
+    stack's basis array) holds each constraint row's basic column; both are
+    updated in place.  Returns at the optimum; raises RuntimeError on an
+    entering column with no positive entry (unbounded), and past
+    :func:`_pivot_limit` pivots, the bases over all columns but the
     right-hand side.
     """
     costs, rhs = tableau[-1, :n_cols], tableau[:-1, -1]  # views: pivots are in place
+    update = np.empty_like(tableau)  # each pivot's rank-1 update
     limit, pivots = _pivot_limit(tableau, tableau.shape[-1] - 1), 0
     while True:
         negative = costs < -PIVOT_TOL
         col = negative.argmax()  # smallest index: Bland's entering rule
         if not negative[col]:
             return
-        column = tableau[:-1, col]
-        rows = (column > PIVOT_TOL).nonzero()[0]
-        if rows.size == 0:
+        # The ratio test on Python floats, with numpy's quotients; a row whose
+        # entry is not above PIVOT_TOL gets +inf and never ties.  A NaN
+        # ratio makes the cut NaN, as numpy's min would: then nothing ties.
+        # Their sum is NaN when one is (or when both infinities are there).
+        column = tableau[:-1, col].tolist()
+        ratios = [b / a if a > PIVOT_TOL else math.inf for a, b in zip(column, rhs.tolist())]
+        total = sum(ratios)
+        cut = math.nan if total != total and any(map(math.isnan, ratios)) else min(ratios) + 1e-12
+        tied = [i for i, r in enumerate(ratios) if r <= cut and column[i] > PIVOT_TOL]
+        if not tied and not any(a > PIVOT_TOL for a in column):
             raise RuntimeError(f"unbounded: entering column {col} has no positive entry")
-        ratios = rhs[rows] / column[rows]
-        tied = rows[ratios <= ratios.min() + 1e-12]
         # Smallest basic index on ties.
-        row = tied[0] if tied.size == 1 else min(tied, key=lambda i: basis[i])
+        row = tied[0] if len(tied) == 1 else min(tied, key=basis.__getitem__)
         if pivots == limit:
             raise RuntimeError(f"Bland's rule cycled: more pivots than the {limit} bases")
         pivots += 1
-        _pivot(tableau, basis, row, col)
+        pivot_row = tableau[row]
+        pivot_row /= column[row]
+        factors = tableau[:, col, None].copy()
+        factors[row] = 0.0
+        tableau -= np.multiply(factors, pivot_row, out=update)
+        basis[row] = col
 
 
 def minimize_over_simplex(costs, points, target) -> SimplexSolution | np.ndarray:
@@ -166,7 +173,8 @@ def stack_block_targets(m: int, n: int) -> int:
 
 
 def _pivot_stack(tableau, basis, rows, cols):
-    """:func:`_pivot` on each tableau of the stack at its own (row, col)."""
+    """:func:`_bland_iterate`'s pivot on each tableau of the stack at its
+    own (row, col)."""
     lps = np.arange(len(tableau))
     tableau[lps, rows] /= tableau[lps, rows, cols][:, None]
     factors = tableau[lps, :, cols]
@@ -214,15 +222,14 @@ def _bland_stack(tableau, basis, n_cols):
 
 def _bland(tableau, basis, n_cols):
     """Bland's rule on a tableau stack, in place.  The stack's size picks the
-    kernel: a lone LP pivots in :func:`_bland_iterate` on a list basis, which
-    costs less numpy dispatch a pivot; a larger stack, in :func:`_bland_stack`.
-    Both make the same pivots with the same floats."""
-    if len(tableau) != 1:
+    kernel: a lone LP pivots in :func:`_bland_iterate`, whose ratio test and
+    tie-break on Python floats and one update buffer cost less numpy
+    dispatch a pivot; a larger stack, in :func:`_bland_stack`.  Both make the
+    same pivots with the same floats."""
+    if len(tableau) == 1:
+        _bland_iterate(tableau[0], basis[0], n_cols)
+    else:
         _bland_stack(tableau, basis, n_cols)
-        return
-    lone = basis[0].tolist()
-    _bland_iterate(tableau[0], lone, n_cols)
-    basis[0] = lone
 
 
 def _minimize_stack(costs, points, targets):
@@ -348,7 +355,8 @@ class EnvelopeViolationError(ValueError):
 
 
 # Candidate witnesses p_k = s * v_k.  Powers of two scale every product
-# exactly, so one Gram product serves all of them.
+# exactly, so one Gram product serves all of them; the first is 1, which
+# :func:`_slack` takes straight from that product.
 SCREEN_SCALES = (1.0, 2.0, 0.5)
 # Row blocks of the Gram product hold about 1 MiB of float64 each.
 _BLOCK_ELEMENTS = 1 << 17
@@ -363,8 +371,11 @@ def _slack(points, offsets, witnesses, owners, bound):
 
     Each block's Gram product is computed once, into a buffer reused across
     blocks, and never for a subset of its rows: its rounding depends on its
-    shape.  Later scales reuse its entries on the rows still left, gathered
-    into a second reused buffer (``left`` is in range, so "clip" never clips).
+    shape.  Scale 1 takes every row's values straight from it, minus the
+    offsets, into a second reused buffer (``1.0 * product`` is ``product``,
+    so no copy or multiply is needed).  Later scales gather its entries on
+    the rows still left into that buffer (``left`` is in range, so "clip"
+    never clips), and once no row is left the block's scan stops.
     """
     m = points.shape[0]
     slack, choice = np.empty(len(owners)), np.full(len(owners), -1)
@@ -374,15 +385,19 @@ def _slack(points, offsets, witnesses, owners, bound):
         stop = min(start + block, len(owners))
         product = np.matmul(witnesses[start:stop], points.T, out=gram[: stop - start])
         left = np.arange(stop - start)
+        values = np.subtract(product, offsets, out=work[: left.size])  # scale 1
         for j, scale in enumerate(SCREEN_SCALES[: len(bound)]):
-            values = np.take(product, left, axis=0, out=work[: left.size], mode="clip")
-            values *= scale
-            values -= offsets
+            if j:
+                values = np.take(product, left, axis=0, out=work[: left.size], mode="clip")
+                values *= scale
+                values -= offsets
             rows = start + left
             slack[rows] = values.max(axis=1) - values[np.arange(left.size), owners[rows]]
             passed = slack[rows] + bound[j, rows] <= ENVELOPE_TOL
             choice[rows[passed]] = j
             left = left[~passed]
+            if not left.size:
+                break
     return slack, choice
 
 

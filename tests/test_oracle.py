@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,24 @@ def test_velocity_oracle_at_time_zero_returns_the_data_bit_for_bit():
     for x in np.random.default_rng(7).uniform(-4.0, 4.0, 20):
         got = lax_oleinik_bruteforce_velocity(net.initial_values, hstar, [x], 0.0, -3.0, 3.0, 601)
         assert np.float64(got).tobytes() == np.float64(net.initial_data([x])).tobytes()
+
+
+def test_velocity_oracle_at_time_zero_warns_nothing():
+    # pwa1d's hull widened by 1: off the hull H* is +inf, and 0 * inf is NaN
+    # there.  The oracle skips those nodes without a RuntimeWarning, and its
+    # value keeps its bits (J(0) = -0.0 plus 0 * H* is +0.0).
+    net = load_problem(CONFIG_DIR / "pwa1d.cfg").build_net()
+    hstar = _hstar_eval(net)
+    lo, hi = net.rows.min(axis=0) - 1.0, net.rows.max(axis=0) + 1.0
+    v, hstar_v = velocity_grid(hstar, lo, hi, 4001)
+    for x in (-3.1, -0.4, 0.0, 0.7, 2.5):
+        with np.errstate(invalid="ignore"):
+            want = finite_minimum(net.initial_values(x - 0.0 * v) + 0.0 * hstar_v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lax_oleinik_bruteforce_velocity(net.initial_values, hstar, [x], 0.0, lo, hi, 4001)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert got == net.initial_values([[x]])[0]
 
 
 @pytest.mark.parametrize("problem, pts", [("pwa1d", 4001), ("pwa2d", 21)])

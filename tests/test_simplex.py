@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import hjeval.initialdata as initialdata
 import hjeval.simplex as simplex
 from hjeval import check_witnesses
-from hjeval.catalog import ConcaveFn, HalfSquaredNorm
+from hjeval.catalog import ConcaveFn, HalfSquaredNorm, PNorm
 from hjeval.cli import main
 from hjeval.initialdata import InitialDataNet, norm_hamiltonian_rows
 from hjeval.simplex import (
@@ -119,6 +120,52 @@ def test_bland_kernels_raise_on_an_unbounded_entering_column():
     tableau, basis = _unbounded_tableau()
     with pytest.raises(RuntimeError, match="no positive entry"):
         simplex._bland_stack(np.stack([tableau, tableau]), np.array([basis, basis]), 2)
+
+
+def _tied_tableau(first_rhs):
+    # Three constraint rows with basic columns 5, 3 and 4 (identity columns),
+    # structural columns 0-2 and reduced costs (-1, 0.5, 0.5): column 0
+    # enters, with ratios first_rhs / 1, 4 / 2 and 5 / 1.  One pivot is
+    # optimal, and it shows the chosen row in the basis.
+    tableau = np.array([
+        [1.0, 1.0, 0.0, 0.0, 0.0, 1.0, first_rhs],
+        [2.0, 1.0, 1.0, 1.0, 0.0, 0.0, 4.0],
+        [1.0, 1.0, 2.0, 0.0, 1.0, 0.0, 5.0],
+        [-1.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0],
+    ])
+    return tableau, [5, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "first_rhs", [2.0, 2.0 - 4e-13], ids=["equal ratios", "ratios 4e-13 apart"]
+)
+def test_bland_kernels_break_ratio_ties_on_the_smallest_basic_index(first_rhs):
+    # Row 0's ratio is the least (or ties it), but row 1's basic index 3 is
+    # smaller than row 0's 5, and within 1e-12 the rows tie: row 1 leaves.
+    lone, lone_basis = _tied_tableau(first_rhs)
+    simplex._bland_iterate(lone, lone_basis, 6)
+    assert lone_basis == [5, 0, 4]
+    tableau, basis = _tied_tableau(first_rhs)
+    other, other_basis = _tied_tableau(1.0)
+    stack, stack_basis = np.stack([other, tableau]), np.array([other_basis, basis])
+    simplex._bland_stack(stack, stack_basis, 6)
+    assert stack_basis[1].tolist() == lone_basis
+    assert stack[1].tobytes() == lone.tobytes()
+    assert stack_basis[0].tolist() == [0, 3, 4]  # its row 0 ratio, 1, is the least
+
+
+def test_bland_kernels_on_a_nan_right_hand_side():
+    # Finite inputs keep NaN out, unless pivots overflow.  The lone kernel's
+    # min propagates a NaN ratio, so no row ties and its tie-break raises;
+    # the stack kernel then pivots on its first positive row.
+    tableau, basis = _tied_tableau(np.nan)
+    with pytest.raises(ValueError, match="empty"):
+        simplex._bland_iterate(tableau, basis, 6)
+    tableau, basis = _tied_tableau(np.nan)
+    stack, stack_basis = tableau[None].copy(), np.array([basis])
+    simplex._bland_stack(stack, stack_basis, 6)
+    assert stack_basis.tolist() == [[0, 3, 4]]
+    assert np.isnan(stack[0, :, -1]).all()
 
 
 def test_lp_redundant_rows_from_signed_basis():
@@ -395,6 +442,40 @@ def test_certificate_refuses_empty_or_nonfinite_pairs():
             check_witnesses([[0.0], [1.0]], [0.0, 1.0], [[0.0], [bad]])
     with pytest.raises(ValueError, match="equal length"):
         check_witnesses([[0.0], [1.0]], [0.0], [[0.0], [1.0]])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rows_above_the_envelope_never_change_a_value(monkeypatch, seed):
+    # For concave J, min_i J(x - t v_i) + t b_i over all rows is the minimum
+    # over the live rows (b_i = H*(v_i)): S is the least J(x - t v) + t H*(v)
+    # over conv{v_i}, which each cell of the lifted subdivision attains at a
+    # live vertex, and a dead row k adds t (b_k - H*(v_k)) > 0 to a term at
+    # least S.  So a set the certificate refuses, built with the gate
+    # bypassed, has the values of the net on its live rows.  Rounding could
+    # let a row just above the envelope win by its last bits; on these sets
+    # the values are bit for bit the same.
+    rng = np.random.default_rng(seed)
+    activations = [ConcaveFn(HalfSquaredNorm()), ConcaveFn(PNorm(1)), ConcaveFn(PNorm(np.inf))]
+    failing = 0
+    for kind, points, offsets in _envelope_sets(seed, 50):
+        if lower_envelope_certificate(points, offsets).holds:
+            continue
+        failing += 1
+        live = np.array([minimize_over_simplex(offsets, points, v).value >= b - ENVELOPE_TOL
+                         for v, b in zip(points, offsets)])
+        assert not live.all(), kind
+        x = rng.uniform(-4.0, 4.0, (200, points.shape[1]))
+        for J in activations:
+            pruned = InitialDataNet(J, points[live], offsets[live])
+            with monkeypatch.context() as patch:
+                patch.setattr(initialdata, "lower_envelope_certificate",
+                              lambda *_: simplex.EnvelopeCertificate(True))
+                full = InitialDataNet(J, points, offsets)
+            for t in (0.3, 1.7):
+                values, argmins, _ = full.solution_grid(x, t)
+                assert values.tobytes() == pruned.solution_grid(x, t)[0].tobytes(), (kind, J, t)
+                assert live[argmins - 1].all(), (kind, J, t)
+    assert failing >= 15
 
 
 # -- stacked targets --------------------------------------------------------

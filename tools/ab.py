@@ -21,7 +21,11 @@ as many calls as fill about 20 ms.  Per kernel it prints:
 
 Kernels: the envelope certificate of a planted violation (10-D, m = 100),
 that set's one fallback LP, the certificate of b = |v|^4/4 on 200 Gaussian
-rows in 5-D (mostly LP fallback), a 3-row 1-D LP, the stacked solve of
+rows in 5-D (mostly LP fallback), the certificate of b = |v|^2/2 on 400
+Gaussian rows in 5-D, shaped like ``perfbench``'s ``para5x400`` set, which
+the witness screen certifies with no LP (``certificate_para5d_m400``), and
+``check_witnesses`` of that set's witnesses
+(``check_witnesses_para5d_m400``), a 3-row 1-D LP, the stacked solve of
 the 2-D ``pwa2d`` velocity grid at ``--pts 21`` (441 targets), the stacked
 solve of a 21 x 21 grid on a plane of 12 points in R^4, whose LPs drop
 different pairs of redundant rows, and one LP at that set's centroid,
@@ -133,6 +137,8 @@ def kernels(hj):
     offsets[-1] = weights @ offsets[donors] + 0.25
     quartic = np.random.default_rng(1).normal(size=(200, 5))
     quartic_offsets = 0.25 * (quartic * quartic).sum(axis=1) ** 2
+    para, para_offsets = _paraboloid(np.random.default_rng(6), 5, 400)
+    para_witnesses = simplex.lower_envelope_certificate(para, para_offsets).witnesses
     pwa_rows = np.array([[-1.0, 0.0], [1.0, 1.0], [0.0, -1.0]])
     pwa_offsets = np.array([0.5, 0.0, 1.0])
     grid = _grid21(pwa_rows)
@@ -208,6 +214,8 @@ def kernels(hj):
         "certificate_quartic5d_m200": lambda: simplex.lower_envelope_certificate(
             quartic, quartic_offsets
         ),
+        "certificate_para5d_m400": lambda: simplex.lower_envelope_certificate(para, para_offsets),
+        "check_witnesses_para5d_m400": lambda: simplex.check_witnesses(para, para_offsets, para_witnesses),
         "lp1d_3rows": lambda: simplex.minimize_over_simplex([0.5, -5.0, 1.0], [[-2.0], [0.0], [2.0]], [1.0]),
         "stack_pwa2d_441": lambda: simplex.minimize_over_simplex(pwa_offsets, pwa_rows, grid),
         "stack_plane4d_441": lambda: simplex.minimize_over_simplex(plane_costs, plane, plane_grid),

@@ -53,14 +53,14 @@ SIMPLEX = "src/hjeval/simplex.py"
 MUTANTS = [
     (
         SIMPLEX,
-        "min(tied, key=lambda i: basis[i])",
-        "max(tied, key=lambda i: basis[i])",
+        "min(tied, key=basis.__getitem__)",
+        "max(tied, key=basis.__getitem__)",
         "Bland's tie-break reversed (lone-LP kernel)",
     ),
     (
         SIMPLEX,
-        "tied = rows[ratios <= ratios.min() + 1e-12]",
-        "tied = rows[ratios <= ratios.min()]",
+        "else min(ratios) + 1e-12",
+        "else min(ratios)",
         "ratio-test tie tolerance dropped (lone-LP kernel)",
     ),
     (
@@ -92,6 +92,18 @@ MUTANTS = [
         "left = left[~passed]",
         "left = left",
         "later witness scales overwrite earlier ones",
+    ),
+    (
+        SIMPLEX,
+        "np.subtract(product, offsets, out=",
+        "np.subtract(product, 0.0, out=",
+        "the screen's offsets dropped at scale 1",
+    ),
+    (
+        SIMPLEX,
+        "            if not left.size:\n                break\n",
+        "            if left.size:\n                break\n",
+        "the screen's no-row-left exit inverted",
     ),
     (
         SIMPLEX,
