@@ -60,6 +60,7 @@ its sign and a row holding NaN gives a NaN gap in both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -481,13 +482,13 @@ class BranchNet:
 
         One call of the branch formula, reduced; from ``SCREEN_MIN_ELEMENTS``
         (m, n) differences on, a one-row batch.  At ``beta == 0`` one
-        activation call settles the point unless J(x) is zero or not finite
-        (:func:`_at_time_zero`)."""
+        activation call, on the (1, n) row that :func:`_at_time_zero` takes,
+        settles the point unless J(x) is zero or not finite."""
         form, x = self._form(t), check_point(x, self.dimension)
         if form.beta == 0:
-            result, redo = _at_time_zero(x[None], form)
-            if not redo[0]:
-                return EvalResult(*(part.item() for part in result))
+            j = form.fn(x)
+            if j != 0.0 and math.isfinite(j):
+                return EvalResult(j, 1, math.inf if len(form.centers) == 1 else 0.0)
         if x.size * len(form.centers) < SCREEN_MIN_ELEMENTS:
             return reduce_branches(branch_formula(form, x))
         return EvalResult(*(part.item() for part in min_over_branches(x[None], form)))

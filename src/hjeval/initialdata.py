@@ -11,10 +11,14 @@ The Hamilton-Jacobi equation it solves has the max-affine Hamiltonian
 
 whose conjugate is the linear program
 min { Σ α_i b_i : α in the unit simplex, Σ α_i v_i = v }, finite exactly on
-the convex hull of the v_i.  The representation is valid only when every
+the convex hull of the v_i.  The paper assumes every row is live: each
 (v_i, b_i) admits a convex interpolant, i.e. lies on the lower convex
-envelope of the pair set; construction verifies this and rejects violating
-parameter sets rather than silently computing a non-solution.
+envelope of the pair set, so that b_i = H*(v_i).  Construction verifies this
+and refuses sets that fail.  Such a set holds dead rows, strictly above the
+envelope: their pieces of H are never active and their branches never win at
+t > 0, so the formula on every row still solves the equation, with the
+values of the live rows alone; the gate refuses them because of the paper's
+assumption.
 
 Evaluation cost is O(m · cost(J)) per point, independent of any mesh, and
 one call of J at t = 0 wherever J(x) is finite and nonzero.

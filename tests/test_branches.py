@@ -525,6 +525,36 @@ def test_points_are_their_one_row_batches():
                 assert _outcome(point) == _outcome(batch), (net, x)
 
 
+class _SignedZeroSquares(HalfSquaredNorm):
+    """|x|^2 / 2 with its zeros negated, so that J = -(this) is +0.0 there."""
+
+    def _values(self, pts):
+        values = super()._values(pts)
+        return np.where(values == 0.0, -0.0, values)
+
+
+def test_arch2_points_at_time_zero_are_their_one_row_batches():
+    # At t = 0 a single point takes one activation call, and returns J(x)
+    # with the first branch when J(x) is finite and nonzero: gap +0.0, or
+    # +inf for one branch.  J(x) = -0.0 (zero rows, and |x|^2 underflowing
+    # at 1e-200) and J(x) = +0.0 (the signed-zero squares) go through the
+    # branches, whose ties at zero the exact kernel reduces.
+    rng = np.random.default_rng(55)
+    seen = set()
+    for m in (1, 2, 9):
+        rows = rng.uniform(-2.0, 2.0, (m, 3))
+        half_squares = 0.5 * (rows * rows).sum(axis=1)
+        offsets = half_squares - np.median(half_squares) - 0.1
+        for fn in (HalfSquaredNorm(), _SignedZeroSquares(), PNorm(1)):
+            net = InitialDataNet(ConcaveFn(fn), rows, offsets)
+            for x in _point_rows(rng, 3):
+                point = _outcome(lambda: net.evaluate(x, 0.0))
+                assert point == _outcome(lambda: net.solution_grid(x[None], 0.0)), (net, x)
+                j = ConcaveFn(fn)(x)
+                seen.add((m == 1, "nonzero" if j else np.copysign(1.0, j)))
+    assert seen == {(single, kind) for single in (True, False) for kind in ("nonzero", 1.0, -1.0)}
+
+
 # -- the two-branch band -------------------------------------------------------
 
 

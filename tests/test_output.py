@@ -9,7 +9,7 @@ import pytest
 
 from hjeval.config import load_problem, load_slice
 from hjeval.numeric import GRID_BLOCK
-from hjeval.output import write_slice_csv, write_slice_pgm
+from hjeval.output import format_17g_column, write_slice_csv, write_slice_pgm
 from hjeval.slicing import SliceResult, SliceSpec, SliceTable, evaluate_slice
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -58,6 +58,44 @@ COL_A = [0.0, -0.0, 1.5, -0.0, 0.1 + 0.2, 0.0, 1.5, 0.3, TINY, -2.5]
 COL_B = [3.0, 3.0, -0.0, 1e-300, 0.0, 3.0, -7.25, 1e-300, -0.0, 2.0 / 3.0]
 VALUES = [math.nan, math.inf, -math.inf, TINY, 1e308, -0.0, 0.0, 1 / 3, -1e-310, 42.0]
 GAPS = [0.0, math.nan, math.inf, 1e308, TINY, 0.5, -0.0, 2.0 / 3.0, math.inf, 1e-17]
+
+
+def _formatter_case(name: str) -> np.ndarray:
+    """The formatter's test values: 1,012,432 floats over the six cases."""
+    rng = np.random.default_rng(27)
+    if name == "bit patterns":
+        return rng.integers(0, 2**64, 300_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    if name == "1e-14 to 1e18":
+        return rng.choice([-1.0, 1.0], 300_000) * 10.0 ** rng.uniform(-14.0, 18.0, 300_000)
+    if name == "half-way ties":  # a * 2**-17 is half-way at 17 digits for odd a
+        ties = np.arange(2**17, 2**18) * 2.0**-17
+        return np.concatenate([ties, -ties])
+    if name == "3-decimal rounds":
+        return np.round(rng.uniform(-1000.0, 1000.0, 150_000), 3)
+    if name == "powers of ten and neighbours":
+        powers = 10.0 ** np.arange(-20, 26)
+        edges = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), [1e-4, 1e16]])
+        return np.concatenate([edges, -edges])
+    return np.array([0.0, -0.0, TINY, -TINY, 2.2250738585072009e-308, math.inf, -math.inf, math.nan])
+
+
+FORMATTER_CASES = [
+    "bit patterns",
+    "1e-14 to 1e18",
+    "half-way ties",
+    "3-decimal rounds",
+    "powers of ten and neighbours",
+    "specials",
+]
+
+
+@pytest.mark.parametrize("name", FORMATTER_CASES)
+def test_formatter_matches_format_17g(name):
+    column = _formatter_case(name)
+    got = format_17g_column(column)
+    assert got.dtype == np.dtype("S24")
+    bad = [(x, g) for x, g in zip(column.tolist(), got.tolist()) if g != _g(x).encode()]
+    assert bad[:5] == [], f"{len(bad)} of {len(column)} {name} differ"
 
 
 @pytest.mark.parametrize(

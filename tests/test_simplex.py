@@ -7,6 +7,7 @@ from hjeval import check_witnesses
 from hjeval.catalog import ConcaveFn, HalfSquaredNorm, PNorm
 from hjeval.cli import main
 from hjeval.initialdata import InitialDataNet, norm_hamiltonian_rows
+from hjeval.oracle import ORACLE_TOL, hstar_interpolator_1d, lax_oleinik_bruteforce_velocity, velocity_grid
 from hjeval.simplex import (
     ENVELOPE_TOL,
     EnvelopeViolationError,
@@ -476,6 +477,40 @@ def test_rows_above_the_envelope_never_change_a_value(monkeypatch, seed):
                 assert values.tobytes() == pruned.solution_grid(x, t)[0].tobytes(), (kind, J, t)
                 assert live[argmins - 1].all(), (kind, J, t)
     assert failing >= 15
+
+
+def test_one_dimensional_sets_above_the_envelope_solve_the_equation(monkeypatch):
+    # The formula on every row of a refused 1-D set, dead rows included,
+    # matches the velocity-form minimum min_v J(x - t v) + t H*(v), with H*
+    # from the live rows: the dead rows change no value, so the net solves
+    # the equation of its own Hamiltonian.  The grid's nodes miss the rows,
+    # so the oracle is an upper bound within O(h) of the value.
+    rng = np.random.default_rng(13)
+    activations = [ConcaveFn(HalfSquaredNorm()), ConcaveFn(PNorm(1)), ConcaveFn(PNorm(np.inf))]
+    failing = 0
+    for seed in range(4):
+        for kind, points, offsets in _envelope_sets(seed, 50):
+            if points.shape[1] != 1 or lower_envelope_certificate(points, offsets).holds:
+                continue
+            failing += 1
+            live = np.array([minimize_over_simplex(offsets, points, v).value >= b - ENVELOPE_TOL
+                             for v, b in zip(points, offsets)])
+            assert not live.all(), kind
+            lo, hi = points.min(axis=0), points.max(axis=0)
+            hstar = hstar_interpolator_1d(InitialDataNet(activations[0], points[live], offsets[live]))
+            grid = velocity_grid(hstar, lo, hi, 40001)
+            x = rng.uniform(-4.0, 4.0, (10, 1))
+            for J in activations:
+                with monkeypatch.context() as patch:
+                    patch.setattr(initialdata, "lower_envelope_certificate",
+                                  lambda *_: simplex.EnvelopeCertificate(True))
+                    net = InitialDataNet(J, points, offsets)
+                for t in (0.3, 1.7):
+                    values = net.solution_grid(x, t)[0]
+                    oracle = [lax_oleinik_bruteforce_velocity(net.initial_values, hstar, p, t, lo, hi, 40001,
+                                                              grid=grid) for p in x]
+                    assert np.abs(np.subtract(oracle, values)).max() <= ORACLE_TOL, (seed, kind, J, t)
+    assert failing >= 10
 
 
 # -- stacked targets --------------------------------------------------------

@@ -54,7 +54,14 @@ J(x); and ``evaluate_slice`` on a plane like the ``slice``
 workload's 10-D one: 41 x 41 points at four times on a
 ``shifted_norm_plus`` net with m = 8, and on the ``slice`` workload's 5-D
 plane at t = 0: 41 x 41 points on the linf Hamiltonian net at n = 5
-(``slice_linf5_t0``).  Then, on each of those four eval
+(``slice_linf5_t0``).  ``write_slice_csv`` of the ``slice`` workload's three
+tables, into a temporary directory: that 10-D plane (``slice_csv_plane10``),
+the 5-D linf plane at t = 0, whose gaps are all +0.0, and at three later
+times (``slice_csv_plane5_linf``), and a 1-D line of 801 points at two times
+on a clipped-quadratic net with m = 5 (``slice_csv_line1``); and one column
+of 4,096 coordinates in [-6, 6] through the tree's ``format_17g_column``, or
+through ``format_17g`` a value at a time where the tree has none
+(``format17g_4096``).  Then, on each of those four eval
 nets, a single-point ``evaluate`` at the batch's time and its first point
 (``point_*``) and the same point at t = 0, through ``initial_value`` on the
 Lagrangian nets and ``evaluate`` on the others, as the workload's stream
@@ -82,6 +89,7 @@ import sys  # noqa: E402
 import tarfile  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -126,8 +134,9 @@ def _stencil(hj, n, samples, rng):
     return rows[0]
 
 
-def kernels(hj):
-    """Name -> zero-argument callable, each built from the package ``hj``."""
+def kernels(hj, scratch: Path):
+    """Name -> zero-argument callable, each built from the package ``hj``;
+    the CSV kernels write under ``scratch``."""
     simplex = hj.simplex
     rng = np.random.default_rng(0)
     planted, offsets = _paraboloid(rng, 10, 100)
@@ -208,6 +217,23 @@ def kernels(hj):
     slice_linf5 = hj.slicing.SliceSpec(
         (1, 3), ((-6.0, 6.0, 41), (-6.0, 6.0, 41)), (0.0,), tuple(eval_rng.uniform(-1.0, 1.0, 3))
     )
+    # The slice workload's three tables, written as CSV: the 10-D plane above,
+    # the 5-D linf plane at t = 0 (every gap +0.0) and three later times, and
+    # a 1-D line of 801 points at two times on a clipped-quadratic net.
+    csv_rng = np.random.default_rng(7)
+    line_net = hj.lagrangian.LagrangianNet(
+        hj.catalog.ClippedQuadratic1D(), csv_rng.uniform(-3.0, 3.0, (5, 1)), csv_rng.uniform(-1.0, 1.0, 5)
+    )
+    csv_tables = {
+        "plane10": hj.slicing.evaluate_slice(plane_net, slice_plane),
+        "plane5_linf": hj.slicing.evaluate_slice(linf5, replace(slice_linf5, times=(0.0, 0.61, 1.73, 3.29))),
+        "line1": hj.slicing.evaluate_slice(line_net, hj.slicing.SliceSpec((0,), ((-4.3, 5.1, 801),), (0.47, 2.93))),
+    }
+    column = csv_rng.uniform(-6.0, 6.0, 4096)
+    output = importlib.import_module(f"{hj.__name__}.output")
+    formatter = getattr(output, "format_17g_column", None)
+    if formatter is None:  # a tree without the column formatter: one call a value
+        formatter = lambda values: [output.format_17g(v) for v in values.tolist()]  # noqa: E731
     return {
         "certificate_planted10d_m100": lambda: simplex.lower_envelope_certificate(planted, offsets),
         "lp10d_m100": lambda: simplex.minimize_over_simplex(offsets, planted, planted[-1]),
@@ -251,6 +277,11 @@ def kernels(hj):
         "slice_plane10d_41x41": lambda: hj.slicing.evaluate_slice(plane_net, slice_plane),
         "slice_linf5_t0": lambda: hj.slicing.evaluate_slice(linf5, slice_linf5),
         **{
+            f"slice_csv_{key}": lambda table=table, out=scratch / hj.__name__ / key: output.write_slice_csv(table, out)
+            for key, table in csv_tables.items()
+        },
+        "format17g_4096": lambda: formatter(column),
+        **{
             f"point_{key}": lambda net=net, point=singles[key]: net.evaluate(*point)
             for key, net in eval_nets.items()
         },
@@ -280,10 +311,10 @@ def _run(fn, calls):
     return elapsed / calls, (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / calls
 
 
-def compare(base, head):
+def compare(base, head, scratch: Path):
     """Rows of (name, base_us, head_us, ratio, q1, q3, base_flt, head_flt)."""
     rows = []
-    base_kernels, head_kernels = kernels(base), kernels(head)
+    base_kernels, head_kernels = kernels(base, scratch), kernels(head, scratch)
     for name, base_fn in base_kernels.items():
         head_fn = head_kernels[name]
         once = min(_run(base_fn, 1)[0], _run(head_fn, 1)[0])  # also warms both
@@ -316,7 +347,7 @@ def main(argv=None) -> int:
             tar.extractall(tmp, filter="data")
         base = load_package(Path(tmp) / "src" / "hjeval", "hjeval_base")
         head = load_package(ROOT / "src" / "hjeval", "hjeval_head")
-        rows = compare(base, head)
+        rows = compare(base, head, Path(tmp))
     print(f"# {args.rev} (base) vs {ROOT} (head), {ROUNDS} rounds, numpy {np.__version__}")
     print(f"{'kernel':30s} {'base_us':>10s} {'head_us':>10s} {'ratio':>6s} {'q1':>6s} {'q3':>6s}"
           f" {'base_flt':>9s} {'head_flt':>9s}")

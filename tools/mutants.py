@@ -262,6 +262,24 @@ MUTANTS = [
         "the repeated-path refusal dropped",
     ),
     (
+        "src/hjeval/output.py",
+        "np.rint(np.ldexp(err, e))",
+        "np.floor(np.ldexp(err, e) + 0.5)",
+        "the column formatter's ties rounded half up",
+    ),
+    (
+        "src/hjeval/output.py",
+        "fixed = (mag >= 1e-4) & (mag < 1e16)",
+        "fixed = (mag >= 1e-5) & (mag < 1e16)",
+        "the column formatter's fallback bound at 1e-5",
+    ),
+    (
+        "src/hjeval/output.py",
+        "if digits > exp + 1 else []",
+        "if digits > exp + 1 else [_DOT]",
+        "the column formatter's point kept with no digits after it",
+    ),
+    (
         "src/hjeval/branches.py",
         "if not 1 <= index <= self.n_branches:",
         "if False:",
