@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import ShiftedNormPlus
+from .catalog import ConcaveFn, HalfSquaredNorm, ShiftedNormPlus
+from .initialdata import InitialDataNet, norm_hamiltonian_rows
 from .lagrangian import LagrangianNet
-from .presets import linf_hamiltonian_net
 
 __all__ = ["BenchRow", "synthetic_net", "run_bench", "bench_csv"]
 __all__ += ["BENCH_MAX_LINF_DIMENSION", "BENCH_MAX_FLOATS", "BENCH_MAX_WORK"]
@@ -56,7 +56,7 @@ def synthetic_net(architecture: str, n: int, m: int, seed: int = 0):
         offsets = rng.uniform(-1.0, 1.0, m)
         return LagrangianNet(ShiftedNormPlus(), shifts, offsets)
     if architecture == "arch2":
-        return linf_hamiltonian_net(n)
+        return InitialDataNet(ConcaveFn(HalfSquaredNorm()), *norm_hamiltonian_rows("linf", n))
     raise ValueError(f"unknown architecture {architecture!r}")
 
 

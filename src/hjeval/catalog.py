@@ -170,9 +170,13 @@ class ClippedQuadratic1D(ConvexFn):
         c = pts[:, 0].clip(-1.0, 2.0)
         return c * (pts[:, 0] - 0.5 * c) + 0.0
 
+    @np.errstate(over="ignore")
     def _recession(self, pts):
         # -d where d < 0, else 2d; np.maximum's sign of zero on a tie is
-        # implementation-defined.
+        # implementation-defined.  2d is taken everywhere first, and its
+        # overflow is no fault: +inf, a valid value, above about 9e307, and
+        # an unused -inf below about -9e307.  As a decorator, errstate costs
+        # less per call than a with block.
         d = pts[:, 0]
         return np.negative(d, out=2.0 * d, where=d < 0.0)
 

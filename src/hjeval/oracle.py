@@ -143,9 +143,12 @@ def lax_oleinik_bruteforce_velocity(
     """Velocity-form variational minimum min_v { J(x - t v) + t H*(v) }.
 
     The v-grid spans the fixed box [box_lo, box_hi] per axis, normally the
-    hull of the branch velocities (the conjugate's domain), so that the
-    candidate minimizing velocities are grid nodes; t = 0 is allowed and
-    reduces every term to J(x).  Complements :func:`lax_oleinik_bruteforce`
+    hull box of the branch velocities (the conjugate's domain).  The
+    candidate minimizing velocities, the branch rows, are grid nodes only
+    when every row lies on that box's grid, as the rows of every shipped
+    config and benchmark net do; otherwise the grid minimum is an upper
+    bound within O(h) of the minimum, h the grid step.  t = 0 is allowed
+    and reduces every term to J(x).  Complements :func:`lax_oleinik_bruteforce`
     for nets whose conjugate Hamiltonian has a small bounded domain.
     ``grid`` is the :func:`velocity_grid` of the same box and ``hstar_eval``,
     built here when not given.  The least term is taken over the whole
@@ -286,8 +289,11 @@ def _oracle(net, cfg: OracleConfig):
 
     A LagrangianNet gets the position form, whose H* is L itself (H = L*,
     and L is closed).  An InitialDataNet gets the velocity form on the hull
-    of its branch velocities, the conjugate's domain, so that the candidate
-    minimizing velocities (the branch rows) are grid nodes.  Neither that
+    box of its branch velocities, the conjugate's domain.  The candidate
+    minimizing velocities, the branch rows, are grid nodes only when every
+    row lies on that box's grid, as the rows of every shipped config and
+    benchmark net do; otherwise the grid minimum is an O(h) upper bound, and
+    ``verify`` can report FAIL on a correct 2-D or 3-D net.  Neither that
     grid nor H* on it depends on the sample: both are built here, once.
     """
     initial_eval = net.initial_values

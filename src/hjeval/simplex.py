@@ -57,6 +57,9 @@ FEASIBILITY_TOL = 1e-9
 ENVELOPE_TOL = 1e-9
 # Tableau floats of one block of a stacked solve (2 MiB).
 STACK_BLOCK = 1 << 18
+# Both Bland kernels' error when a ratio test leaves no row to pivot on
+# although the entering column has a positive entry.
+_NAN_RATIO = "NaN ratio: the ratio test leaves no row to pivot on"
 
 
 @dataclass
@@ -96,10 +99,10 @@ def _bland_iterate(tableau, basis, n_cols):
     ``tableau`` rows are the constraints plus a final reduced-cost row; the
     last column is the right-hand side.  ``basis`` (a list, or a row of the
     stack's basis array) holds each constraint row's basic column; both are
-    updated in place.  Returns at the optimum; raises RuntimeError on an
-    entering column with no positive entry (unbounded), and past
-    :func:`_pivot_limit` pivots, the bases over all columns but the
-    right-hand side.
+    updated in place.  Returns at the optimum; raises RuntimeError, before
+    that pivot, on an entering column with no positive entry (unbounded) or
+    with a NaN ratio (:data:`_NAN_RATIO`), and past :func:`_pivot_limit`
+    pivots, the bases over all columns but the right-hand side.
     """
     costs, rhs = tableau[-1, :n_cols], tableau[:-1, -1]  # views: pivots are in place
     update = np.empty_like(tableau)  # each pivot's rank-1 update
@@ -118,7 +121,9 @@ def _bland_iterate(tableau, basis, n_cols):
         total = sum(ratios)
         cut = math.nan if total != total and any(map(math.isnan, ratios)) else min(ratios) + 1e-12
         tied = [i for i, r in enumerate(ratios) if r <= cut and column[i] > PIVOT_TOL]
-        if not tied and not any(a > PIVOT_TOL for a in column):
+        if not tied:
+            if any(a > PIVOT_TOL for a in column):
+                raise RuntimeError(_NAN_RATIO)
             raise RuntimeError(f"unbounded: entering column {col} has no positive entry")
         # Smallest basic index on ties.
         row = tied[0] if len(tied) == 1 else min(tied, key=basis.__getitem__)
@@ -188,9 +193,9 @@ def _bland_stack(tableau, basis, n_cols):
 
     Each iteration pivots every LP that is not yet optimal, with its own
     entering column, ratio test and tie-break; an optimal LP leaves the
-    working stack.  Returns when every LP is optimal; raises RuntimeError
-    where an entering column has no positive entry, and past
-    :func:`_pivot_limit` pivots.
+    working stack.  Returns when every LP is optimal; raises RuntimeError,
+    before that iteration's pivots, where an entering column has no positive
+    entry or a NaN ratio, and past :func:`_pivot_limit` pivots.
     """
     work, ids, bases = tableau, np.arange(len(tableau)), basis
     limit, pivots = _pivot_limit(tableau, tableau.shape[-1] - 1), 0
@@ -208,11 +213,15 @@ def _bland_stack(tableau, basis, n_cols):
         cols = negative.argmax(axis=1)  # smallest index: Bland's entering rule
         column = work[np.arange(len(work)), :-1, cols]
         positive = column > PIVOT_TOL
-        if not positive.any(axis=1).all():
-            raise RuntimeError("unbounded: an entering column has no positive entry")
         ratios = np.full(column.shape, np.inf)
         np.divide(work[:, :-1, -1], column, out=ratios, where=positive)
+        # An LP with no tied row has no positive entry (unbounded) or a NaN
+        # ratio, which makes its least ratio NaN, so that nothing ties.
         tied = positive & (ratios <= ratios.min(axis=1, keepdims=True) + 1e-12)
+        if not tied.any(axis=1).all():
+            if positive.any(axis=1).all():
+                raise RuntimeError(_NAN_RATIO)
+            raise RuntimeError("unbounded: an entering column has no positive entry")
         rows = np.where(tied, bases, work.shape[2]).argmin(axis=1)  # no column reaches the width
         if pivots == limit:
             raise RuntimeError(f"Bland's rule cycled: more pivots than the {limit} bases")

@@ -1,9 +1,33 @@
-"""Checks shared by the net tests: the batch branch path against a reference."""
+"""Nets and checks shared by the tests.
+
+``shipped_net(name)`` is the net of ``configs/<name>.cfg``, the one
+definition of each shipped problem (clipped1d, ball10d, pwa1d, pwa10d, ...);
+``norm_net(kind, n)`` is the l1 or linf Hamiltonian net at any n.  The
+fixtures check the batch branch path against a reference.
+"""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hjeval.branches as branches
+from hjeval.catalog import ConcaveFn, HalfSquaredNorm
+from hjeval.config import load_problem
+from hjeval.initialdata import InitialDataNet, norm_hamiltonian_rows
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def shipped_net(name):
+    """The net of the shipped config ``configs/<name>.cfg``, built afresh."""
+    return load_problem(CONFIG_DIR / f"{name}.cfg").build_net()
+
+
+def norm_net(kind, n):
+    """Data -||x||^2/2 in R^n with the ``kind`` ("l1" or "linf") norm as
+    Hamiltonian: 2^n branches for l1, 2n for linf."""
+    return InitialDataNet(ConcaveFn(HalfSquaredNorm()), *norm_hamiltonian_rows(kind, n))
 
 
 def _assert_same_bits(got, want):

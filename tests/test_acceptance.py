@@ -26,9 +26,8 @@ from hjeval.oracle import (
 )
 from hjeval.simplex import EnvelopeViolationError
 from hjeval.slicing import SliceSpec
-from hjeval import presets
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+from conftest import CONFIG_DIR, norm_net, shipped_net
 
 
 @contextmanager
@@ -46,7 +45,7 @@ def test_criterion_01_lagrangian_oracle_equivalence():
         start = time.perf_counter()
         # u-grid spacing 1e-3 over a +-20 window around each sample.
         cfg = OracleConfig(pts_per_axis=40001)
-        report = verify_report(presets.clipped_quadratic_net_1d(), 100, 0, cfg)
+        report = verify_report(shipped_net("clipped1d"), 100, 0, cfg)
         elapsed = time.perf_counter() - start
         assert report.max_oracle_gap <= 2e-3
         assert elapsed <= 30.0
@@ -57,7 +56,7 @@ def test_criterion_02_initialdata_oracle_equivalence():
         start = time.perf_counter()
         # Velocity grid at resolution 1e-3 over the hull [-2, 2].
         cfg = OracleConfig(pts_per_axis=4001)
-        report = verify_report(presets.concave_quadratic_net_1d(), 100, 0, cfg)
+        report = verify_report(shipped_net("pwa1d"), 100, 0, cfg)
         elapsed = time.perf_counter() - start
         assert report.max_oracle_gap <= 2e-3
         assert elapsed <= 30.0
@@ -87,9 +86,9 @@ def test_criterion_03_inf_convolution_with_recession():
 def test_criterion_04_conjugate_vertex_identity():
     with criterion(4, "LP conjugate attains the offset at every branch velocity"):
         nets = [
-            presets.concave_quadratic_net_1d(),
-            presets.l1_hamiltonian_net(5),
-            presets.linf_hamiltonian_net(5),
+            shipped_net("pwa1d"),
+            norm_net("l1", 5),
+            norm_net("linf", 5),
         ]
         for net in nets:
             for v, b in zip(net.rows, net.offsets):
@@ -101,10 +100,10 @@ def test_criterion_04_conjugate_vertex_identity():
 def test_criterion_05_pde_residual_at_screened_points():
     with criterion(5, "PDE residual below 1e-3 at 200 screened smooth points per problem"):
         nets = [
-            presets.clipped_quadratic_net_1d(),
-            presets.shifted_norm_net_10d(),
-            presets.concave_quadratic_net_1d(),
-            presets.concave_quadratic_net_10d(),
+            shipped_net("clipped1d"),
+            shipped_net("ball10d"),
+            shipped_net("pwa1d"),
+            shipped_net("pwa10d"),
         ]
         for net in nets:
             sol = lambda points, t: net.solution_grid(points, t)[0]
@@ -113,7 +112,7 @@ def test_criterion_05_pde_residual_at_screened_points():
                 assert hj_residual(sol, ham, x, t, 1e-4) <= 1e-3
         # Hand-checkable smooth point: gradient (-12), time slope -23.5,
         # Hamiltonian value 23.5, so the residual vanishes analytically.
-        net = presets.concave_quadratic_net_1d()
+        net = shipped_net("pwa1d")
         res = hj_residual(
             lambda points, t: net.solution_grid(points, t)[0], net.hamiltonian(), [10.0], 1.0, 1e-4
         )
@@ -123,11 +122,11 @@ def test_criterion_05_pde_residual_at_screened_points():
 def test_criterion_06_small_time_matches_initial_data():
     with criterion(6, "solution at t = 1e-6 matches the t = 0 data on the test grids"):
         line = np.linspace(-4.0, 4.0, 101).reshape(-1, 1)
-        net = presets.clipped_quadratic_net_1d()
+        net = shipped_net("clipped1d")
         np.testing.assert_allclose(
             net.evaluate_grid(line, 1e-6)[0], net.initial_grid(line)[0], atol=1e-3
         )
-        net = presets.concave_quadratic_net_1d()
+        net = shipped_net("pwa1d")
         np.testing.assert_allclose(
             net.evaluate_grid(line, 1e-6)[0], net.evaluate_grid(line, 0.0)[0], atol=1e-3
         )
@@ -137,11 +136,11 @@ def test_criterion_06_small_time_matches_initial_data():
             times=(1e-6,),
             fixed_coords=(0.0,) * 8,
         ).grid_points(10)
-        net = presets.shifted_norm_net_10d()
+        net = shipped_net("ball10d")
         np.testing.assert_allclose(
             net.evaluate_grid(plane, 1e-6)[0], net.initial_grid(plane)[0], atol=1e-3
         )
-        net = presets.concave_quadratic_net_10d()
+        net = shipped_net("pwa10d")
         np.testing.assert_allclose(
             net.evaluate_grid(plane, 1e-6)[0], net.evaluate_grid(plane, 0.0)[0], atol=1e-3
         )
@@ -151,10 +150,10 @@ def test_criterion_07_concavity_of_initialdata_solutions():
     with criterion(7, "initial-data solutions are concave in space"):
         rng = np.random.default_rng(2024)
         nets = [
-            presets.concave_quadratic_net_1d(),
-            presets.concave_quadratic_net_10d(),
-            presets.l1_hamiltonian_net(5),
-            presets.linf_hamiltonian_net(5),
+            shipped_net("pwa1d"),
+            shipped_net("pwa10d"),
+            norm_net("l1", 5),
+            norm_net("linf", 5),
         ]
         for net in nets:
             n = net.dimension
@@ -170,7 +169,7 @@ def test_criterion_07_concavity_of_initialdata_solutions():
 
 def test_criterion_08_envelope_gate():
     with criterion(8, "convex-interpolant gate accepts the good set, rejects the mutation"):
-        net = presets.concave_quadratic_net_1d()
+        net = shipped_net("pwa1d")
         assert net.certificate.holds
         with pytest.raises(EnvelopeViolationError) as info:
             InitialDataNet(
@@ -188,8 +187,8 @@ def test_criterion_09_norm_constructors():
             rows, _ = norm_hamiltonian_rows("linf", n)
             assert rows.shape[0] == 2 * n
             pts = rng.uniform(-5, 5, (1000, n))
-            h1 = presets.l1_hamiltonian_net(n).hamiltonian()(pts)
-            hinf = presets.linf_hamiltonian_net(n).hamiltonian()(pts)
+            h1 = norm_net("l1", n).hamiltonian()(pts)
+            hinf = norm_net("linf", n).hamiltonian()(pts)
             assert np.abs(h1 - np.abs(pts).sum(axis=1)).max() <= 1e-12
             assert np.abs(hinf - np.abs(pts).max(axis=1)).max() <= 1e-12
 

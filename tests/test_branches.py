@@ -15,13 +15,8 @@ from hjeval.catalog import (
 )
 from hjeval.initialdata import InitialDataNet, norm_hamiltonian_rows
 from hjeval.lagrangian import LagrangianNet
-from hjeval.presets import (
-    clipped_quadratic_net_1d,
-    concave_quadratic_net_10d,
-    l1_hamiltonian_net,
-    linf_hamiltonian_net,
-    shifted_norm_net_10d,
-)
+
+from conftest import norm_net, shipped_net
 
 T = 0.7
 
@@ -45,13 +40,13 @@ def _batch_calls(net):
     return calls
 
 
-@pytest.mark.parametrize("make_net", [shifted_norm_net_10d, concave_quadratic_net_10d])
+@pytest.mark.parametrize("problem", ["ball10d", "pwa10d"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("path", ["point", "exact", "screen"])
-def test_nonfinite_points_are_refused_on_every_path(make_net, bad, path, monkeypatch):
+def test_nonfinite_points_are_refused_on_every_path(problem, bad, path, monkeypatch):
     # The activation is the one finiteness check: single points, the exact
     # kernel and the screen's unsafe rows all hand it the bad coordinate.
-    net = make_net()
+    net = shipped_net(problem)
     points = np.random.default_rng(3).uniform(-2.0, 2.0, (40, net.dimension))
     points[17, 4] = bad
     screened = []
@@ -189,9 +184,9 @@ def test_per_row_zero_rows_are_one_screened_batch(monkeypatch):
         assert g[t == 0].tobytes() == w.tobytes()
 
 
-@pytest.mark.parametrize("make_net", [shifted_norm_net_10d, concave_quadratic_net_10d])
-def test_per_row_times_are_refused_as_scalar_times(make_net):
-    net = make_net()
+@pytest.mark.parametrize("problem", ["ball10d", "pwa10d"])
+def test_per_row_times_are_refused_as_scalar_times(problem):
+    net = shipped_net(problem)
     points = np.random.default_rng(8).uniform(-2.0, 2.0, (6, 10))
     t = np.full(6, 0.5)
     t[3] = -0.25
@@ -215,11 +210,11 @@ def test_per_row_times_are_refused_as_scalar_times(make_net):
 # -- the one check of a time ---------------------------------------------------
 
 
-@pytest.mark.parametrize("make_net", [shifted_norm_net_10d, concave_quadratic_net_10d])
-def test_nan_time_is_refused_naming_t(make_net):
+@pytest.mark.parametrize("problem", ["ball10d", "pwa10d"])
+def test_nan_time_is_refused_naming_t(problem):
     # A NaN time is refused before the points are looked at, one time or one
     # per row, on every entry point; it never reaches the activation.
-    net = make_net()
+    net = shipped_net(problem)
     points = np.random.default_rng(9).uniform(-2.0, 2.0, (6, 10))
     points[2, 5] = np.nan
     per_row = np.array([0.5, 0.0, np.nan, 1.0, 2.0, 0.5])
@@ -238,9 +233,9 @@ def test_nan_time_is_refused_naming_t(make_net):
             call()
 
 
-@pytest.mark.parametrize("make_net", [shifted_norm_net_10d, concave_quadratic_net_10d, clipped_quadratic_net_1d])
-def test_kink_margin_keeps_its_positive_time(make_net):
-    net = make_net()
+@pytest.mark.parametrize("problem", ["ball10d", "pwa10d", "clipped1d"])
+def test_kink_margin_keeps_its_positive_time(problem):
+    net = shipped_net(problem)
     x = np.full(net.dimension, 0.3)
     for t in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="^t must be positive$"):
@@ -255,7 +250,7 @@ def test_kink_margin_keeps_its_positive_time(make_net):
 
 def test_zero_d_time_zero_takes_the_recession():
     # A 0-d array is one time, not one per row: at 0 it takes L's recession.
-    net = shifted_norm_net_10d()
+    net = shipped_net("ball10d")
     points = np.random.default_rng(10).uniform(-2.0, 2.0, (40, 10))
     for zero in (np.array(0.0), np.float64(0.0)):
         _assert_same_bits(net.solution_grid(points, zero), net.initial_grid(points))
@@ -266,14 +261,14 @@ def test_infinite_time_is_accepted():
     # t = inf is a number: the branch formula gives what IEEE arithmetic
     # gives, here inf * L(0) = inf * 0 = NaN.
     with np.errstate(invalid="ignore"):
-        values = clipped_quadratic_net_1d().evaluate_grid([[0.5]], np.inf)[0]
+        values = shipped_net("clipped1d").evaluate_grid([[0.5]], np.inf)[0]
     assert np.isnan(values).all()
 
 
 def test_arch2_at_time_zero_skips_the_screen(monkeypatch):
     # At t = 0 every arch2 branch is J(x) + 0 * b_i, so the screen would tie
     # every row: a batch above SCREEN_MIN_ELEMENTS takes the exact kernel.
-    net = linf_hamiltonian_net(100)
+    net = norm_net("linf", 100)
     points = np.random.default_rng(11).uniform(-4.0, 4.0, (40, 100))
     assert points.size * net.n_branches >= branches.SCREEN_MIN_ELEMENTS
     screened = _spy_screen(monkeypatch)
@@ -578,7 +573,7 @@ def test_rows_with_a_third_branch_in_the_band_fall_back(kind, count_pairs, monke
     # pair, smallest index first; a third tied branch falls in the band,
     # and its row takes every branch.
     n = 100 if kind == "linf" else 8
-    net = linf_hamiltonian_net(n) if kind == "linf" else l1_hamiltonian_net(n)
+    net = norm_net("linf", n) if kind == "linf" else norm_net("l1", n)
     rng = np.random.default_rng(47)
     points = rng.uniform(-4.0, 4.0, (90, n))
     tied = rng.permutation(np.repeat([1, 2, 3], 30))

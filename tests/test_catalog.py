@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -182,11 +183,21 @@ def test_clipped_quadratic_recession_is_the_two_slope_formula_bit_for_bit():
     scaled[::50] = 0.0
     scaled[1::50] = -0.0
     for d in (special, np.sort(scaled), scaled, scaled[:1], scaled[:3], scaled[:17]):
-        want = np.where(d < 0, -d, 2 * d)
+        with np.errstate(over="ignore"):  # 2 * d at -1e308, unused
+            want = np.where(d < 0, -d, 2 * d)
         assert L.recession(d[:, None]).tobytes() == want.tobytes()
         for point, value in zip(d, want):
             assert np.float64(L.recession(point)).tobytes() == value.tobytes()
             assert L.recession([[point]]).tobytes() == value.tobytes()
+
+
+def test_clipped_quadratic_recession_is_silent_at_the_float_extremes():
+    # 1e308 at d = -1e308 is finite, +inf at d = 1e308 a valid value: no
+    # overflow warning for either.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ClippedQuadratic1D().recession(np.array([[-1e308], [1e308]]))
+    assert got.tolist() == [1e308, math.inf]
 
 
 def test_recession_vanishes_at_origin():

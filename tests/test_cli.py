@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +10,9 @@ from hjeval.bench import run_bench, synthetic_net
 from hjeval.cli import main
 from hjeval.initialdata import InitialDataNet
 from hjeval.output import render_pgm
-from hjeval.presets import linf_hamiltonian_net
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+from conftest import CONFIG_DIR, norm_net
+
 SRC = CONFIG_DIR.parent / "src"
 
 
@@ -494,11 +493,11 @@ def test_run_bench_refusals_build_no_net(monkeypatch, kwargs, message):
         run_bench(**kwargs)
 
 
-def test_synthetic_net_is_the_linf_preset_for_arch2():
-    net, preset = synthetic_net("arch2", 6, 8), linf_hamiltonian_net(6)
-    np.testing.assert_array_equal(net.rows, preset.rows)
-    np.testing.assert_array_equal(net.offsets, preset.offsets)
-    assert net.initial_data == preset.initial_data
+def test_synthetic_net_is_the_linf_norm_net_for_arch2():
+    net, want = synthetic_net("arch2", 6, 8), norm_net("linf", 6)
+    np.testing.assert_array_equal(net.rows, want.rows)
+    np.testing.assert_array_equal(net.offsets, want.offsets)
+    assert net.initial_data == want.initial_data
     with pytest.raises(ValueError, match="unknown architecture 'arch3'"):
         synthetic_net("arch3", 2, 8)
 

@@ -1,45 +1,52 @@
-from pathlib import Path
+import itertools
 
 import numpy as np
 import pytest
 
+from hjeval.catalog import ClippedQuadratic1D, ConcaveFn, HalfSquaredNorm, ShiftedNormPlus
 from hjeval.config import ConfigError, load_problem, load_slice, parse_problem, parse_slice
 from hjeval.initialdata import InitialDataNet
 from hjeval.lagrangian import LagrangianNet
 from hjeval.simplex import EnvelopeViolationError
 from hjeval.slicing import SliceSpec
-from hjeval import presets
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+from conftest import CONFIG_DIR
 
-PRESETS_BY_CONFIG = {
-    "clipped1d.cfg": presets.clipped_quadratic_net_1d,
-    "ball10d.cfg": presets.shifted_norm_net_10d,
-    "pwa1d.cfg": presets.concave_quadratic_net_1d,
-    "pwa10d.cfg": presets.concave_quadratic_net_10d,
-    "l1norm5d.cfg": presets.l1_hamiltonian_net,
-    "linfnorm5d.cfg": presets.linf_hamiltonian_net,
+# The three 10-D points of ball10d and pwa10d: (-2, 0, ...), (2, -2, -1, 0,
+# ...) and (0, 2, 0, ...).
+POINTS_10D = np.zeros((3, 10))
+POINTS_10D[0, 0], POINTS_10D[1, :3], POINTS_10D[2, 1] = -2.0, (2.0, -2.0, -1.0), 2.0
+NEG_HALF_SQUARED = ConcaveFn(HalfSquaredNorm())
+# Each shipped config's net written out: (activation, points, offsets).
+SHIPPED = {
+    "clipped1d.cfg": (ClippedQuadratic1D(), [[-2.0], [0.0], [2.0]], [-0.5, 0.0, -1.0]),
+    "ball10d.cfg": (ShiftedNormPlus(), POINTS_10D, [-0.5, 0.0, -1.0]),
+    "pwa1d.cfg": (NEG_HALF_SQUARED, [[-2.0], [0.0], [2.0]], [0.5, -5.0, 1.0]),
+    "pwa10d.cfg": (NEG_HALF_SQUARED, POINTS_10D, [0.5, -5.0, 1.0]),
+    # The 2^5 sign vectors, -1 before +1, and the signed basis +e1, -e1, ...
+    "l1norm5d.cfg": (NEG_HALF_SQUARED, list(itertools.product((-1.0, 1.0), repeat=5)), [0.0] * 32),
+    "linfnorm5d.cfg": (
+        NEG_HALF_SQUARED,
+        [[s * (i == j) for i in range(5)] for j in range(5) for s in (1.0, -1.0)],
+        [0.0] * 10,
+    ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(PRESETS_BY_CONFIG))
-def test_shipped_configs_build_the_preset_nets(name):
-    net = load_problem(CONFIG_DIR / name).build_net()
-    expected = PRESETS_BY_CONFIG[name]()
-    assert type(net) is type(expected)
-    assert net.dimension == expected.dimension
-    assert net.n_branches == expected.n_branches
-    if isinstance(net, LagrangianNet):
-        assert net.lagrangian == expected.lagrangian
-        np.testing.assert_array_equal(net.shifts, expected.shifts)
-        np.testing.assert_array_equal(net.offsets, expected.offsets)
-    else:
-        assert net.initial_data == expected.initial_data
-        np.testing.assert_array_equal(net.rows, expected.rows)
-        np.testing.assert_array_equal(net.offsets, expected.offsets)
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_shipped_configs_parse_to_their_written_out_nets(name):
+    config = load_problem(CONFIG_DIR / name)
+    activation, points, offsets = SHIPPED[name]
+    assert config.make_activation() == activation
+    got_points, got_offsets = config.branch_parameters()
+    np.testing.assert_array_equal(got_points, points)
+    np.testing.assert_array_equal(got_offsets, offsets)
+    net = config.build_net()
+    assert type(net) is (LagrangianNet if config.architecture == "arch1" else InitialDataNet)
+    assert net.n_branches == len(offsets)
 
 
-@pytest.mark.parametrize("name", sorted(PRESETS_BY_CONFIG))
+@pytest.mark.parametrize("name", sorted(SHIPPED))
 def test_round_trip_is_lossless(name):
     original = load_problem(CONFIG_DIR / name)
     assert parse_problem(original.serialize()) == original

@@ -14,16 +14,12 @@ from hjeval.catalog import (
 )
 from hjeval.initialdata import L1_MAX_DIMENSION, InitialDataNet, norm_hamiltonian_rows
 from hjeval.simplex import ENVELOPE_TOL, EnvelopeViolationError, check_witnesses
-from hjeval.presets import (
-    concave_quadratic_net_1d,
-    concave_quadratic_net_10d,
-    l1_hamiltonian_net,
-    linf_hamiltonian_net,
-)
+
+from conftest import norm_net, shipped_net
 
 
 def test_evaluate_concave_quadratic_net():
-    net = concave_quadratic_net_1d()
+    net = shipped_net("pwa1d")
     res = net.evaluate([0.0], 1.0)
     # Branches by hand: {J(2) + 0.5, J(0) - 5, J(-2) + 1} = {-1.5, -5, -1}.
     assert res.value == pytest.approx(-5.0, abs=1e-15)
@@ -35,7 +31,7 @@ def test_evaluate_concave_quadratic_net():
 
 
 def test_time_zero_reduces_to_initial_data():
-    for net in (concave_quadratic_net_1d(), concave_quadratic_net_10d()):
+    for net in (shipped_net("pwa1d"), shipped_net("pwa10d")):
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.uniform(-4, 4, net.dimension)
@@ -58,21 +54,21 @@ def test_single_branch_batches():
 
 def test_negative_time_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
-        concave_quadratic_net_1d().evaluate([0.0], -0.5)
+        shipped_net("pwa1d").evaluate([0.0], -0.5)
 
 
 def test_hamiltonian_is_max_affine():
-    net = concave_quadratic_net_1d()
+    net = shipped_net("pwa1d")
     ham = net.hamiltonian()
     assert isinstance(ham, MaxAffine)
     assert ham(0.0) == 5.0  # max{-0.5, 5, -1}
     assert ham(1.0) == 5.0  # max{-2.5, 5, 1}
-    linf = linf_hamiltonian_net(2)
+    linf = norm_net("linf", 2)
     assert linf.hamiltonian()([3.0, -1.0]) == 3.0
 
 
 def test_hamiltonian_conjugate_vertices_and_hull():
-    net = concave_quadratic_net_1d()
+    net = shipped_net("pwa1d")
     assert net.hamiltonian_conjugate([-2.0]).value == pytest.approx(0.5, abs=1e-10)
     sol = net.hamiltonian_conjugate([1.0])
     assert sol.value == pytest.approx(-2.0, abs=1e-10)
@@ -95,7 +91,7 @@ def test_envelope_gate_rejects_bad_offsets():
 
 
 def test_certificate_stored_on_accepted_net():
-    net = concave_quadratic_net_1d()
+    net = shipped_net("pwa1d")
     assert net.certificate.holds
     slack = check_witnesses(net.rows, net.offsets, net.certificate.witnesses)
     assert (slack <= ENVELOPE_TOL).all()
@@ -158,15 +154,15 @@ def test_norm_rows_coincide_in_1d():
 def test_norm_hamiltonians_evaluate_to_norms():
     rng = np.random.default_rng(12)
     pts = rng.uniform(-5, 5, (200, 5))
-    h1 = l1_hamiltonian_net(5).hamiltonian()
-    hinf = linf_hamiltonian_net(5).hamiltonian()
+    h1 = norm_net("l1", 5).hamiltonian()
+    hinf = norm_net("linf", 5).hamiltonian()
     np.testing.assert_allclose(h1(pts), np.abs(pts).sum(axis=1), atol=1e-12)
     np.testing.assert_allclose(hinf(pts), np.abs(pts).max(axis=1), atol=1e-12)
 
 
 def test_concavity_in_space():
     rng = np.random.default_rng(21)
-    net = concave_quadratic_net_1d()
+    net = shipped_net("pwa1d")
     for _ in range(200):
         x = rng.uniform(-4, 4, 1)
         y = rng.uniform(-4, 4, 1)
@@ -177,7 +173,7 @@ def test_concavity_in_space():
 
 
 def test_grid_evaluation_matches_pointwise():
-    net = concave_quadratic_net_10d()
+    net = shipped_net("pwa10d")
     rng = np.random.default_rng(3)
     pts = rng.uniform(-4, 4, (20, 10))
     values, argmins, gaps = net.evaluate_grid(pts, 1.3)
@@ -189,7 +185,7 @@ def test_grid_evaluation_matches_pointwise():
 
 
 def test_fenchel_young_between_hamiltonian_and_conjugate():
-    net = concave_quadratic_net_1d()
+    net = shipped_net("pwa1d")
     ham = net.hamiltonian()
     rng = np.random.default_rng(31)
     for _ in range(100):
@@ -285,7 +281,7 @@ def test_screened_batches_equal_branch_loop(case, check_batch):
 
 
 def test_batch_errors_match_branch_loop():
-    net = concave_quadratic_net_10d()
+    net = shipped_net("pwa10d")
     bad = np.zeros((5, 10))
     bad[1, 2] = np.inf
     ones = np.ones((5, 10))
@@ -321,7 +317,7 @@ def test_time_zero_ties_every_branch(pieces):
 def test_screen_band_is_tight(count_pairs):
     # On generic inputs the band holds the winner and the runner-up only;
     # a band grown too wide would silently give back the screen's gain.
-    net = linf_hamiltonian_net(100)
+    net = norm_net("linf", 100)
     counts = count_pairs()
     rng = np.random.default_rng(44)
     points = rng.uniform(-4.0, 4.0, (10_000, 100))
@@ -339,7 +335,7 @@ def test_one_row_batch_is_screened(count_pairs):
     # The batch size alone picks the kernel: one row of m·n = 400·200 =
     # 80,000 differences is screened, so only its band reaches the exact
     # kernel.  A single point of that size is such a one-row batch.
-    net = linf_hamiltonian_net(200)
+    net = norm_net("linf", 200)
     counts = count_pairs()
     x = np.random.default_rng(46).uniform(-4.0, 4.0, (1, 200))
     (value,), (argmin,), (gap,) = net.solution_grid(x, 1.7)

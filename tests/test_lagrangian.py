@@ -16,11 +16,12 @@ from hjeval.catalog import (
 )
 from hjeval.lagrangian import LagrangianNet
 from hjeval.oracle import OracleConfig, lax_oleinik_bruteforce
-from hjeval.presets import clipped_quadratic_net_1d, shifted_norm_net_10d
+
+from conftest import shipped_net
 
 
 def test_evaluate_clipped_net():
-    net = clipped_quadratic_net_1d()
+    net = shipped_net("clipped1d")
     res = net.evaluate([0.0], 1.0)
     # Branch values by hand: {L(2) - 0.5, L(0), L(-2) - 1} = {1.5, 0, 0.5}.
     assert res.value == pytest.approx(0.0, abs=1e-15)
@@ -30,7 +31,7 @@ def test_evaluate_clipped_net():
 
 
 def test_evaluate_shifted_norm_net():
-    net = shifted_norm_net_10d()
+    net = shipped_net("ball10d")
     res = net.evaluate(net.shifts[0], 1.0)
     # Branches: {-0.5, sqrt(21) - 1, sqrt(8) - 2} by hand.
     assert res.value == pytest.approx(-0.5, abs=1e-15)
@@ -71,7 +72,7 @@ def test_pnorm_kink_margin_is_the_distance_to_the_kinks(p, margin):
 
 
 def test_evaluate_rejects_nonpositive_time():
-    net = clipped_quadratic_net_1d()
+    net = shipped_net("clipped1d")
     with pytest.raises(ValueError, match="initial_value"):
         net.evaluate([0.0], 0.0)
     with pytest.raises(ValueError, match="positive"):
@@ -83,7 +84,7 @@ def test_evaluate_rejects_nonpositive_time():
 
 
 def test_initial_value_clipped_net():
-    net = clipped_quadratic_net_1d()
+    net = shipped_net("clipped1d")
     # Branches at x=0: {rec(2) - 0.5, rec(0), rec(-2) - 1} = {3.5, 0, 1}.
     assert net.initial_value([0.0]).value == pytest.approx(0.0)
     # Branches at x=2: {7.5, 4, -1}.
@@ -104,7 +105,7 @@ def test_initial_value_at_shift_with_minimal_offset():
 def test_branch_values_follow_the_time_rules():
     # t = 0 gives the recession branches that initial_value reduces; t < 0 is
     # outside the representation on every entry point.
-    net = clipped_quadratic_net_1d()
+    net = shipped_net("clipped1d")
     np.testing.assert_array_equal(net.branch_values([2.0], 0.0), [7.5, 4.0, -1.0])
     for call in (net.branch_values, net.solution_grid):
         with pytest.raises(ValueError, match="t must be nonnegative"):
@@ -125,7 +126,7 @@ def test_rejects_bad_parameters():
         LagrangianNet(PNorm(2), [[np.inf, 0.0]], [0.0])
     with pytest.raises(ValueError, match="R\\^1"):
         LagrangianNet(ClippedQuadratic1D(), [[0.0, 1.0]], [0.0])
-    net = clipped_quadratic_net_1d()
+    net = shipped_net("clipped1d")
     with pytest.raises(ValueError, match="dimension"):
         net.evaluate([0.0, 1.0], 1.0)
     with pytest.raises(ValueError, match="ndim=3"):
@@ -133,14 +134,14 @@ def test_rejects_bad_parameters():
 
 
 def test_evaluate_takes_a_one_row_point():
-    net = shifted_norm_net_10d()
+    net = shipped_net("ball10d")
     x = np.linspace(-1.0, 1.0, 10)
     assert net.evaluate(x[None], 1.5) == net.evaluate(x, 1.5)
 
 
 def test_hamiltonian_closed_forms():
-    assert clipped_quadratic_net_1d().hamiltonian() == IntervalQuadratic1D()
-    assert shifted_norm_net_10d().hamiltonian() == NormOnBall()
+    assert shipped_net("clipped1d").hamiltonian() == IntervalQuadratic1D()
+    assert shipped_net("ball10d").hamiltonian() == NormOnBall()
     net = LagrangianNet(PNorm(2), [[0.0, 0.0]], [0.0])
     assert net.hamiltonian() == UnitBallIndicator(2)
 
@@ -155,7 +156,7 @@ def test_hamiltonian_unavailable_for_max_affine():
 
 def test_value_never_exceeds_any_branch():
     rng = np.random.default_rng(2)
-    net = shifted_norm_net_10d()
+    net = shipped_net("ball10d")
     for _ in range(50):
         x = rng.uniform(-4, 4, 10)
         t = rng.uniform(0.1, 3.0)
@@ -179,7 +180,7 @@ def test_single_branch_scaling_symmetry():
 
 
 def test_small_time_approaches_initial_data():
-    for net, n in ((clipped_quadratic_net_1d(), 1), (shifted_norm_net_10d(), 10)):
+    for net, n in ((shipped_net("clipped1d"), 1), (shipped_net("ball10d"), 10)):
         rng = np.random.default_rng(6)
         pts = rng.uniform(-4, 4, (50, n))
         small = net.evaluate_grid(pts, 1e-6)[0]
@@ -188,7 +189,7 @@ def test_small_time_approaches_initial_data():
 
 
 def test_grid_evaluation_matches_pointwise():
-    net = shifted_norm_net_10d()
+    net = shipped_net("ball10d")
     rng = np.random.default_rng(8)
     pts = rng.uniform(-4, 4, (20, 10))
     values, argmins, gaps = net.evaluate_grid(pts, 0.8)
@@ -200,7 +201,7 @@ def test_grid_evaluation_matches_pointwise():
 
 
 def test_bruteforce_oracle_bounds_from_above():
-    net = clipped_quadratic_net_1d()
+    net = shipped_net("clipped1d")
     cfg = OracleConfig(pts_per_axis=4001)
     rng = np.random.default_rng(10)
     for _ in range(10):
@@ -210,11 +211,11 @@ def test_bruteforce_oracle_bounds_from_above():
         assert oracle >= net.evaluate(x, t).value - 1e-12
 
 
-@pytest.mark.parametrize("make_net", [clipped_quadratic_net_1d, shifted_norm_net_10d])
-def test_initial_values_equal_initial_grid_values(make_net):
+@pytest.mark.parametrize("problem", ["clipped1d", "ball10d"])
+def test_initial_values_equal_initial_grid_values(problem):
     # The oracle integrand reduces with a plain min; only the sign of a zero
     # may differ from the argmin-indexed initial_grid values.
-    net = make_net()
+    net = shipped_net(problem)
     rows_per_block = EXACT_BLOCK // (net.n_branches * net.dimension)
     rng = np.random.default_rng(12)
     points = rng.uniform(-30.0, 30.0, (3 * rows_per_block + 7, net.dimension))
@@ -306,7 +307,7 @@ def test_screened_batches_equal_branch_loop(case, check_batch):
 
 
 def test_batch_errors_match_branch_loop():
-    net = shifted_norm_net_10d()
+    net = shipped_net("ball10d")
     bad = np.zeros((5, 10))
     bad[3, 4] = np.nan
     ones = np.ones((5, 10))

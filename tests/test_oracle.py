@@ -2,7 +2,6 @@ import math
 import time
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ import hjeval.numeric as numeric
 import hjeval.oracle as oracle
 import hjeval.simplex as simplex
 from hjeval.catalog import ConcaveFn, HalfSquaredNorm, PNorm, ensure_extended
-from hjeval.config import load_problem
 from hjeval.initialdata import InitialDataNet
 from hjeval.lagrangian import LagrangianNet
 from hjeval.numeric import finite_minimum
@@ -31,15 +29,11 @@ from hjeval.oracle import (
     velocity_grid,
     verify_report,
 )
-from hjeval.presets import (
-    clipped_quadratic_net_1d,
-    concave_quadratic_net_1d,
-    shifted_norm_net_10d,
-)
 from hjeval.simplex import stack_block_targets
 
+from conftest import shipped_net
+
 CFG = OracleConfig(pts_per_axis=40001)
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _batch(net):
@@ -55,13 +49,13 @@ def test_oracle_config_validation():
 
 
 def test_bruteforce_matches_lagrangian_net():
-    net = clipped_quadratic_net_1d()
+    net = shipped_net("clipped1d")
     val = lax_oleinik_bruteforce(net.initial_values, net.lagrangian, [0.0], 1.0, CFG)
     assert val == pytest.approx(0.0, abs=2e-3)
 
 
 def test_bruteforce_velocity_matches_initialdata_net():
-    net = concave_quadratic_net_1d()
+    net = shipped_net("pwa1d")
     hstar = hstar_interpolator_1d(net)
     val = lax_oleinik_bruteforce_velocity(
         net.initial_values, hstar, [0.0], 1.0, net.rows.min(axis=0), net.rows.max(axis=0), 4001
@@ -70,7 +64,7 @@ def test_bruteforce_velocity_matches_initialdata_net():
 
 
 def test_bruteforce_velocity_refuses_negative_time_and_an_empty_domain():
-    net = concave_quadratic_net_1d()
+    net = shipped_net("pwa1d")
     hstar = hstar_interpolator_1d(net)
     with pytest.raises(ValueError, match="t must be nonnegative"):
         lax_oleinik_bruteforce_velocity(net.initial_values, hstar, [0.0], -1.0, -2.0, 2.0, 11)
@@ -97,7 +91,7 @@ def test_velocity_oracle_refuses_grids_above_the_point_cap():
 def test_bruteforce_uform_matches_initialdata_net_at_gridpoint():
     # The winning velocity at (0, 1) is 0, so the minimizing u is the grid
     # center and the position-form oracle is exact here too.
-    net = concave_quadratic_net_1d()
+    net = shipped_net("pwa1d")
     hstar = hstar_interpolator_1d(net)
     val = lax_oleinik_bruteforce(net.initial_values, hstar, [0.0], 1.0, CFG)
     assert val == pytest.approx(-5.0, abs=2e-3)
@@ -112,13 +106,13 @@ def test_bruteforce_constant_initial_data():
 
 
 def test_bruteforce_requires_positive_time():
-    net = clipped_quadratic_net_1d()
+    net = shipped_net("clipped1d")
     with pytest.raises(ValueError, match="positive"):
         lax_oleinik_bruteforce(net.initial_values, net.lagrangian, [0.0], 0.0, CFG)
 
 
 def test_bruteforce_all_infinite_raises():
-    net = clipped_quadratic_net_1d()
+    net = shipped_net("clipped1d")
     # Conjugate finite only on [35, 36]: reaching it needs u in x - t[35, 36],
     # which lies outside the search box x +- SEARCH_HALFWIDTH (20).
     hstar = lambda v: np.where((v[:, 0] >= 35.0) & (v[:, 0] <= 36.0), 0.0, np.inf)
@@ -139,7 +133,7 @@ def _unblocked_bruteforce(net, x, t, pts):
 @pytest.mark.parametrize("block", [7, 4096])
 def test_blocked_bruteforce_equals_the_unblocked_formula(monkeypatch, block):
     monkeypatch.setattr(numeric, "GRID_BLOCK", block)
-    net = load_problem(CONFIG_DIR / "clipped1d.cfg").build_net()
+    net = shipped_net("clipped1d")
     rng = np.random.default_rng(block)
     pts = 4001 if block == 7 else 40001
     for _ in range(10):
@@ -150,7 +144,7 @@ def test_blocked_bruteforce_equals_the_unblocked_formula(monkeypatch, block):
 
 def test_bruteforce_all_infinite_raises_in_every_block(monkeypatch):
     monkeypatch.setattr(numeric, "GRID_BLOCK", 7)
-    net = clipped_quadratic_net_1d()
+    net = shipped_net("clipped1d")
     hstar = lambda v: np.where((v[:, 0] >= 35.0) & (v[:, 0] <= 36.0), 0.0, np.inf)
     with pytest.raises(OracleDomainError, match="all grid terms are"):
         lax_oleinik_bruteforce(net.initial_values, hstar, [10.0], 1.0, OracleConfig(101))
@@ -159,7 +153,7 @@ def test_bruteforce_all_infinite_raises_in_every_block(monkeypatch):
 @pytest.mark.parametrize("bad, message", [(np.nan, "produced NaN"), (-np.inf, "produced -inf")])
 def test_bruteforce_refuses_nan_and_neginf_conjugate_values(bad, message):
     # H* is validated once, after scaling by t > 0, which keeps NaN and -inf.
-    net = clipped_quadratic_net_1d()
+    net = shipped_net("clipped1d")
     hstar = lambda v: np.where(v[:, 0] > 3.0, bad, 0.0)
     with pytest.raises(ValueError, match=message):
         lax_oleinik_bruteforce(net.initial_values, hstar, [0.0], 0.5, OracleConfig(101))
@@ -172,7 +166,7 @@ def test_bruteforce_refuses_nan_and_neginf_initial_values(monkeypatch, block, ba
     # u-grid on [-20, 20], from the 13th of 15 blocks on.  J is checked
     # before H*, so a NaN H* at the same nodes (v = -u / t <= -30) never shows.
     monkeypatch.setattr(numeric, "GRID_BLOCK", block)
-    net = clipped_quadratic_net_1d()
+    net = shipped_net("clipped1d")
     initial = lambda u: np.where(u[:, 0] >= 15.0, bad, net.initial_values(u))
     with pytest.raises(ValueError, match=message):
         lax_oleinik_bruteforce(initial, net.lagrangian, [0.0], 0.5, OracleConfig(101))
@@ -184,7 +178,7 @@ def test_bruteforce_refuses_nan_and_neginf_initial_values(monkeypatch, block, ba
 def test_bruteforce_memory_does_not_grow_with_the_grid():
     # 2,000,001 u-points: one block at a time keeps the peak far below the
     # 16 MB of the grid alone (the whole-grid scan peaked at 126 MiB).
-    net = load_problem(CONFIG_DIR / "clipped1d.cfg").build_net()
+    net = shipped_net("clipped1d")
     x, t, pts = np.array([0.7]), 1.3, 2_000_001
     tracemalloc.start()
     try:
@@ -197,7 +191,7 @@ def test_bruteforce_memory_does_not_grow_with_the_grid():
 
 
 def test_velocity_form_allows_time_zero():
-    net = concave_quadratic_net_1d()
+    net = shipped_net("pwa1d")
     hstar = hstar_interpolator_1d(net)
     val = lax_oleinik_bruteforce_velocity(
         net.initial_values, hstar, [1.5], 0.0, -2.0, 2.0, 4001
@@ -207,7 +201,7 @@ def test_velocity_form_allows_time_zero():
 
 @pytest.mark.parametrize("bad, message", [(np.nan, "produced NaN"), (-np.inf, "produced -inf")])
 def test_velocity_oracle_refuses_nan_and_neginf_initial_values(bad, message):
-    net = concave_quadratic_net_1d()
+    net = shipped_net("pwa1d")
     hstar = hstar_interpolator_1d(net)
     initial = lambda y: np.where(y[:, 0] > 1.0, bad, net.initial_values(y))
     # At t = 1, y = -v is above 1 on v < -1; at t = 0 every y is x.  The box
@@ -221,7 +215,7 @@ def test_velocity_oracle_refuses_nan_and_neginf_initial_values(bad, message):
 def test_velocity_oracle_at_time_zero_returns_the_data_bit_for_bit():
     # On a box wider than the hull, H* is +inf off the hull and 0 * inf is
     # NaN there; the oracle skips those nodes and returns J(x) + 0 * H* = J(x).
-    net = concave_quadratic_net_1d()
+    net = shipped_net("pwa1d")
     hstar = hstar_interpolator_1d(net)
     for x in np.random.default_rng(7).uniform(-4.0, 4.0, 20):
         got = lax_oleinik_bruteforce_velocity(net.initial_values, hstar, [x], 0.0, -3.0, 3.0, 601)
@@ -232,7 +226,7 @@ def test_velocity_oracle_at_time_zero_warns_nothing():
     # pwa1d's hull widened by 1: off the hull H* is +inf, and 0 * inf is NaN
     # there.  The oracle skips those nodes without a RuntimeWarning, and its
     # value keeps its bits (J(0) = -0.0 plus 0 * H* is +0.0).
-    net = load_problem(CONFIG_DIR / "pwa1d.cfg").build_net()
+    net = shipped_net("pwa1d")
     hstar = _hstar_eval(net)
     lo, hi = net.rows.min(axis=0) - 1.0, net.rows.max(axis=0) + 1.0
     v, hstar_v = velocity_grid(hstar, lo, hi, 4001)
@@ -248,7 +242,7 @@ def test_velocity_oracle_at_time_zero_warns_nothing():
 
 @pytest.mark.parametrize("problem, pts", [("pwa1d", 4001), ("pwa2d", 21)])
 def test_velocity_oracle_equals_the_plain_finite_minimum(problem, pts):
-    net = _pwa2d_net() if problem == "pwa2d" else load_problem(CONFIG_DIR / f"{problem}.cfg").build_net()
+    net = _pwa2d_net() if problem == "pwa2d" else shipped_net(problem)
     hstar = _hstar_eval(net)
     lo, hi = net.rows.min(axis=0), net.rows.max(axis=0)
     rng = np.random.default_rng(8)
@@ -258,7 +252,8 @@ def test_velocity_oracle_equals_the_plain_finite_minimum(problem, pts):
         for i in range(20):
             x = rng.uniform(-4.0, 4.0, net.dimension)
             t = 0.0 if i % 4 == 0 else float(rng.uniform(0.0, 3.0))
-            want = finite_minimum(ensure_extended(net.initial_values(x - t * v)) + t * hstar_v)
+            with np.errstate(invalid="ignore"):  # t = 0 makes 0 * inf = NaN off dom H*
+                want = finite_minimum(ensure_extended(net.initial_values(x - t * v)) + t * hstar_v)
             got = lax_oleinik_bruteforce_velocity(
                 net.initial_values, hstar, x, t, box_lo, box_hi, pts, grid=grid
             )
@@ -266,7 +261,7 @@ def test_velocity_oracle_equals_the_plain_finite_minimum(problem, pts):
 
 
 def test_grid_refinement_never_increases_minimum():
-    net = clipped_quadratic_net_1d()
+    net = shipped_net("clipped1d")
     rng = np.random.default_rng(5)
     for _ in range(5):
         x = rng.uniform(-4, 4, 1)
@@ -286,7 +281,7 @@ def test_hstar_interpolator_refuses_nets_above_one_dimension():
 
 
 def test_hstar_interpolator_agrees_with_lp():
-    net = concave_quadratic_net_1d()
+    net = shipped_net("pwa1d")
     hstar = hstar_interpolator_1d(net)
     rng = np.random.default_rng(1)
     vs = rng.uniform(-2.5, 2.5, 200)
@@ -324,7 +319,7 @@ def test_gradient_fd_time_guard():
 
 
 def test_residual_zero_at_smooth_point():
-    net = concave_quadratic_net_1d()
+    net = shipped_net("pwa1d")
     sol = _batch(net)
     res = hj_residual(sol, net.hamiltonian(), [10.0], 1.0, 1e-4)
     assert res <= 1e-6
@@ -336,7 +331,7 @@ def test_residual_zero_at_smooth_point():
 def test_gradient_fd_vanishes_at_flat_minimum():
     # Winner branch of the clipped net at (0, 1) is t L(x/t), whose space and
     # time slopes both vanish at the origin.
-    net = clipped_quadratic_net_1d()
+    net = shipped_net("clipped1d")
     sol = _batch(net)
     dt, dx = gradient_fd(sol, [0.0], 1.0, 1e-4)
     assert abs(dt) <= 1e-6
@@ -374,7 +369,7 @@ def _pointwise_residual(net, x, t, h):
 
 @pytest.mark.parametrize("problem", ["ball10d", "pwa10d", "clipped1d"])
 def test_batched_residual_equals_pointwise_stencil(problem):
-    net = load_problem(CONFIG_DIR / f"{problem}.cfg").build_net()
+    net = shipped_net(problem)
     rng = np.random.default_rng(4)
     samples = []
     for _ in range(25):
@@ -515,7 +510,7 @@ def test_verify_refuses_velocity_grids_above_the_lp_budget(monkeypatch):
 
 
 def test_screening_thresholds():
-    net = clipped_quadratic_net_1d()
+    net = shipped_net("clipped1d")
     ok, result = screen_point(net, [0.0], 1.0)
     assert ok and result.gap > 0.1
     # Near the kink of the solution between branches the gap collapses.
@@ -531,7 +526,7 @@ def test_screening_thresholds():
 
 
 def test_sample_screened_points_deterministic():
-    net = shifted_norm_net_10d()
+    net = shipped_net("ball10d")
     a = sample_screened_points(net, 20, seed=3)
     b = sample_screened_points(net, 20, seed=3)
     assert len(a) == len(b) == 20
@@ -543,11 +538,11 @@ def test_sample_screened_points_deterministic():
 def test_sample_screened_points_stalls_when_nothing_passes(monkeypatch):
     monkeypatch.setattr(oracle, "screen_point", lambda net, x, t: (False, None))
     with pytest.raises(RuntimeError, match="stalled"):
-        sample_screened_points(clipped_quadratic_net_1d(), 2, seed=0)
+        sample_screened_points(shipped_net("clipped1d"), 2, seed=0)
 
 
 def test_verify_report_empty_passes():
-    report = verify_report(clipped_quadratic_net_1d(), 0, 0, CFG)
+    report = verify_report(shipped_net("clipped1d"), 0, 0, CFG)
     assert report.passed
     assert report.max_oracle_gap == 0.0
     assert report.screened_count == 0
@@ -604,7 +599,7 @@ def _direct_record(net, x, t, cfg, residual_only):
     ],
 )
 def test_verify_records_equal_direct_calls(monkeypatch, problem, pts, residual_only):
-    net = _pwa2d_net() if problem == "pwa2d" else load_problem(CONFIG_DIR / f"{problem}.cfg").build_net()
+    net = _pwa2d_net() if problem == "pwa2d" else shipped_net(problem)
     if isinstance(net, InitialDataNet):  # t = 0 is in its time range
         monkeypatch.setattr(oracle, "_draws", _early_times(oracle._draws))
     cfg = OracleConfig(pts)
@@ -642,7 +637,7 @@ def _count_solution_grids(monkeypatch, net):
 def test_verify_stencils_take_one_batch_call_per_chunk(monkeypatch, problem):
     # 50 samples fit one chunk: their residual stencils are one batch call,
     # as are those of 5 samples.
-    net = load_problem(CONFIG_DIR / f"{problem}.cfg").build_net()
+    net = shipped_net(problem)
     counts = []
     for samples in (5, 50):
         calls = _count_solution_grids(monkeypatch, net)
@@ -654,7 +649,7 @@ def test_verify_stencils_take_one_batch_call_per_chunk(monkeypatch, problem):
 def test_verify_memory_grows_only_with_the_records():
     # pwa10d takes 186 samples a chunk: 20,000 samples run 108 chunks, and
     # beyond the records array they peak as high as 200 samples do.
-    net = load_problem(CONFIG_DIR / "pwa10d.cfg").build_net()
+    net = shipped_net("pwa10d")
     verify_report(net, 5, 1, OracleConfig(3), residual_only=True)  # one-off allocations
     extra = []
     for samples in (200, 20_000):
@@ -670,12 +665,12 @@ def test_verify_memory_grows_only_with_the_records():
 
 def test_verify_report_refuses_negative_samples():
     with pytest.raises(ValueError, match="samples"):
-        verify_report(clipped_quadratic_net_1d(), -1, 0, CFG)
+        verify_report(shipped_net("clipped1d"), -1, 0, CFG)
 
 
 def test_verify_report_deterministic_and_serializable():
     cfg = OracleConfig(pts_per_axis=4001)
-    net = concave_quadratic_net_1d()
+    net = shipped_net("pwa1d")
     rep1 = verify_report(net, 20, 7, cfg)
     rep2 = verify_report(net, 20, 7, cfg)
     assert rep1.to_kv() == rep2.to_kv()
@@ -701,7 +696,7 @@ def test_verify_passes_on_pnorm_nets(n, pts, p):
 
 
 def test_verify_report_high_dimension_needs_residual_only():
-    net = shifted_norm_net_10d()
+    net = shipped_net("ball10d")
     with pytest.raises(ValueError) as err:
         verify_report(net, 5, 0, CFG)
     assert str(err.value) == (

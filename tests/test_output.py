@@ -2,17 +2,16 @@
 
 import math
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hjeval.config import load_problem, load_slice
+from hjeval.config import load_slice
 from hjeval.numeric import GRID_BLOCK
 from hjeval.output import format_17g_column, write_slice_csv, write_slice_pgm
 from hjeval.slicing import SliceResult, SliceSpec, SliceTable, evaluate_slice
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+from conftest import CONFIG_DIR, shipped_net
 
 TINY = 5e-324  # smallest subnormal
 T17 = 0.12345678901234568  # needs all 17 significant digits
@@ -134,7 +133,7 @@ def test_slice_csv_is_written_in_row_blocks(tmp_path):
     # The 10-D plane's 10,201 rows span three GRID_BLOCK blocks.  Writing a
     # block at a time never holds a whole table's values beside all its row
     # strings: about 4.3 MiB of tracemalloc peak when a table went at once.
-    net = load_problem(CONFIG_DIR / "ball10d.cfg").build_net()
+    net = shipped_net("ball10d")
     result = evaluate_slice(net, load_slice(CONFIG_DIR / "slice_plane10d.cfg"))
     assert len(result.grid) > 2 * GRID_BLOCK
     tracemalloc.start()

@@ -155,18 +155,30 @@ def test_bland_kernels_break_ratio_ties_on_the_smallest_basic_index(first_rhs):
     assert stack_basis[0].tolist() == [0, 3, 4]  # its row 0 ratio, 1, is the least
 
 
+def _nan_tableaus():
+    # Finite inputs keep NaN out, unless pivots overflow.  A NaN ratio makes
+    # the least ratio NaN, so no row ties.  Row 0 holds the NaN, or has a
+    # negative entry in the entering column while row 1 holds it.
+    yield _tied_tableau(np.nan)
+    tableau, basis = _tied_tableau(2.0)
+    tableau[0, 0], tableau[1, -1] = -1.0, np.nan
+    yield tableau, basis
+
+
 def test_bland_kernels_on_a_nan_right_hand_side():
-    # Finite inputs keep NaN out, unless pivots overflow.  The lone kernel's
-    # min propagates a NaN ratio, so no row ties and its tie-break raises;
-    # the stack kernel then pivots on its first positive row.
-    tableau, basis = _tied_tableau(np.nan)
-    with pytest.raises(ValueError, match="empty"):
-        simplex._bland_iterate(tableau, basis, 6)
-    tableau, basis = _tied_tableau(np.nan)
-    stack, stack_basis = tableau[None].copy(), np.array([basis])
-    simplex._bland_stack(stack, stack_basis, 6)
-    assert stack_basis.tolist() == [[0, 3, 4]]
-    assert np.isnan(stack[0, :, -1]).all()
+    # Both kernels raise the same error before any pivot, the stack kernel
+    # also for the healthy LP stacked beside the NaN one.
+    for tableau, basis in _nan_tableaus():
+        lone, lone_basis = tableau.copy(), list(basis)
+        with pytest.raises(RuntimeError, match="NaN ratio"):
+            simplex._bland_iterate(lone, lone_basis, 6)
+        assert np.array_equal(lone, tableau, equal_nan=True) and lone_basis == basis
+        other, other_basis = _tied_tableau(1.0)
+        stack, stack_basis = np.stack([other, tableau]), np.array([other_basis, basis])
+        with pytest.raises(RuntimeError, match="NaN ratio"):
+            simplex._bland_stack(stack, stack_basis, 6)
+        assert np.array_equal(stack, np.stack([other, tableau]), equal_nan=True)
+        assert stack_basis.tolist() == [other_basis, basis]
 
 
 def test_lp_redundant_rows_from_signed_basis():

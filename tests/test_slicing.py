@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
-from hjeval.presets import (
-    clipped_quadratic_net_1d,
-    concave_quadratic_net_10d,
-    shifted_norm_net_10d,
-)
 from hjeval.slicing import SliceSpec, evaluate_slice
+
+from conftest import norm_net, shipped_net
 
 PLANE = SliceSpec(
     free_axes=(0, 1),
@@ -57,7 +54,7 @@ def test_spec_validation_errors(kwargs, message):
 
 
 def test_slice_matches_direct_evaluation():
-    net = concave_quadratic_net_10d()
+    net = shipped_net("pwa10d")
     result = evaluate_slice(net, PLANE)
     pts = PLANE.grid_points(10)
     for table in result.tables:
@@ -68,7 +65,7 @@ def test_slice_matches_direct_evaluation():
 
 
 def test_lagrangian_slice_dispatches_time_zero():
-    net = clipped_quadratic_net_1d()
+    net = shipped_net("clipped1d")
     spec = SliceSpec(free_axes=(0,), ranges=((-4.0, 4.0, 41),), times=(0.0, 1.0))
     result = evaluate_slice(net, spec)
     pts = spec.grid_points(1)
@@ -77,7 +74,7 @@ def test_lagrangian_slice_dispatches_time_zero():
 
 
 def test_tiny_slice_reduces_to_single_evaluations():
-    net = clipped_quadratic_net_1d()
+    net = shipped_net("clipped1d")
     spec = SliceSpec(free_axes=(0,), ranges=((0.0, 1.0, 2),), times=(1.0,))
     result = evaluate_slice(net, spec)
     assert result.grid.shape == (2, 1)
@@ -86,7 +83,7 @@ def test_tiny_slice_reduces_to_single_evaluations():
 
 
 def test_small_time_slice_matches_initial_data():
-    net = shifted_norm_net_10d()
+    net = shipped_net("ball10d")
     spec = SliceSpec(
         free_axes=(0, 1),
         ranges=((-6.0, 6.0, 21), (-6.0, 6.0, 21)),
@@ -99,7 +96,7 @@ def test_small_time_slice_matches_initial_data():
 
 
 def test_slice_minimum_matches_bruteforce_scan():
-    net = clipped_quadratic_net_1d()
+    net = shipped_net("clipped1d")
     spec = SliceSpec(free_axes=(0,), ranges=((-4.0, 4.0, 81),), times=(1.0,))
     result = evaluate_slice(net, spec)
     pts = spec.grid_points(1)
@@ -108,16 +105,14 @@ def test_slice_minimum_matches_bruteforce_scan():
 
 
 def test_initialdata_slice_at_time_zero_equals_data():
-    net = concave_quadratic_net_10d()
+    net = shipped_net("pwa10d")
     result = evaluate_slice(net, PLANE)
     pts = PLANE.grid_points(10)
     np.testing.assert_array_equal(result.tables[0].values, net.initial_data(pts))
 
 
 def test_initialdata_slice_rows_match_direct_eval():
-    from hjeval.presets import concave_quadratic_net_1d
-
-    net = concave_quadratic_net_1d()
+    net = shipped_net("pwa1d")
     spec = SliceSpec(free_axes=(0,), ranges=((-4.0, 4.0, 41),), times=(1.0, 3.0))
     result = evaluate_slice(net, spec)
     pts = spec.grid_points(1)
@@ -127,9 +122,7 @@ def test_initialdata_slice_rows_match_direct_eval():
 
 
 def test_l1_net_slice_is_finite_everywhere():
-    from hjeval.presets import l1_hamiltonian_net
-
-    net = l1_hamiltonian_net(5)
+    net = norm_net("l1", 5)
     spec = SliceSpec(
         free_axes=(0, 1),
         ranges=((-6.0, 6.0, 21), (-6.0, 6.0, 21)),

@@ -134,6 +134,13 @@ def _stencil(hj, n, samples, rng):
     return rows[0]
 
 
+def _norm_net(hj, kind, n):
+    """The net on data -|x|^2/2 in R^n whose Hamiltonian is the ``kind``
+    ("l1" or "linf") norm."""
+    rows, offsets = hj.initialdata.norm_hamiltonian_rows(kind, n)
+    return hj.initialdata.InitialDataNet(hj.catalog.ConcaveFn(hj.catalog.HalfSquaredNorm()), rows, offsets)
+
+
 def kernels(hj, scratch: Path):
     """Name -> zero-argument callable, each built from the package ``hj``;
     the CSV kernels write under ``scratch``."""
@@ -179,8 +186,7 @@ def kernels(hj, scratch: Path):
             clipped.initial_values, clipped.lagrangian, np.array([0.7]), 1.3, cfg
         )
 
-    presets = importlib.import_module(f"{hj.__name__}.presets")
-    linf = presets.linf_hamiltonian_net(1000)
+    linf = _norm_net(hj, "linf", 1000)
     snp_rng = np.random.default_rng(2)
     snp = hj.lagrangian.LagrangianNet(
         hj.catalog.ShiftedNormPlus(), snp_rng.uniform(-1.0, 1.0, (64, 1000)), snp_rng.uniform(-1.0, 1.0, 64)
@@ -195,8 +201,8 @@ def kernels(hj, scratch: Path):
         "snp100": hj.lagrangian.LagrangianNet(
             hj.catalog.ShiftedNormPlus(), eval_rng.uniform(-1.0, 1.0, (64, 100)), eval_rng.uniform(-1.0, 1.0, 64)
         ),
-        "linf100": presets.linf_hamiltonian_net(100),
-        "l1_8": presets.l1_hamiltonian_net(8),
+        "linf100": _norm_net(hj, "linf", 100),
+        "l1_8": _norm_net(hj, "l1", 8),
     }
     batches = {
         key: (eval_rng.uniform(-4.0, 4.0, (10_000, net.dimension)), float(eval_rng.uniform(0.1, 3.0)))
@@ -213,7 +219,7 @@ def kernels(hj, scratch: Path):
     slice_plane = hj.slicing.SliceSpec(
         (2, 7), ((-6.0, 6.0, 41), (-6.0, 6.0, 41)), (0.37, 1.17, 2.57, 4.07), tuple(eval_rng.uniform(-1.0, 1.0, 8))
     )
-    linf5 = presets.linf_hamiltonian_net(5)
+    linf5 = _norm_net(hj, "linf", 5)
     slice_linf5 = hj.slicing.SliceSpec(
         (1, 3), ((-6.0, 6.0, 41), (-6.0, 6.0, 41)), (0.0,), tuple(eval_rng.uniform(-1.0, 1.0, 3))
     )

@@ -321,6 +321,18 @@ MUTANTS = [
         "np.negative(d, out=2.0 * d, where=d <= 0.0)",
         "the clipped recession's zeros negated (d <= 0)",
     ),
+    (
+        "src/hjeval/catalog.py",
+        '    @np.errstate(over="ignore")\n    def _recession',
+        "    def _recession",
+        "the clipped recession's overflow warning let through",
+    ),
+    (
+        SIMPLEX,
+        "if not tied.any(axis=1).all():",
+        "if not positive.any(axis=1).all():",
+        "the NaN-ratio refusal dropped (stack kernel)",
+    ),
 ]
 
 # why -> the reason no test can catch the mutant.
